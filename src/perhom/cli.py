@@ -10,7 +10,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .complexes import BoundedComplex, ChainMap, cohomology_dims, cone, tensor_complex, validate
+from .complexes import (
+    BoundedComplex,
+    ChainMap,
+    HomReport,
+    cohomology_dims,
+    cone,
+    hom_space_dims,
+    tensor_complex,
+    validate,
+)
 from .documents import (
     DocumentError,
     canonical_json_bytes,
@@ -25,8 +34,8 @@ from .periodic import (
     PeriodicComplex,
     compress,
     expand_window,
-    hom_report_for,
     periodic_cohomology,
+    periodic_hom_dims,
     periodize_null_homotopy,
     unrolled_identity_contraction,
     validate_periodic,
@@ -90,7 +99,13 @@ def _cmd_cohomology(args) -> int:
     return 0
 
 
+def _require_period(n: int) -> None:
+    if n < 1:
+        raise DocumentError("/n", "period must be at least 1")
+
+
 def _cmd_compress(args) -> int:
+    _require_period(args.n)
     doc = _read_document(args.input)
     if not isinstance(doc, BoundedComplex):
         raise DocumentError("/kind", "compress expects a complex document")
@@ -119,6 +134,15 @@ def _cmd_cone(args) -> int:
         return _finding(1, str(exc))
     _emit_json(document_dict(triangle.complex))
     return 0
+
+
+def hom_report_for(x, y) -> HomReport:
+    """Dispatch Hom dimensions over two bounded or two periodic complexes."""
+    if isinstance(x, BoundedComplex) and isinstance(y, BoundedComplex):
+        return hom_space_dims(x, y)
+    if isinstance(x, PeriodicComplex) and isinstance(y, PeriodicComplex):
+        return periodic_hom_dims(x, y)
+    raise TypeError("expected two complex documents or two periodic documents")
 
 
 def _cmd_homdim(args) -> int:
@@ -153,6 +177,7 @@ def _cmd_homdim(args) -> int:
 
 
 def _cmd_orbit_homdim(args) -> int:
+    _require_period(args.n)
     x = _read_document(args.x)
     y = _read_document(args.y)
     if not isinstance(x, BoundedComplex) or not isinstance(y, BoundedComplex):

@@ -131,9 +131,6 @@ def matrix_doc(m: Matrix):
     return [[_entry_doc(m.field, x) for x in row] for row in m.entries]
 
 
-_matrix_doc = matrix_doc
-
-
 def _parse_window(value, ptr: str) -> tuple[int, int]:
     w = _expect_list(value, ptr)
     if len(w) != 2:
@@ -180,7 +177,7 @@ def _complex_doc(c: BoundedComplex) -> dict:
         "field": _field_doc(c.field),
         "window": [c.lo, c.hi],
         "dims": list(c.dims),
-        "diffs": [_matrix_doc(m) for m in c.diffs],
+        "diffs": [matrix_doc(m) for m in c.diffs],
     }
 
 
@@ -206,7 +203,7 @@ def _periodic_doc(p: PeriodicComplex) -> dict:
         "field": _field_doc(p.field),
         "n": p.n,
         "dims": list(p.dims),
-        "diffs": [_matrix_doc(m) for m in p.diffs],
+        "diffs": [matrix_doc(m) for m in p.diffs],
     }
 
 
@@ -239,7 +236,7 @@ def _chain_map_doc(f: ChainMap) -> dict:
         "field": _field_doc(f.source.field),
         "source": _complex_doc(f.source),
         "target": _complex_doc(f.target),
-        "components": [{"degree": d, "matrix": _matrix_doc(m)} for d, m in f.components],
+        "components": [{"degree": d, "matrix": matrix_doc(m)} for d, m in f.components],
     }
 
 
@@ -285,7 +282,7 @@ def _graded_module_doc(m: GradedModule) -> dict:
         "algebra": {m.algebra.kind: m.algebra.generators},
         "window": [m.lo, m.hi],
         "dims": list(m.dims),
-        "actions": [[_matrix_doc(mx) for mx in family] for family in m.actions],
+        "actions": [[matrix_doc(mx) for mx in family] for family in m.actions],
     }
 
 
@@ -319,7 +316,7 @@ def _flag_doc(f: FlagData) -> dict:
         "kind": "flag",
         "field": _field_doc(f.field),
         "parts": list(f.parts),
-        "blocks": [{"src": s, "dst": d, "matrix": _matrix_doc(m)} for s, d, m in blocks],
+        "blocks": [{"src": s, "dst": d, "matrix": matrix_doc(m)} for s, d, m in blocks],
     }
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import BoundedComplex, Violation, cohomology_dims, validate
+from .complexes import BoundedComplex, Violation, validate
 from .graded import (
     GradedModule,
     ModuleComplex,

@@ -19,9 +19,9 @@ from .complexes import (
     HomReport,
     Homotopy,
     Violation,
+    _split_hom_report,
     chain_map,
     cone,
-    hom_space_dims,
     shift,
     degree_shift,
     validate,
@@ -51,7 +51,6 @@ __all__ = [
     "compression_cone_square",
     "expand_window",
     "find_periodic_homotopy",
-    "hom_report_for",
     "identity_periodic_map",
     "is_acyclic_periodic",
     "periodic_cohomology",
@@ -299,34 +298,21 @@ def periodic_cone(f: PeriodicChainMap) -> PeriodicComplex:
     return PeriodicComplex(field, n, dims, tuple(diffs))
 
 
+def _periodic_splitting(p: PeriodicComplex) -> tuple[dict[int, int], dict[int, int]]:
+    """(h, p) by residue, as `complexes._splitting` with indices mod n."""
+    ranks = [rank(m) for m in p.diffs]
+    h = {i: p.dims[i] - ranks[i] - ranks[(i - 1) % p.n] for i in range(p.n)}
+    return h, dict(enumerate(ranks))
+
+
 def periodic_cohomology(p: PeriodicComplex) -> tuple[int, ...]:
     """dim H^i = dims_i - rank d^i - rank d^(i-1), cyclically."""
     _require_valid(p)
-    ranks = [rank(m) for m in p.diffs]
-    return tuple(p.dims[i] - ranks[i] - ranks[(i - 1) % p.n] for i in range(p.n))
+    return tuple(_periodic_splitting(p)[0].values())
 
 
 def is_acyclic_periodic(p: PeriodicComplex) -> bool:
     return all(h == 0 for h in periodic_cohomology(p))
-
-
-def _cyclic_chain_map_system(x: PeriodicComplex, y: PeriodicComplex) -> BlockSystem:
-    sys = BlockSystem(x.field)
-    n = x.n
-    for r in range(n):
-        if x.dims[r] and y.dims[r]:
-            sys.add_unknown(r, y.dims[r], x.dims[r])
-    for r in range(n):
-        if x.dims[r] and y.dim(r + 1):
-            sys.add_equation(r, y.dim(r + 1), x.dims[r])
-    for r in range(n):
-        if not (x.dims[r] and y.dim(r + 1)):
-            continue
-        if x.dim(r + 1) and y.dim(r + 1):
-            sys.add_term(r, (r + 1) % n, right=x.diff(r))
-        if x.dims[r] and y.dims[r]:
-            sys.add_term(r, r, left=y.diff(r), sign=-1)
-    return sys
 
 
 def _cyclic_homotopy_system(x: PeriodicComplex, y: PeriodicComplex) -> BlockSystem:
@@ -349,26 +335,24 @@ def _cyclic_homotopy_system(x: PeriodicComplex, y: PeriodicComplex) -> BlockSyst
 
 
 def periodic_hom_dims(x: PeriodicComplex, y: PeriodicComplex) -> HomReport:
-    """Z, B and Z - B for the cyclic chain-map and homotopy operators."""
+    """Z, B and Z - B for the cyclic chain-map and homotopy operators.
+
+    Counted in closed form as in `hom_space_dims`, with degrees taken mod
+    n: for p_i = rank d_X^i, h_i = dim H^i(X) and q_i, h'_i the same for Y,
+
+        Z = sum_i h_i h'_i + h_i q_(i-1) + p_i h'_i + p_i q_i + p_i q_(i-1),
+        Z - B = sum_i h_i h'_i,
+
+    the sums running over the residues 0 .. n-1 and i - 1 taken mod n.
+    """
     if x.field != y.field:
         raise FieldMismatch("hom across fields")
     if x.n != y.n:
         raise ShapeError("hom across different periods")
     _require_valid(x)
     _require_valid(y)
-    tsys = _cyclic_chain_map_system(x, y)
-    z = tsys.unknown_dim - rank(tsys.matrix())
-    b = rank(_cyclic_homotopy_system(x, y).matrix())
-    return HomReport(z, b, z - b)
-
-
-def hom_report_for(x, y) -> HomReport:
-    """Dispatch Hom dimensions over two bounded or two periodic complexes."""
-    if isinstance(x, BoundedComplex) and isinstance(y, BoundedComplex):
-        return hom_space_dims(x, y)
-    if isinstance(x, PeriodicComplex) and isinstance(y, PeriodicComplex):
-        return periodic_hom_dims(x, y)
-    raise TypeError("expected two complex documents or two periodic documents")
+    n = x.n
+    return _split_hom_report(_periodic_splitting(x), _periodic_splitting(y), lambda i: (i - 1) % n)
 
 
 def find_periodic_homotopy(f: PeriodicChainMap, g: PeriodicChainMap) -> PeriodicHomotopy | None:

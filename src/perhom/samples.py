@@ -19,7 +19,6 @@ from .complexes import (
     chain_map,
 )
 from .graded import (
-    Algebra,
     FlagData,
     GradedModule,
     ModuleComplex,

@@ -63,8 +63,11 @@ def _finish(name: str, seed: int, cases: list[dict]) -> dict:
 
 
 def suite_embedding(seed: int) -> dict:
-    """Orbit Hom dimensions agree with the periodic computation, pairwise
-    over seeded corpora of five complexes per period."""
+    """Orbit Hom dimensions, summed from the cohomology of each complex,
+    agree with the Hom dimension between the folded complexes, counted
+    from the ranks of their own differentials: folding preserves
+    cohomology summed over residues.  Pairwise over seeded corpora of five
+    complexes per period."""
     cases = []
     for n in (1, 2, 3):
         rng = Random((seed, "embedding", n).__repr__())

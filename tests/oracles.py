@@ -1,13 +1,20 @@
-"""Brute-force oracles, independent of the library's solvers.
+"""Independent routes to the numbers the library computes.
 
-These enumerate small prime-field spaces outright or defer to sympy's
-exact rational arithmetic, so they share no code path with the Gaussian
-elimination they check.
+The brute-force oracles enumerate small prime-field spaces outright or
+defer to sympy's exact rational arithmetic, so they share no code path
+with the Gaussian elimination they check.  The solver oracles compute Hom
+dimensions the long way, as the nullity and rank of the Kronecker-sized
+linear systems for chain maps and null homotopies: they share `rank` (and
+the system assembly) with the library, but not the closed-form count over
+the splitting of each complex that the library uses.
 """
 
 from itertools import product
 
-from perhom import BoundedComplex, Matrix
+from perhom import BoundedComplex, Matrix, PeriodicComplex, rank
+from perhom.complexes import _chain_map_system, _homotopy_system
+from perhom.linalg import BlockSystem
+from perhom.periodic import _cyclic_homotopy_system
 
 
 def brute_rank_fp(m: Matrix) -> int:
@@ -92,3 +99,39 @@ def sympy_rank(m: Matrix) -> int:
         return 0
     body = [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.entries]
     return sympy.Matrix(body).rank()
+
+
+def solver_hom_dims(x: BoundedComplex, y: BoundedComplex) -> tuple[int, int, int]:
+    """(Z, B, Z - B) from the kernel of f -> d f - f d on degree 0 maps and
+    the rank of s -> d s + s d on degree -1 maps."""
+    tsys = _chain_map_system(x, y)
+    z = tsys.unknown_dim - rank(tsys.matrix())
+    b = rank(_homotopy_system(x, y).matrix())
+    return z, b, z - b
+
+
+def _cyclic_chain_map_system(x: PeriodicComplex, y: PeriodicComplex) -> BlockSystem:
+    sys = BlockSystem(x.field)
+    n = x.n
+    for r in range(n):
+        if x.dims[r] and y.dims[r]:
+            sys.add_unknown(r, y.dims[r], x.dims[r])
+    for r in range(n):
+        if x.dims[r] and y.dim(r + 1):
+            sys.add_equation(r, y.dim(r + 1), x.dims[r])
+    for r in range(n):
+        if not (x.dims[r] and y.dim(r + 1)):
+            continue
+        if x.dim(r + 1) and y.dim(r + 1):
+            sys.add_term(r, (r + 1) % n, right=x.diff(r))
+        if x.dims[r] and y.dims[r]:
+            sys.add_term(r, r, left=y.diff(r), sign=-1)
+    return sys
+
+
+def solver_periodic_hom_dims(x: PeriodicComplex, y: PeriodicComplex) -> tuple[int, int, int]:
+    """(Z, B, Z - B) for the cyclic chain-map and homotopy operators."""
+    tsys = _cyclic_chain_map_system(x, y)
+    z = tsys.unknown_dim - rank(tsys.matrix())
+    b = rank(_cyclic_homotopy_system(x, y).matrix())
+    return z, b, z - b

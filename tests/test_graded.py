@@ -72,29 +72,48 @@ class TestValidateModule:
 
     @pytest.mark.parametrize("c", [2, 3])
     def test_free_modules_reject_single_sign_corruption(self, c):
-        rng = Random(50 + c)
+        # Negating one entry of one action matrix may or may not break a
+        # law: negating x_j * x_j alone rescales a basis vector and gives an
+        # isomorphic, valid module.  Each corruption is classified by
+        # `polynomial_laws_hold`, computed here on plain entries, and the
+        # validator must agree with it on every one.
         field = F7
-        window = (0, 2)
-        m = direct_sum_modules([free_module(field, polynomial_algebra(c), 0, window)])
-        assert validate_module(m) is None
+        m = direct_sum_modules([free_module(field, polynomial_algebra(c), 0, (0, 2))])
+        assert validate_module(m) is None and polynomial_laws_hold(m.actions, field.p)
         for j in range(c):
             for k in range(len(m.dims) - 1):
                 source = m.actions[j][k]
-                mutated = False
+                breaking = 0
                 for a, row in enumerate(source.entries):
                     for b, x in enumerate(row):
-                        if x:
-                            body = [list(r) for r in source.entries]
-                            body[a][b] = (-x) % field.p
-                            broken_actions = [list(f) for f in m.actions]
-                            broken_actions[j] = list(broken_actions[j])
-                            broken_actions[j][k] = Matrix(field, source.rows, source.cols, tuple(tuple(r) for r in body))
-                            broken = GradedModule(field, m.algebra, m.lo, m.dims, tuple(tuple(f) for f in broken_actions))
-                            assert validate_module(broken) is not None
-                            mutated = True
-                            break
-                    if mutated:
-                        break
+                        if not x:
+                            continue
+                        body = [list(r) for r in source.entries]
+                        body[a][b] = (-x) % field.p
+                        broken_actions = [list(f) for f in m.actions]
+                        broken_actions[j][k] = Matrix(field, source.rows, source.cols, tuple(tuple(r) for r in body))
+                        actions = tuple(tuple(f) for f in broken_actions)
+                        broken = GradedModule(field, m.algebra, m.lo, m.dims, actions)
+                        breaks_law = not polynomial_laws_hold(actions, field.p)
+                        assert (validate_module(broken) is not None) == breaks_law, (j, k, a, b)
+                        breaking += breaks_law
+                assert breaking > 0, f"no corruption of generator {j} at degree {k} breaks a law"
+
+
+def polynomial_laws_hold(actions, p: int) -> bool:
+    """x_j x_l = x_l x_j for every pair of generators and every pair of
+    consecutive action matrices, multiplied out on entry tuples mod p."""
+
+    def product(u, v):
+        return [[sum(u.entries[r][t] * v.entries[t][s] for t in range(v.rows)) % p for s in range(v.cols)]
+                for r in range(u.rows)]
+
+    for j, first in enumerate(actions):
+        for second in actions[j + 1:]:
+            for k in range(len(first) - 1):
+                if product(first[k + 1], second[k]) != product(second[k + 1], first[k]):
+                    return False
+    return True
 
 
 class TestFlags:
