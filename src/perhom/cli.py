@@ -215,13 +215,17 @@ def _cmd_periodize(args) -> int:
     if s is None:
         return _finding(1, "no windowed contraction exists; the identity is not null-homotopic")
     sigma = periodize_null_homotopy(doc, s)
-    _emit_json(
-        {
-            "components": [matrix_doc(m) for m in sigma.components],
-            "verified": True,
-            "ok": True,
-        }
-    )
+    if args.format == "table":
+        rows = [[str(r), f"{m.rows}x{m.cols}"] for r, m in enumerate(sigma.components)]
+        _emit(_table(["residue", "shape"], rows).encode())
+    else:
+        _emit_json(
+            {
+                "components": [matrix_doc(m) for m in sigma.components],
+                "verified": True,
+                "ok": True,
+            }
+        )
     return 0
 
 

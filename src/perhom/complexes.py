@@ -11,6 +11,7 @@ complexes is a meaningful assertion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import (
     BlockSystem,
@@ -18,10 +19,12 @@ from .linalg import (
     FieldMismatch,
     Matrix,
     ShapeError,
+    _kernel_of_rref,
     assemble_blocks,
+    hstack,
     identity,
     kron,
-    rank,
+    rref,
     solve_linear,
     zeros,
 )
@@ -319,15 +322,108 @@ def cone(f: ChainMap) -> Cone:
     return Cone(c, inclusion, tuple(projection))
 
 
-def _splitting(c: BoundedComplex) -> tuple[dict[int, int], dict[int, int]]:
-    """(h, p) with p_i = rank d^i and h_i = dim X^i - p_i - p_(i-1).
+def _echelons(c, degrees) -> dict[int, tuple[Matrix, tuple[int, ...]]]:
+    """rref and pivot columns of the differential out of each degree of a
+    bounded or periodic complex; each differential is reduced once."""
+    return {r: rref(c.diff(r)) for r in degrees}
+
+
+def _split_ranks(c, echelons, degrees, prev) -> tuple[dict[int, int], dict[int, int]]:
+    """(h, p) with p_i = rank d^i and h_i = dim X^i - p_i - p_prev(i).
 
     Over a field, c is isomorphic to the sum of h_i copies of k in degree i
-    and p_i copies of the contractible k -> k in degrees i, i+1.
+    and p_i copies of the contractible k -> k in degrees i, i+1.  Degrees
+    missing from `echelons` have zero differential.
     """
-    p = {c.lo + k: rank(m) for k, m in enumerate(c.diffs)}
-    h = {i: c.dim(i) - p.get(i, 0) - p.get(i - 1, 0) for i in c.degrees()}
+    p = {r: len(pivots) for r, (_, pivots) in echelons.items()}
+    h = {i: c.dim(i) - p.get(i, 0) - p.get(prev(i), 0) for i in degrees}
     return h, p
+
+
+def _splitting(c: BoundedComplex) -> tuple[dict[int, int], dict[int, int]]:
+    return _split_ranks(c, _echelons(c, range(c.lo, c.hi)), c.degrees(), lambda i: i - 1)
+
+
+def _place_rows(m: Matrix, positions, height: int) -> Matrix:
+    """The height x m.cols matrix whose row positions[t] is row t of m, the
+    other rows zero."""
+    body = [(m.field.zero,) * m.cols] * height
+    for t, pos in enumerate(positions):
+        body[pos] = m.entries[t]
+    return Matrix(m.field, height, m.cols, tuple(body))
+
+
+def _columns(m: Matrix, cols) -> Matrix:
+    return Matrix(m.field, m.rows, len(cols), tuple(tuple(row[j] for j in cols) for row in m.entries))
+
+
+class _Split(NamedTuple):
+    """Splitting data of one degree: d s + s d = 1 - i p."""
+
+    i: Matrix
+    p: Matrix
+    s: Matrix
+
+
+def _contraction(c, echelons, r: int, prev) -> _Split:
+    """Splitting data (i, p, s) of a bounded or periodic complex c in degree
+    r, with d s + s d = 1 - i p and p d = 0, d i = 0.
+
+    `echelons` holds the rref R and pivot columns P of the differentials out
+    of r and out of prev(r).  The unit vectors at P_r span a complement of
+    the cycles Z_r; the columns D of d^(r-1) at P_(r-1) are a basis of the
+    boundaries B_r; the columns I of a kernel basis of d^r that are pivots
+    of [D | kernel] span a complement H_r of B_r in Z_r.  Write a vector of
+    degree r as v = E_P a + D b + I c.  Then R v = a, because R is zero on
+    cycles and the identity at its pivots, so (b; c) solves
+    [D | I] (b; c) = (1 - E_P R) v; set i = I, p v = c and
+    s v = E_(P_(r-1)) b.  As d^r v = d^r E_P a has boundary coordinates a
+    in degree r + 1, s d v = E_P a, while d s v = D b.
+
+    Only the rank data is needed for Hom counts (`_split_ranks`); this
+    solve is paid for by the homotopy witnesses alone.
+    """
+    field = c.field
+    m = c.dim(r)
+    reduced, pivots = echelons[r]
+    incoming = echelons[prev(r)][1]
+    boundaries = _columns(c.diff(r - 1), incoming)
+    cycles = zeros(field, m, 0)
+    if m - len(pivots) - len(incoming):
+        kernel = _kernel_of_rref(reduced, pivots)
+        chosen = rref(hstack([boundaries, kernel]))[1][len(incoming) :]
+        cycles = _columns(kernel, [j - len(incoming) for j in chosen])
+    coords = solve_linear(hstack([boundaries, cycles]), identity(field, m) - _place_rows(reduced, pivots, m))
+    if coords is None:
+        raise AssertionError(f"splitting of degree {r} is not a basis")
+    s = _place_rows(coords, incoming, c.dim(r - 1))
+    project = Matrix(field, cycles.cols, m, coords.entries[len(incoming) :])
+    return _Split(cycles, project, s)
+
+
+def _contractions(c, degrees, prev) -> dict[int, _Split]:
+    """`_contraction` in each of `degrees`, each differential reduced once."""
+    echelons = _echelons(c, set(degrees) | {prev(r) for r in degrees})
+    return {r: _contraction(c, echelons, r, prev) for r in degrees}
+
+
+def _split_null_homotopy(x, y, phi, degrees, prev) -> dict | None:
+    """h with d h + h d = phi on `degrees`, or None when the chain map phi
+    (phi(r) its component in degree r) is not null-homotopic; the criterion
+    and the witness are those of `find_null_homotopy`.
+
+    Why the witness works: as p_Y d = 0 and d i_Y = 0,
+    d h + h d = (1 - i_Y p_Y) phi + i_Y p_Y phi s_X d, and when
+    p_Y phi i_X = 0, p_Y phi = p_Y phi (d s_X + s_X d + i_X p_X) = p_Y phi s_X d.
+    """
+    near = set(degrees) | {prev(r) for r in degrees}
+    sx, sy = _contractions(x, near, prev), _contractions(y, near, prev)
+    if any(not (sy[r].p @ phi(r) @ sx[r].i).is_zero() for r in degrees):
+        return None
+    return {
+        r: sy[r].s @ phi(r) + sy[prev(r)].i @ sy[prev(r)].p @ phi(prev(r)) @ sx[r].s
+        for r in degrees
+    }
 
 
 def cohomology_dims(c: BoundedComplex) -> tuple[tuple[int, int], ...]:
@@ -371,28 +467,6 @@ def _chain_map_system(x: BoundedComplex, y: BoundedComplex) -> BlockSystem:
             sys.add_term(i, i + 1, right=x.diff(i))
         if x.dim(i) and y.dim(i):
             sys.add_term(i, i, left=y.diff(i), sign=-1)
-    return sys
-
-
-def _homotopy_system(x: BoundedComplex, y: BoundedComplex) -> BlockSystem:
-    # Unknowns are degree -1 maps s^i : X^i -> Y^(i-1); the operator lands in
-    # degree 0 maps via s -> d s + s d.
-    sys = BlockSystem(x.field)
-    lo = min(x.lo, y.lo) if x.dims and y.dims else 0
-    hi = max(x.hi, y.hi) if x.dims and y.dims else -1
-    for i in range(lo, hi + 2):
-        if x.dim(i) and y.dim(i - 1):
-            sys.add_unknown(i, y.dim(i - 1), x.dim(i))
-    for i in range(lo, hi + 1):
-        if x.dim(i) and y.dim(i):
-            sys.add_equation(i, y.dim(i), x.dim(i))
-    for i in range(lo, hi + 1):
-        if not (x.dim(i) and y.dim(i)):
-            continue
-        if x.dim(i + 1) and y.dim(i):
-            sys.add_term(i, i + 1, right=x.diff(i))
-        if x.dim(i) and y.dim(i - 1):
-            sys.add_term(i, i, left=y.diff(i - 1))
     return sys
 
 
@@ -470,22 +544,26 @@ def homotopy_defect(h: Homotopy) -> Violation | None:
 
 
 def find_null_homotopy(f: ChainMap) -> Homotopy | None:
-    """A homotopy from f to zero, when the linear system is solvable."""
+    """A homotopy from f to zero, or None when f is not null-homotopic.
+
+    From the splitting data d s + s d = 1 - i p of source and target, with
+    i including a complement of the boundaries in the cycles and p
+    projecting onto it: f is null-homotopic iff p_Y f i_X = 0 in every
+    degree, and then h = s_Y f + i_Y p_Y f s_X, that is
+    h^r = s_Y^r f^r + i_Y^(r-1) p_Y^(r-1) f^(r-1) s_X^r.  Components are
+    kept for the degrees r with X^r and Y^(r-1) both nonzero.
+    """
     _require_chain_map(f)
     x, y = f.source, f.target
-    sys = _homotopy_system(x, y)
-    for i, m in f.components:
-        if x.dim(i) and y.dim(i):
-            sys.set_rhs(i, m)
-        elif not m.is_zero():
-            return None
-    solution = solve_linear(sys.matrix(), sys.rhs_vector())
-    if solution is None:
+    w = _union_window(x, y)
+    degrees = range(w[0], w[1] + 1) if w is not None else range(0)
+    parts = _split_null_homotopy(x, y, f.component, degrees, lambda i: i - 1)
+    if parts is None:
         return None
-    parts = sys.split_solution(solution)
-    h = Homotopy(f, zero_chain_map(x, y), tuple(sorted(parts.items())))
+    comps = tuple((r, m) for r, m in parts.items() if x.dim(r) and y.dim(r - 1))
+    h = Homotopy(f, zero_chain_map(x, y), comps)
     if homotopy_defect(h) is not None:
-        raise AssertionError("solver returned a non-homotopy")
+        raise AssertionError("splitting returned a non-homotopy")
     return h
 
 

@@ -485,21 +485,25 @@ def kernel_basis(m: Matrix) -> Matrix:
     Free variables are processed in increasing column order, so the result
     is deterministic.
     """
-    reduced, pivots = rref(m)
+    return _kernel_of_rref(*rref(m))
+
+
+def _kernel_of_rref(reduced: Matrix, pivots: Sequence[int]) -> Matrix:
+    """`kernel_basis` of any matrix whose rref is `reduced`, with these pivots."""
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    field = m.field
+    free = [c for c in range(reduced.cols) if c not in pivot_set]
+    field = reduced.field
     z = field.zero
     o = field.one
     columns = []
     for f in free:
-        v = [z] * m.cols
+        v = [z] * reduced.cols
         v[f] = o
         for r_i, pc in enumerate(pivots):
             v[pc] = field.neg(reduced.entries[r_i][f])
         columns.append(v)
-    entries = tuple(tuple(col[i] for col in columns) for i in range(m.cols))
-    return Matrix(field, m.cols, len(free), entries)
+    entries = tuple(tuple(col[i] for col in columns) for i in range(reduced.cols))
+    return Matrix(field, reduced.cols, len(free), entries)
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:

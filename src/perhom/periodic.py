@@ -7,6 +7,13 @@ increasing original degree; unrolling a periodic complex onto a finite
 window (`expand_window`) truncates the outgoing differential at the top of
 the window, so statements about the unrolled complex are made on window
 interiors.
+
+Hom dimensions and homotopy witnesses come from the splitting of each
+complex into cohomology and contractible pieces, read off one rref of each
+differential (`complexes._contraction`).  In particular `periodize`
+(`unrolled_identity_contraction` then `periodize_null_homotopy`) solves no
+Kronecker-sized linear system: it solves one small system per residue, in
+the size of a single term.
 """
 
 from __future__ import annotations
@@ -19,16 +26,21 @@ from .complexes import (
     HomReport,
     Homotopy,
     Violation,
+    _contraction,
+    _echelons,
     _split_hom_report,
+    _split_null_homotopy,
+    _split_ranks,
     chain_map,
     cone,
+    identity_chain_map,
     shift,
     degree_shift,
     validate,
+    zero_chain_map,
     zero_complex,
 )
 from .linalg import (
-    BlockSystem,
     Field,
     FieldMismatch,
     Matrix,
@@ -37,8 +49,6 @@ from .linalg import (
     identity,
     permute_cols,
     permute_rows,
-    rank,
-    solve_linear,
     zeros,
 )
 
@@ -298,11 +308,13 @@ def periodic_cone(f: PeriodicChainMap) -> PeriodicComplex:
     return PeriodicComplex(field, n, dims, tuple(diffs))
 
 
+def _prev(n: int):
+    return lambda i: (i - 1) % n
+
+
 def _periodic_splitting(p: PeriodicComplex) -> tuple[dict[int, int], dict[int, int]]:
     """(h, p) by residue, as `complexes._splitting` with indices mod n."""
-    ranks = [rank(m) for m in p.diffs]
-    h = {i: p.dims[i] - ranks[i] - ranks[(i - 1) % p.n] for i in range(p.n)}
-    return h, dict(enumerate(ranks))
+    return _split_ranks(p, _echelons(p, range(p.n)), range(p.n), _prev(p.n))
 
 
 def periodic_cohomology(p: PeriodicComplex) -> tuple[int, ...]:
@@ -313,25 +325,6 @@ def periodic_cohomology(p: PeriodicComplex) -> tuple[int, ...]:
 
 def is_acyclic_periodic(p: PeriodicComplex) -> bool:
     return all(h == 0 for h in periodic_cohomology(p))
-
-
-def _cyclic_homotopy_system(x: PeriodicComplex, y: PeriodicComplex) -> BlockSystem:
-    sys = BlockSystem(x.field)
-    n = x.n
-    for r in range(n):
-        if x.dims[r] and y.dim(r - 1):
-            sys.add_unknown(r, y.dim(r - 1), x.dims[r])
-    for r in range(n):
-        if x.dims[r] and y.dims[r]:
-            sys.add_equation(r, y.dims[r], x.dims[r])
-    for r in range(n):
-        if not (x.dims[r] and y.dims[r]):
-            continue
-        if x.dim(r + 1) and y.dims[r]:
-            sys.add_term(r, (r + 1) % n, right=x.diff(r))
-        if x.dims[r] and y.dim(r - 1):
-            sys.add_term(r, r, left=y.diff(r - 1))
-    return sys
 
 
 def periodic_hom_dims(x: PeriodicComplex, y: PeriodicComplex) -> HomReport:
@@ -351,69 +344,61 @@ def periodic_hom_dims(x: PeriodicComplex, y: PeriodicComplex) -> HomReport:
         raise ShapeError("hom across different periods")
     _require_valid(x)
     _require_valid(y)
-    n = x.n
-    return _split_hom_report(_periodic_splitting(x), _periodic_splitting(y), lambda i: (i - 1) % n)
+    return _split_hom_report(_periodic_splitting(x), _periodic_splitting(y), _prev(x.n))
 
 
 def find_periodic_homotopy(f: PeriodicChainMap, g: PeriodicChainMap) -> PeriodicHomotopy | None:
-    """A periodic homotopy from f to g, or None when none exists."""
+    """A periodic homotopy from f to g, or None when none exists.
+
+    As `find_null_homotopy` for phi = f - g with residues mod n: phi is
+    null-homotopic iff p_Y phi i_X = 0 at every residue, and then the
+    witness is h = s_Y phi + i_Y p_Y phi s_X, built from the splitting data
+    d s + s d = 1 - i p of source and target.
+    """
     if f.source != g.source or f.target != g.target:
         raise ShapeError("homotopy endpoints must share source and target")
     _require_valid_map(f)
     _require_valid_map(g)
     x, y = f.source, f.target
     n = x.n
-    sys = _cyclic_homotopy_system(x, y)
-    for r in range(n):
-        if x.dims[r] and y.dims[r]:
-            sys.set_rhs(r, f.components[r] - g.components[r])
-        elif not (f.components[r] - g.components[r]).is_zero():
-            return None
-    solution = solve_linear(sys.matrix(), sys.rhs_vector())
-    if solution is None:
+    phi = lambda r: f.component(r) - g.component(r)
+    parts = _split_null_homotopy(x, y, phi, range(n), _prev(n))
+    if parts is None:
         return None
-    parts = sys.split_solution(solution)
-    comps = tuple(
-        parts.get(r, zeros(x.field, y.dim(r - 1), x.dims[r])) for r in range(n)
-    )
-    h = PeriodicHomotopy(f, g, comps)
+    h = PeriodicHomotopy(f, g, tuple(parts[r] for r in range(n)))
     if periodic_homotopy_defect(h) is not None:
-        raise AssertionError("solver returned a non-homotopy")
+        raise AssertionError("splitting returned a non-homotopy")
     return h
 
 
 def unrolled_identity_contraction(p: PeriodicComplex) -> Homotopy | None:
     """Degree -1 maps s^0..s^n on the window [-1, n] with
-    ``id = s^(i+1) d^i + d^(i-1) s^i`` for 0 <= i <= n-1, if they exist.
+    ``id = s^(i+1) d^i + d^(i-1) s^i`` for 0 <= i <= n-1, or None when some
+    periodic cohomology is nonzero and no such maps exist.
 
     This is the windowed input consumed by `periodize_null_homotopy`; it is
     weaker than a contraction of the truncated unrolled complex, whose
-    identity at the window edges is perturbed by the truncation.
+    identity at the window edges is perturbed by the truncation.  The maps
+    are the periodic contraction s_r of the splitting data
+    (`complexes._contraction`, here with no cohomology): with P_r the pivot
+    columns and R_r the pivot rows of rref(d^r),
+
+        s_r = E_(P_(r-1)) solve(d^(r-1) E_(P_(r-1)), 1 - E_(P_r) R_r),
+
+    unrolled as s^i = s_(i mod n), so the top edge is s^n = s_0.  Each
+    differential is reduced once.
     """
     _require_valid(p)
     n = p.n
-    e = expand_window(p, -1, n)
-    sys = BlockSystem(p.field)
-    for i in range(0, n + 1):
-        if p.dim(i) and p.dim(i - 1):
-            sys.add_unknown(i, p.dim(i - 1), p.dim(i))
-    for i in range(0, n):
-        if p.dim(i):
-            sys.add_equation(i, p.dim(i), p.dim(i))
-            sys.set_rhs(i, identity(p.field, p.dim(i)))
-            if p.dim(i + 1):
-                sys.add_term(i, i + 1, right=p.diff(i))
-            if p.dim(i - 1):
-                sys.add_term(i, i, left=p.diff(i - 1))
-    solution = solve_linear(sys.matrix(), sys.rhs_vector())
-    if solution is None:
+    prev = _prev(n)
+    echelons = _echelons(p, range(n))
+    h, _ = _split_ranks(p, echelons, range(n), prev)
+    if any(h.values()):
         return None
-    parts = sys.split_solution(solution)
-    from .complexes import identity_chain_map, zero_chain_map
-
-    return Homotopy(
-        identity_chain_map(e), zero_chain_map(e, e), tuple(sorted(parts.items()))
-    )
+    s = {r: _contraction(p, echelons, r, prev).s for r in range(n)}
+    e = expand_window(p, -1, n)
+    comps = tuple((i, s[i % n]) for i in range(n + 1) if p.dim(i) and p.dim(i - 1))
+    return Homotopy(identity_chain_map(e), zero_chain_map(e, e), comps)
 
 
 def periodize_null_homotopy(p: PeriodicComplex, s: Homotopy) -> PeriodicHomotopy:

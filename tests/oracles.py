@@ -1,20 +1,35 @@
-"""Independent routes to the numbers the library computes.
+"""Independent routes to the numbers and witnesses the library computes.
 
 The brute-force oracles enumerate small prime-field spaces outright or
 defer to sympy's exact rational arithmetic, so they share no code path
-with the Gaussian elimination they check.  The solver oracles compute Hom
-dimensions the long way, as the nullity and rank of the Kronecker-sized
-linear systems for chain maps and null homotopies: they share `rank` (and
-the system assembly) with the library, but not the closed-form count over
-the splitting of each complex that the library uses.
+with the Gaussian elimination they check.  The solver oracles take the
+long way, through the Kronecker-sized linear systems for chain maps and
+homotopies: Hom dimensions as their nullity and rank, and homotopy
+witnesses as the reduced-echelon particular solution (free variables
+zero).  They share `rank`, `solve_linear` and the system assembly with the
+library, but not the splitting of each complex into cohomology and
+contractible pieces that the library counts and builds witnesses from.
 """
 
 from itertools import product
 
-from perhom import BoundedComplex, Matrix, PeriodicComplex, rank
-from perhom.complexes import _chain_map_system, _homotopy_system
+from perhom import (
+    BoundedComplex,
+    ChainMap,
+    Homotopy,
+    Matrix,
+    PeriodicComplex,
+    expand_window,
+    identity,
+    identity_chain_map,
+    rank,
+    solve_linear,
+    zero_chain_map,
+    zeros,
+)
+from perhom.complexes import _chain_map_system
 from perhom.linalg import BlockSystem
-from perhom.periodic import _cyclic_homotopy_system
+from perhom.periodic import PeriodicChainMap, PeriodicHomotopy
 
 
 def brute_rank_fp(m: Matrix) -> int:
@@ -99,6 +114,108 @@ def sympy_rank(m: Matrix) -> int:
         return 0
     body = [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m.entries]
     return sympy.Matrix(body).rank()
+
+
+def _homotopy_system(x: BoundedComplex, y: BoundedComplex) -> BlockSystem:
+    # Unknowns are degree -1 maps s^i : X^i -> Y^(i-1); the operator lands in
+    # degree 0 maps via s -> d s + s d.
+    sys = BlockSystem(x.field)
+    lo = min(x.lo, y.lo) if x.dims and y.dims else 0
+    hi = max(x.hi, y.hi) if x.dims and y.dims else -1
+    for i in range(lo, hi + 2):
+        if x.dim(i) and y.dim(i - 1):
+            sys.add_unknown(i, y.dim(i - 1), x.dim(i))
+    for i in range(lo, hi + 1):
+        if x.dim(i) and y.dim(i):
+            sys.add_equation(i, y.dim(i), x.dim(i))
+    for i in range(lo, hi + 1):
+        if not (x.dim(i) and y.dim(i)):
+            continue
+        if x.dim(i + 1) and y.dim(i):
+            sys.add_term(i, i + 1, right=x.diff(i))
+        if x.dim(i) and y.dim(i - 1):
+            sys.add_term(i, i, left=y.diff(i - 1))
+    return sys
+
+
+def _cyclic_homotopy_system(x: PeriodicComplex, y: PeriodicComplex) -> BlockSystem:
+    sys = BlockSystem(x.field)
+    n = x.n
+    for r in range(n):
+        if x.dims[r] and y.dim(r - 1):
+            sys.add_unknown(r, y.dim(r - 1), x.dims[r])
+    for r in range(n):
+        if x.dims[r] and y.dims[r]:
+            sys.add_equation(r, y.dims[r], x.dims[r])
+    for r in range(n):
+        if not (x.dims[r] and y.dims[r]):
+            continue
+        if x.dim(r + 1) and y.dims[r]:
+            sys.add_term(r, (r + 1) % n, right=x.diff(r))
+        if x.dims[r] and y.dim(r - 1):
+            sys.add_term(r, r, left=y.diff(r - 1))
+    return sys
+
+
+def _windowed_contraction_system(p: PeriodicComplex) -> BlockSystem:
+    # Unknowns s^0..s^n on the window [-1, n]; equations
+    # s^(i+1) d^i + d^(i-1) s^i = id for 0 <= i <= n-1.
+    sys = BlockSystem(p.field)
+    n = p.n
+    for i in range(0, n + 1):
+        if p.dim(i) and p.dim(i - 1):
+            sys.add_unknown(i, p.dim(i - 1), p.dim(i))
+    for i in range(0, n):
+        if p.dim(i):
+            sys.add_equation(i, p.dim(i), p.dim(i))
+            sys.set_rhs(i, identity(p.field, p.dim(i)))
+            if p.dim(i + 1):
+                sys.add_term(i, i + 1, right=p.diff(i))
+            if p.dim(i - 1):
+                sys.add_term(i, i, left=p.diff(i - 1))
+    return sys
+
+
+def _solve(sys: BlockSystem) -> dict | None:
+    solution = solve_linear(sys.matrix(), sys.rhs_vector())
+    return None if solution is None else sys.split_solution(solution)
+
+
+def solver_unrolled_contraction(p: PeriodicComplex) -> Homotopy | None:
+    """`unrolled_identity_contraction` as the particular solution of the
+    windowed system, or None when it is unsolvable."""
+    parts = _solve(_windowed_contraction_system(p))
+    if parts is None:
+        return None
+    e = expand_window(p, -1, p.n)
+    return Homotopy(identity_chain_map(e), zero_chain_map(e, e), tuple(sorted(parts.items())))
+
+
+def solver_null_homotopy(f: ChainMap) -> Homotopy | None:
+    """`find_null_homotopy` as the particular solution of s -> d s + s d = f."""
+    x, y = f.source, f.target
+    sys = _homotopy_system(x, y)
+    for i, m in f.components:
+        sys.set_rhs(i, m)
+    parts = _solve(sys)
+    if parts is None:
+        return None
+    return Homotopy(f, zero_chain_map(x, y), tuple(sorted(parts.items())))
+
+
+def solver_periodic_homotopy(f: PeriodicChainMap, g: PeriodicChainMap) -> PeriodicHomotopy | None:
+    """`find_periodic_homotopy` as the particular solution of the cyclic
+    system s -> d s + s d = f - g."""
+    x, y = f.source, f.target
+    sys = _cyclic_homotopy_system(x, y)
+    for r in range(x.n):
+        if x.dims[r] and y.dims[r]:
+            sys.set_rhs(r, f.components[r] - g.components[r])
+    parts = _solve(sys)
+    if parts is None:
+        return None
+    comps = tuple(parts.get(r, zeros(x.field, y.dim(r - 1), x.dims[r])) for r in range(x.n))
+    return PeriodicHomotopy(f, g, comps)
 
 
 def solver_hom_dims(x: BoundedComplex, y: BoundedComplex) -> tuple[int, int, int]:

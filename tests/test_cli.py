@@ -1,11 +1,12 @@
-"""Byte-exact `homdim` / `orbit-homdim` output on the golden documents, and
-the exit codes of the Hom and period commands."""
+"""Byte-exact `homdim` / `orbit-homdim` / `periodize` output on the golden
+documents, the exit codes of the Hom and period commands, and the
+round trip of every golden document."""
 
 from pathlib import Path
 
 import pytest
 
-from perhom import QQ, orbit_hom, single
+from perhom import QQ, orbit_hom, parse_document, serialize_document, single
 from perhom.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -28,6 +29,17 @@ ORBIT_JSON = {
 ORBIT_TABLE = {
     "complex_qq": b"summand   dim\n--------  ---\nshift 0   1\ntotal     1\nperiodic  1\n",
     "complex_f5": b"summand   dim\n--------  ---\nshift 0   0\ntotal     0\nperiodic  0\n",
+}
+
+# `periodize` output on the two contractible documents, recorded before
+# the witness was built from splitting data instead of a linear system.
+PERIODIZE_JSON = {
+    "contractible_qq": b'{"components":[[["0","0","-3"],["0","0","0"],["0","0","0"]],[["0","0","3/2"],["0","10","8"],["0","0","0"]]],"ok":true,"verified":true}\n',
+    "contractible_f5": b'{"components":[[[0,0,2,3],[0,0,0,3],[0,0,0,0],[0,0,0,0]],[[0,0,0,3],[0,0,3,0],[0,0,0,0],[0,0,0,0]]],"ok":true,"verified":true}\n',
+}
+PERIODIZE_TABLE = {
+    "contractible_qq": b"residue  shape\n-------  -----\n0        3x3\n1        3x3\n",
+    "contractible_f5": b"residue  shape\n-------  -----\n0        4x4\n1        4x4\n",
 }
 
 
@@ -88,3 +100,34 @@ def test_period_below_one_is_an_input_error(capsysbinary, command, n):
 def test_orbit_hom_rejects_period_below_one(n):
     with pytest.raises(ValueError, match="period must be at least 1"):
         orbit_hom(single(QQ, 0), single(QQ, 0), n)
+
+
+@pytest.mark.parametrize("name", sorted(PERIODIZE_JSON))
+def test_periodize_contractible(capsysbinary, name):
+    assert run(capsysbinary, "periodize", doc(name)) == (0, PERIODIZE_JSON[name], b"")
+    table = run(capsysbinary, "periodize", doc(name), "--format", "table")
+    assert table == (0, PERIODIZE_TABLE[name], b"")
+
+
+@pytest.mark.parametrize("name", ["minimal_periodic", "periodic_f5"])
+def test_periodize_with_cohomology_exits_1(capsysbinary, name):
+    want = b'{"error":"no windowed contraction exists; the identity is not null-homotopic","ok":false}\n'
+    assert run(capsysbinary, "periodize", doc(name)) == (1, want, b"")
+
+
+def test_periodize_invalid_document_exits_1(capsysbinary, tmp_path):
+    path = tmp_path / "square_nonzero.json"
+    path.write_bytes(b'{"diffs":[[[1]]],"dims":[1],"field":{"fp":5},"kind":"periodic","n":1}\n')
+    want = b'{"error":"invalid periodic complex: square at degree 0: composite of consecutive differentials is nonzero","ok":false}\n'
+    assert run(capsysbinary, "periodize", str(path)) == (1, want, b"")
+
+
+def test_periodize_bounded_document_exits_2(capsysbinary):
+    want = b"error: /kind: periodize expects a periodic document\n"
+    assert run(capsysbinary, "periodize", doc("complex_qq")) == (2, b"", want)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda path: path.stem)
+def test_golden_documents_round_trip(path):
+    data = path.read_bytes()
+    assert serialize_document(parse_document(data)) == data

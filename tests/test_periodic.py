@@ -49,6 +49,7 @@ from perhom.samples import (
     random_contractible_periodic,
     random_periodic,
 )
+from oracles import solver_periodic_homotopy
 
 F5 = GF(5)
 
@@ -275,10 +276,11 @@ class TestPeriodize:
         s = unrolled_identity_contraction(p)
         sigma = periodize_null_homotopy(p, s)
         assert periodic_homotopy_defect(sigma) is None
-        # and independently, the cyclic solver finds some witness
+        # and independently, the cyclic solver oracle finds some witness
         f = identity_periodic_map(p)
         z = periodic_chain_map(p, p, tuple(zeros(QQ, d, d) for d in p.dims))
-        assert find_periodic_homotopy(f, z) is not None
+        witness = solver_periodic_homotopy(f, z)
+        assert witness is not None and periodic_homotopy_defect(witness) is None
 
     def test_bad_input_rejected(self):
         p = PeriodicComplex(QQ, 1, (1,), (zeros(QQ, 1, 1),))
