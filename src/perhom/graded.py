@@ -21,11 +21,9 @@ from .linalg import (
     assemble_blocks,
     identity,
     kron,
-    permute_cols,
-    permute_rows,
     zeros,
 )
-from .periodic import PeriodicComplex, compress, residue_degrees, validate_periodic
+from .periodic import PeriodicComplex, _square_mismatch, compress, residue_degrees, validate_periodic
 
 __all__ = [
     "Algebra",
@@ -46,7 +44,6 @@ __all__ = [
     "tensor_periodic",
     "validate_module",
     "validate_module_complex",
-    "validate_periodic_module_complex",
 ]
 
 
@@ -267,39 +264,6 @@ class ModuleComplex:
         return zeros(m.field, tgt_dim, m.dim(i))
 
 
-def validate_module_complex(mc: ModuleComplex) -> Violation | None:
-    if not mc.modules:
-        return None
-    first = mc.modules[0]
-    for m in mc.modules:
-        if (m.field, m.algebra, m.lo, len(m.dims)) != (first.field, first.algebra, first.lo, len(first.dims)):
-            return Violation("window", m.lo, "terms must share window and algebra")
-        v = validate_module(m)
-        if v is not None:
-            return v
-    for j in mc.homological_degrees():
-        if j >= mc.jhi:
-            continue
-        src, dst = mc.module(j), mc.module(j + 1)
-        for i in src.degrees():
-            if mc.map_at(j, i).shape != (dst.dim(i), src.dim(i)):
-                return Violation("shape", i, f"map out of term {j} has the wrong shape")
-        for g in range(first.algebra.generators):
-            for i in src.degrees():
-                step = first.algebra.step
-                if not (src.lo <= i + step <= src.hi):
-                    continue
-                lhs = mc.map_at(j, i + step) @ src.action(g, i)
-                rhs = dst.action(g, i) @ mc.map_at(j, i)
-                if lhs != rhs:
-                    return Violation("linearity", i, f"map out of term {j} is not equivariant for generator {g}")
-        if j + 2 <= mc.jhi:
-            for i in src.degrees():
-                if not (mc.map_at(j + 1, i) @ mc.map_at(j, i)).is_zero():
-                    return Violation("square", i, f"composite of maps {j}, {j + 1} is nonzero")
-    return None
-
-
 @dataclass(frozen=True)
 class PeriodicModuleComplex:
     """n-periodic complex of graded modules; maps wrap cyclically."""
@@ -322,27 +286,48 @@ class PeriodicModuleComplex:
         return zeros(m.field, self.module(j + 1).dim(i), m.dim(i))
 
 
-def validate_periodic_module_complex(pm: PeriodicModuleComplex) -> Violation | None:
-    first = pm.modules[0]
-    for m in pm.modules:
+def validate_module_complex(mc: ModuleComplex | PeriodicModuleComplex) -> Violation | None:
+    """Check a bounded `ModuleComplex` or an n-periodic `PeriodicModuleComplex`.
+
+    The terms must share window and algebra and be valid modules.  The maps
+    run out of terms jlo..jhi-1 of a bounded complex, or out of every
+    residue of a periodic one, the last wrapping around to term 0.  They
+    are checked in this order: every map has the right shape, every map is
+    equivariant, consecutive maps compose to zero.  So a mis-shaped map is
+    reported as a shape violation and never reaches a product.
+    """
+    if not mc.modules:
+        return None
+    periodic = isinstance(mc, PeriodicModuleComplex)
+    first = mc.modules[0]
+    for m in mc.modules:
         if (m.field, m.algebra, m.lo, len(m.dims)) != (first.field, first.algebra, first.lo, len(first.dims)):
             return Violation("window", m.lo, "terms must share window and algebra")
         v = validate_module(m)
         if v is not None:
             return v
-    for j in range(pm.n):
-        src, dst = pm.module(j), pm.module(j + 1)
+    terms = range(mc.n) if periodic else range(mc.jlo, mc.jhi)
+    for j in terms:
+        src, dst = mc.module(j), mc.module(j + 1)
         for i in src.degrees():
-            if pm.map_at(j, i).shape != (dst.dim(i), src.dim(i)):
+            if mc.map_at(j, i).shape != (dst.dim(i), src.dim(i)):
                 return Violation("shape", i, f"map out of term {j} has the wrong shape")
-            step = first.algebra.step
-            for g in range(first.algebra.generators):
+    for j in terms:
+        src, dst = mc.module(j), mc.module(j + 1)
+        for g in range(first.algebra.generators):
+            for i in src.degrees():
+                step = first.algebra.step
                 if not (src.lo <= i + step <= src.hi):
                     continue
-                if pm.map_at(j, i + step) @ src.action(g, i) != dst.action(g, i) @ pm.map_at(j, i):
+                lhs = mc.map_at(j, i + step) @ src.action(g, i)
+                rhs = dst.action(g, i) @ mc.map_at(j, i)
+                if lhs != rhs:
                     return Violation("linearity", i, f"map out of term {j} is not equivariant for generator {g}")
-            if not (pm.map_at(j + 1, i) @ pm.map_at(j, i)).is_zero():
-                return Violation("square", i, f"composite of maps {j}, {j + 1} is nonzero")
+    for j in terms:
+        if periodic or j + 2 <= mc.jhi:
+            for i in first.degrees():
+                if not (mc.map_at(j + 1, i) @ mc.map_at(j, i)).is_zero():
+                    return Violation("square", i, f"composite of maps {j}, {j + 1} is nonzero")
     return None
 
 
@@ -506,43 +491,28 @@ def tensor_periodic(x: BoundedComplex, y: PeriodicComplex) -> PeriodicComplex:
     return PeriodicComplex(field, n, dims, tuple(diffs))
 
 
-def _tensor_labels_folded(x: BoundedComplex, y0: BoundedComplex, n: int, r: int) -> list[tuple]:
-    t = tensor_complex(x, y0)
-    labels = []
+def _tensor_labels(x: BoundedComplex, y0: BoundedComplex, t: BoundedComplex, n: int, r: int) -> tuple[list[tuple], list[tuple]]:
+    # Folded order: compress(t), t = x tensor y0, groups by total degree
+    # l = r mod n and inside each l by increasing x-degree.  Other order:
+    # tensor_periodic lists x-degrees i, then x-basis vectors, then the
+    # y0-degrees j = r - i mod n in increasing order.
+    folded = []
     for l in residue_degrees(t, n, r):
         for i in x.degrees():
             j = l - i
             if x.dim(i) and y0.dim(j):
-                labels.extend((i, j, a, b) for a in range(x.dim(i)) for b in range(y0.dim(j)))
-    return labels
-
-
-def _tensor_labels_periodic(x: BoundedComplex, y0: BoundedComplex, n: int, r: int) -> list[tuple]:
-    labels = []
+                folded.extend((i, j, a, b) for a in range(x.dim(i)) for b in range(y0.dim(j)))
+    other = []
     for i in x.degrees():
-        if x.dim(i) == 0:
-            continue
         for a in range(x.dim(i)):
             for j in residue_degrees(y0, n, (r - i) % n):
-                labels.extend((i, j, a, b) for b in range(y0.dim(j)))
-    return labels
+                other.extend((i, j, a, b) for b in range(y0.dim(j)))
+    return folded, other
 
 
 def tensor_compression_square(x: BoundedComplex, y0: BoundedComplex, n: int) -> bool:
     """Exact equality of fold(x tensor y0) and x tensor fold(y0) after the
     canonical matching of summands."""
-    folded = compress(tensor_complex(x, y0), n)
-    periodic_side = tensor_periodic(x, compress(y0, n))
-    perms = []
-    for r in range(n):
-        src = _tensor_labels_folded(x, y0, n, r)
-        dst = _tensor_labels_periodic(x, y0, n, r)
-        if len(src) != folded.dims[r] or len(dst) != periodic_side.dims[r] or len(src) != len(dst):
-            return False
-        pos = {label: k for k, label in enumerate(src)}
-        perms.append([pos[label] for label in dst])
-    for r in range(n):
-        lhs = permute_cols(permute_rows(folded.diffs[r], perms[(r + 1) % n]), perms[r])
-        if lhs != periodic_side.diffs[r]:
-            return False
-    return True
+    t = tensor_complex(x, y0)
+    other = tensor_periodic(x, compress(y0, n))
+    return _square_mismatch(compress(t, n), other, lambda r: _tensor_labels(x, y0, t, n, r)) is None

@@ -30,7 +30,6 @@ from .graded import (
     compress_modules,
     validate_module,
     validate_module_complex,
-    validate_periodic_module_complex,
 )
 from .linalg import (
     Field,
@@ -39,11 +38,9 @@ from .linalg import (
     assemble_blocks,
     identity,
     kron,
-    permute_cols,
-    permute_rows,
     zeros,
 )
-from .periodic import PeriodicComplex, compress, residue_degrees, validate_periodic
+from .periodic import PeriodicComplex, _square_mismatch, compress, residue_degrees, validate_periodic
 
 __all__ = [
     "BGGComplex",
@@ -334,7 +331,7 @@ def bgg_periodic(pm: PeriodicModuleComplex) -> PeriodicComplex:
     bounded internal window, ordered by increasing i; the differential uses
     the same signs as the bounded totalization.
     """
-    v = validate_periodic_module_complex(pm)
+    v = validate_module_complex(pm)
     if v is not None:
         raise ValueError(f"invalid periodic module complex: {v}")
     field = pm.modules[0].field
@@ -369,116 +366,46 @@ def bgg_periodic(pm: PeriodicModuleComplex) -> PeriodicComplex:
 
 @dataclass(frozen=True)
 class BGGSquareReport:
-    """Outcome of comparing fold-then-functor against functor-then-fold."""
+    """Outcome of comparing fold-then-functor against functor-then-fold:
+    ``ok`` iff the two agree exactly, ``detail`` says where they first
+    differ."""
 
     n: int
-    equal: bool
-    diagonal_intertwiner: bool
+    ok: bool
     detail: str
 
-    @property
-    def ok(self) -> bool:
-        return self.equal or self.diagonal_intertwiner
 
-
-def _square_labels_folded(mc: ModuleComplex, dual: LambdaDual, n: int, r: int, total: Totalization) -> list[tuple]:
-    cx = total.complex
-    labels = []
+def _square_labels(mc: ModuleComplex, dual: LambdaDual, cx: BoundedComplex, n: int, r: int) -> tuple[list[tuple], list[tuple]]:
+    # Folded order: compress(cx), cx the totalization of mc, groups by total
+    # degree l = r mod n and inside each l by increasing internal degree i.
+    # Other order: bgg_periodic lists internal degrees i, then dual basis
+    # vectors, then the homological degrees j = r - i mod n in increasing
+    # order.
+    window = mc.modules[0].degrees()
+    folded = []
     for l in residue_degrees(cx, n, r):
-        for (i, j) in total.summands.get(l, ()):
-            d = mc.module(j).dim(i)
-            labels.extend((i, j, a, b) for a in range(dual.total_dim) for b in range(d))
-    return labels
-
-
-def _square_labels_periodic(mc: ModuleComplex, dual: LambdaDual, n: int, r: int) -> list[tuple]:
-    labels = []
-    for i in mc.modules[0].degrees():
+        for i in window:
+            j = l - i
+            if mc.jlo <= j <= mc.jhi:
+                folded.extend((i, j, a, b) for a in range(dual.total_dim) for b in range(mc.module(j).dim(i)))
+    other = []
+    for i in window:
         cls = [j for j in mc.homological_degrees() if (j - (r - i)) % n == 0]
         for a in range(dual.total_dim):
             for j in cls:
-                labels.extend((i, j, a, b) for b in range(mc.module(j).dim(i)))
-    return labels
-
-
-def _diagonal_intertwiner(lhs: list[Matrix], rhs: list[Matrix]) -> bool:
-    """Whether sign vectors e_r exist with rhs_r = E_(r+1) lhs_r E_r.
-
-    Entry patterns must match; the sign constraints propagate through the
-    bipartite graph of nonzero entries and free components default to +1.
-    """
-    n = len(lhs)
-    field = lhs[0].field if lhs else None
-    sizes = [m.cols for m in lhs]
-    signs: list[list[int | None]] = [[None] * s for s in sizes]
-    ratio: dict[tuple[int, int, int], int] = {}
-    adj: dict[tuple[int, int], list] = {}
-    for r in range(n):
-        a, b = lhs[r], rhs[r]
-        if a.shape != b.shape:
-            return False
-        r1 = (r + 1) % n
-        for i in range(a.rows):
-            for j in range(a.cols):
-                x, y = a.entries[i][j], b.entries[i][j]
-                if bool(x) != bool(y):
-                    return False
-                if not x:
-                    continue
-                if y == x:
-                    q = 1
-                elif y == field.neg(x):
-                    q = -1
-                else:
-                    return False
-                adj.setdefault((r1, i), []).append(((r, j), q))
-                adj.setdefault((r, j), []).append(((r1, i), q))
-    for r in range(n):
-        for j in range(sizes[r]):
-            if signs[r][j] is not None:
-                continue
-            signs[r][j] = 1
-            stack = [(r, j)]
-            while stack:
-                node = stack.pop()
-                for other, q in adj.get(node, ()):
-                    want = signs[node[0]][node[1]] * q
-                    have = signs[other[0]][other[1]]
-                    if have is None:
-                        signs[other[0]][other[1]] = want
-                        stack.append(other)
-                    elif have != want:
-                        return False
-    return True
+                other.extend((i, j, a, b) for b in range(mc.module(j).dim(i)))
+    return folded, other
 
 
 def verify_bgg_square(mc: ModuleComplex, n: int) -> BGGSquareReport:
     """Compare folding after the functor with the periodic functor after
     folding, matching summands by the canonical bijection.
 
-    Reports exact equality, or a global diagonal sign intertwiner when the
-    matrices differ only by signs, or a discrepancy.
+    Passes only on exact equality of the relabelled differentials; the
+    detail names the first residue where summands or differentials differ.
     """
     bounded = bgg_complex(mc)
-    dual = bounded.dual
-    total = total_complex(_module_complex_grid(mc, dual))
-    folded = compress(bounded.complex, n)
-    periodic_side = bgg_periodic(compress_modules(mc, n))
-    perms = []
-    for r in range(n):
-        src = _square_labels_folded(mc, dual, n, r, total)
-        dst = _square_labels_periodic(mc, dual, n, r)
-        if len(src) != folded.dims[r] or len(dst) != periodic_side.dims[r] or sorted(src) != sorted(dst):
-            return BGGSquareReport(n, False, False, f"summand mismatch at residue {r}")
-        pos = {label: k for k, label in enumerate(src)}
-        perms.append([pos[label] for label in dst])
-    relabeled = []
-    for r in range(n):
-        relabeled.append(
-            permute_cols(permute_rows(folded.diffs[r], perms[(r + 1) % n]), perms[r])
-        )
-    if all(relabeled[r] == periodic_side.diffs[r] for r in range(n)):
-        return BGGSquareReport(n, True, False, "exact equality")
-    if _diagonal_intertwiner(relabeled, list(periodic_side.diffs)):
-        return BGGSquareReport(n, False, True, "equal up to a diagonal sign change")
-    return BGGSquareReport(n, False, False, "differentials disagree beyond signs")
+    cx = bounded.complex
+    other = bgg_periodic(compress_modules(mc, n))
+    mismatch = _square_mismatch(compress(cx, n), other, lambda r: _square_labels(mc, bounded.dual, cx, n, r))
+    return BGGSquareReport(n, mismatch is None, mismatch or "exact equality")

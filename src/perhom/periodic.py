@@ -459,40 +459,49 @@ def twist_iso(x: BoundedComplex, n: int) -> ChainMap:
     return chain_map(src, dst, comps)
 
 
-def _cone_reorder_permutation(f: ChainMap, n: int, r: int) -> list[int]:
-    # Source order: compress(cone(f)) groups by cone degree l = r mod n,
-    # inside each l the X^(l+1) part precedes the Y^l part.  Target order:
+def _square_mismatch(folded: PeriodicComplex, other: PeriodicComplex, labels) -> str | None:
+    """Where two periodic complexes with the same summands, listed in two
+    orders, first differ after relabelling; None if they agree exactly.
+
+    ``labels(r)`` returns the labels of term r in ``folded``'s order and in
+    ``other``'s order.
+    """
+    perms = []
+    for r in range(folded.n):
+        src, dst = labels(r)
+        if len(src) != folded.dims[r] or len(dst) != other.dims[r] or set(src) != set(dst):
+            return f"summand mismatch at residue {r}"
+        pos = {label: k for k, label in enumerate(src)}
+        perms.append([pos[label] for label in dst])
+    for r in range(folded.n):
+        # Conjugation by the relabeling: entry (i, j) in the reordered basis
+        # is entry (perm[i], perm[j]) of the folded differential.
+        if permute_cols(permute_rows(folded.diffs[r], perms[(r + 1) % folded.n]), perms[r]) != other.diffs[r]:
+            return f"differentials disagree at residue {r}"
+    return None
+
+
+def _cone_labels(f: ChainMap, c: BoundedComplex, n: int, r: int) -> tuple[list[tuple], list[tuple]]:
+    # Folded order: compress(c), c = cone(f), groups by cone degree l = r mod
+    # n, inside each l the X^(l+1) part precedes the Y^l part.  Other order:
     # periodic_cone(compress_map(f)) lists all X summands (degree = r+1 mod
     # n, increasing) and then all Y summands (degree = r mod n, increasing).
     x, y = f.source, f.target
-    c = cone(f).complex
-    src_labels: list[tuple] = []
+    folded: list[tuple] = []
     for l in residue_degrees(c, n, r):
-        src_labels.extend(("x", l + 1, t) for t in range(x.dim(l + 1)))
-        src_labels.extend(("y", l, t) for t in range(y.dim(l)))
-    dst_labels: list[tuple] = []
-    xs = shift(x, 1)
-    for j in residue_degrees(xs, n, r):
-        dst_labels.extend(("x", j + 1, t) for t in range(x.dim(j + 1)))
+        folded.extend(("x", l + 1, t) for t in range(x.dim(l + 1)))
+        folded.extend(("y", l, t) for t in range(y.dim(l)))
+    other: list[tuple] = []
+    for j in residue_degrees(x, n, r + 1):
+        other.extend(("x", j, t) for t in range(x.dim(j)))
     for j in residue_degrees(y, n, r):
-        dst_labels.extend(("y", j, t) for t in range(y.dim(j)))
-    pos = {label: k for k, label in enumerate(src_labels)}
-    return [pos[label] for label in dst_labels]
+        other.extend(("y", j, t) for t in range(y.dim(j)))
+    return folded, other
 
 
 def compression_cone_square(f: ChainMap, n: int) -> bool:
     """Exact matrix equality of compress(cone(f)) and the periodic cone of
     the compressed map, after the documented reordering of summands."""
-    folded_cone = compress(cone(f).complex, n)
-    cone_of_folded = periodic_cone(compress_map(f, n))
-    perms = [_cone_reorder_permutation(f, n, r) for r in range(n)]
-    for r in range(n):
-        if len(perms[r]) != folded_cone.dims[r] or folded_cone.dims[r] != cone_of_folded.dims[r]:
-            return False
-    for r in range(n):
-        # Conjugation by the relabeling: entry (i, j) in the reordered basis
-        # is entry (perm[i], perm[j]) of the compressed cone differential.
-        lhs = permute_cols(permute_rows(folded_cone.diffs[r], perms[(r + 1) % n]), perms[r])
-        if lhs != cone_of_folded.diffs[r]:
-            return False
-    return True
+    c = cone(f).complex
+    other = periodic_cone(compress_map(f, n))
+    return _square_mismatch(compress(c, n), other, lambda r: _cone_labels(f, c, n, r)) is None

@@ -9,13 +9,17 @@ witnesses as the reduced-echelon particular solution (free variables
 zero).  They share `rank`, `solve_linear` and the system assembly with the
 library, but not the splitting of each complex into cohomology and
 contractible pieces that the library counts and builds witnesses from.
+The Tor oracle counts BGG cohomology from the Koszul complex of the module,
+sharing only `rank` and `assemble_blocks` with the functor it checks.
 """
 
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 from perhom import (
     BoundedComplex,
     ChainMap,
+    GradedModule,
     Homotopy,
     Matrix,
     PeriodicComplex,
@@ -28,7 +32,7 @@ from perhom import (
     zeros,
 )
 from perhom.complexes import _chain_map_system
-from perhom.linalg import BlockSystem
+from perhom.linalg import BlockSystem, assemble_blocks
 from perhom.periodic import PeriodicChainMap, PeriodicHomotopy
 
 
@@ -252,3 +256,30 @@ def solver_periodic_hom_dims(x: PeriodicComplex, y: PeriodicComplex) -> tuple[in
     z = tsys.unknown_dim - rank(tsys.matrix())
     b = rank(_cyclic_homotopy_system(x, y).matrix())
     return z, b, z - b
+
+
+def _koszul_differential(m: GradedModule, l: int, j: int) -> Matrix:
+    """Lambda^l V (x) M_j -> Lambda^(l-1) V (x) M_(j+1), sending
+    e_S (x) v to sum_k (-1)^k e_(S without s_k) (x) x_(s_k) v."""
+    src = list(combinations(range(m.algebra.generators), l))
+    dst = list(combinations(range(m.algebra.generators), l - 1))
+    blocks = {}
+    for col, s in enumerate(src):
+        for k, g in enumerate(s):
+            a = m.action(g, j)
+            blocks[(dst.index(s[:k] + s[k + 1 :]), col)] = a if k % 2 == 0 else -a
+    return assemble_blocks(m.field, [m.dim(j + 1)] * len(dst), [m.dim(j)] * len(src), blocks)
+
+
+def koszul_tor_dims(m: GradedModule, j: int) -> int:
+    """sum_l dim Tor_l(k, M)_(l+j): the homology of the Koszul complex of a
+    module over a polynomial algebra at the spots Lambda^l V (x) M_j.  By
+    Eisenbud-Floystad-Schreyer (arXiv:math/0104203, section 2) this is the
+    dimension of the degree-j cohomology of the BGG complex of M."""
+    c = m.algebra.generators
+    total = 0
+    for l in range(c + 1):
+        out = rank(_koszul_differential(m, l, j)) if l > 0 else 0
+        into = rank(_koszul_differential(m, l + 1, j - 1)) if l < c else 0
+        total += comb(c, l) * m.dim(j) - out - into
+    return total

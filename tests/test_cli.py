@@ -1,7 +1,9 @@
 """Byte-exact `homdim` / `orbit-homdim` / `periodize` output on the golden
-documents, the exit codes of the Hom and period commands, and the
-round trip of every golden document."""
+documents, the exit codes of the Hom and period commands, the round trip
+of every golden document, and the `verify` report bytes of the folding
+and BGG suites."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -40,6 +42,17 @@ PERIODIZE_JSON = {
 PERIODIZE_TABLE = {
     "contractible_qq": b"residue  shape\n-------  -----\n0        3x3\n1        3x3\n",
     "contractible_f5": b"residue  shape\n-------  -----\n0        4x4\n1        4x4\n",
+}
+
+
+# SHA-256 of the stdout of `perhom verify SUITE --seed 0`, recorded at
+# commit 40fa247, before the three folding squares shared one comparison.
+VERIFY_SHA256 = {
+    "bgg-square": "23adf5b2a78d589eb4084fd8483a936f111ac91e40cc2cf47dcb5b5a7f78d994",
+    "cone-compress": "956c9ef4602c9568f7397de23941b6ecfd13db3b1f787c79b3a335c12a986479",
+    "tensor-square": "80ae80b6b1b563b27893b7b8d2277ada5794c6b8786ab7158b35d4e049bda5ba",
+    "periodize": "017b167d63aa687373305a986e97e5531a44b72a422453d697a52e3ffe8d650d",
+    "bgg-wellformed": "0dac23b8091cbdea43d44c3ff07792a6115c48a22a53fc1cc0b4ae0d16820c4e",
 }
 
 
@@ -131,3 +144,10 @@ def test_periodize_bounded_document_exits_2(capsysbinary):
 def test_golden_documents_round_trip(path):
     data = path.read_bytes()
     assert serialize_document(parse_document(data)) == data
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_SHA256))
+def test_verify_report_bytes(capsysbinary, suite):
+    code, out, err = run(capsysbinary, "verify", suite, "--seed", "0")
+    assert (code, err) == (0, b"")
+    assert hashlib.sha256(out).hexdigest() == VERIFY_SHA256[suite]

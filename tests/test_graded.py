@@ -29,7 +29,7 @@ from perhom import (
     validate_module,
     zeros,
 )
-from perhom.graded import ModuleComplex, compress_modules, validate_module_complex, validate_periodic_module_complex
+from perhom.graded import ModuleComplex, PeriodicModuleComplex, compress_modules, validate_module_complex
 from perhom.samples import random_bounded_complex, random_flag, random_graded_module, random_module_complex
 
 F5 = GF(5)
@@ -196,7 +196,7 @@ class TestModuleComplexes:
             assert validate_module_complex(mc) is None
             for n in (1, 2, 3):
                 pm = compress_modules(mc, n)
-                assert validate_periodic_module_complex(pm) is None
+                assert validate_module_complex(pm) is None
 
     def test_equivariance_violation_detected(self):
         field = QQ
@@ -205,3 +205,24 @@ class TestModuleComplexes:
         mc = ModuleComplex(0, (s, s), (maps,))
         v = validate_module_complex(mc)
         assert v is not None and v.kind == "linearity"
+
+    @pytest.mark.parametrize("middle", [zeros(QQ, 1, 2), zeros(QQ, 2, 1)], ids=["extra-column", "extra-row"])
+    @pytest.mark.parametrize("periodic", [False, True], ids=["bounded", "periodic"])
+    def test_misshaped_map_is_a_shape_violation(self, periodic, middle):
+        s = free_module(QQ, polynomial_algebra(1), 0, (0, 2))
+        maps = (mat(QQ, [[1]]), middle, mat(QQ, [[1]]))
+        mc = PeriodicModuleComplex(1, (s,), (maps,)) if periodic else ModuleComplex(0, (s, s), (maps,))
+        v = validate_module_complex(mc)
+        assert v is not None and (v.kind, v.degree) == ("shape", 1)
+
+    @pytest.mark.parametrize("periodic", [False, True], ids=["bounded", "periodic"])
+    def test_misshaped_later_map_is_a_shape_violation(self, periodic):
+        s = free_module(QQ, polynomial_algebra(1), 0, (0, 2))
+        zero = (zeros(QQ, 1, 1),) * 3
+        bad = (zeros(QQ, 1, 1), zeros(QQ, 1, 2), zeros(QQ, 1, 1))
+        if periodic:
+            mc = PeriodicModuleComplex(2, (s, s), (zero, bad))
+        else:
+            mc = ModuleComplex(0, (s, s, s), (zero, bad))
+        v = validate_module_complex(mc)
+        assert v is not None and (v.kind, v.degree) == ("shape", 1)

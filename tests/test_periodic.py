@@ -1,4 +1,3 @@
-from fractions import Fraction
 from random import Random
 
 import pytest
@@ -37,7 +36,6 @@ from perhom import (
     unrolled_identity_contraction,
     validate_chain_map,
     validate_periodic,
-    validate_periodic_map,
     zero_chain_map,
     zeros,
 )
