@@ -283,29 +283,60 @@ def _union_window(*complexes: BoundedComplex) -> tuple[int, int] | None:
     return min(w[0] for w in windows), max(w[1] for w in windows)
 
 
+def _total_diffs(field: Field, degrees, columns, dim, h, v) -> tuple[Matrix, ...]:
+    """The differentials out of the total degrees `degrees` of a double
+    complex, given by its cell sizes dim(i, j), horizontal maps h(i, j) into
+    (i+1, j) and vertical maps v(i, j) into (i, j+1).
+
+    This is the one sign and order rule of every totalization here: term l
+    is the sum of the cells (i, l - i) over the consecutive `columns` i, in
+    increasing i, and out of cell (i, j) the differential is
+    h(i, j) + (-1)^i v(i, j).  Cells of size zero get no block.
+    """
+    diffs = []
+    for l in degrees:
+        blocks = {}
+        for k, i in enumerate(columns):
+            j = l - i
+            if not dim(i, j):
+                continue
+            if k + 1 < len(columns) and dim(i + 1, j):
+                blocks[(k + 1, k)] = h(i, j)
+            if dim(i, j + 1):
+                m = v(i, j)
+                blocks[(k, k)] = m if i % 2 == 0 else -m
+        rows = [dim(i, l + 1 - i) for i in columns]
+        cols = [dim(i, l - i) for i in columns]
+        diffs.append(assemble_blocks(field, rows, cols, blocks))
+    return tuple(diffs)
+
+
+def _cone_grid(f):
+    """The cone of a bounded or periodic chain map f as a double complex:
+    X in column -1 and Y in column 0, with f horizontal.  The sign
+    (-1)^(-1) of `_total_diffs` gives the -d_X block."""
+    side = {-1: f.source, 0: f.target}
+    return (
+        (-1, 0),
+        lambda i, j: side[i].dim(j),
+        lambda i, j: f.component(j),
+        lambda i, j: side[i].diff(j),
+    )
+
+
 def cone(f: ChainMap) -> Cone:
-    """C(f)^i = X^(i+1) (+) Y^i with differential ((-dX, 0), (f, dY))."""
+    """C(f)^i = X^(i+1) (+) Y^i with differential ((-dX, 0), (f, dY)),
+    totalized by `_total_diffs`."""
     _require_chain_map(f)
     x, y = f.source, f.target
     field = x.field
-    xs = shift(x, 1)
-    w = _union_window(xs, y)
+    w = _union_window(degree_shift(x, 1), y)
     if w is None:
         c = zero_complex(field)
         return Cone(c, zero_chain_map(y, c), ())
     lo, hi = w
     dims = tuple(x.dim(i + 1) + y.dim(i) for i in range(lo, hi + 1))
-    diffs = []
-    for i in range(lo, hi):
-        row_sizes = (x.dim(i + 2), y.dim(i + 1))
-        col_sizes = (x.dim(i + 1), y.dim(i))
-        blocks = {
-            (0, 0): -x.diff(i + 1),
-            (1, 0): f.component(i + 1),
-            (1, 1): y.diff(i),
-        }
-        diffs.append(assemble_blocks(field, row_sizes, col_sizes, blocks))
-    c = BoundedComplex(field, lo, dims, tuple(diffs))
+    c = BoundedComplex(field, lo, dims, _total_diffs(field, range(lo, hi), *_cone_grid(f)))
     incl = {}
     for i in y.degrees():
         if y.dim(i) == 0:
@@ -567,11 +598,25 @@ def find_null_homotopy(f: ChainMap) -> Homotopy | None:
     return h
 
 
+def _tensor_grid(x: BoundedComplex, y):
+    """X (x) Y as a double complex over the degrees of the bounded complex
+    x: cell (i, j) is X^i (x) Y^j with the X factor major; y may be
+    bounded or periodic."""
+    field = x.field
+    return (
+        x.degrees(),
+        lambda i, j: x.dim(i) * y.dim(j),
+        lambda i, j: kron(x.diff(i), identity(field, y.dim(j))),
+        lambda i, j: kron(identity(field, x.dim(i)), y.diff(j)),
+    )
+
+
 def tensor_complex(x: BoundedComplex, y: BoundedComplex) -> BoundedComplex:
     """Tensor product over the base field with the Koszul sign.
 
     Degree l is the sum of X^i (x) Y^(l-i) over increasing i, bases ordered
-    with the X factor major.  The differential is dx (x) 1 + (-1)^i 1 (x) dy.
+    with the X factor major.  The differential is dx (x) 1 + (-1)^i 1 (x) dy,
+    the sign and order rule of `_total_diffs`.
     """
     if x.field != y.field:
         raise FieldMismatch("tensor across fields")
@@ -582,23 +627,5 @@ def tensor_complex(x: BoundedComplex, y: BoundedComplex) -> BoundedComplex:
         return zero_complex(field)
     lo = x.lo + y.lo
     hi = x.hi + y.hi
-    summands = {l: [i for i in x.degrees() if y.lo <= l - i <= y.hi] for l in range(lo, hi + 1)}
-    dims = tuple(sum(x.dim(i) * y.dim(l - i) for i in summands[l]) for l in range(lo, hi + 1))
-    diffs = []
-    for l in range(lo, hi):
-        src = summands[l]
-        dst = summands[l + 1]
-        row_sizes = [x.dim(i) * y.dim(l + 1 - i) for i in dst]
-        col_sizes = [x.dim(i) * y.dim(l - i) for i in src]
-        blocks: dict[tuple[int, int], Matrix] = {}
-        for sj, i in enumerate(src):
-            j = l - i
-            if x.dim(i) * y.dim(j) == 0:
-                continue
-            if i + 1 in dst and x.dim(i + 1) * y.dim(j):
-                blocks[(dst.index(i + 1), sj)] = kron(x.diff(i), identity(field, y.dim(j)))
-            if i in dst and x.dim(i) * y.dim(j + 1):
-                m = kron(identity(field, x.dim(i)), y.diff(j))
-                blocks[(dst.index(i), sj)] = m if i % 2 == 0 else -m
-        diffs.append(assemble_blocks(field, row_sizes, col_sizes, blocks))
-    return BoundedComplex(field, lo, dims, tuple(diffs))
+    dims = tuple(sum(x.dim(i) * y.dim(l - i) for i in x.degrees()) for l in range(lo, hi + 1))
+    return BoundedComplex(field, lo, dims, _total_diffs(field, range(lo, hi), *_tensor_grid(x, y)))

@@ -12,18 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import BoundedComplex, Violation, tensor_complex, validate
+from .complexes import BoundedComplex, Violation, _tensor_grid, _total_diffs, tensor_complex, validate
 from .linalg import (
     Field,
     FieldMismatch,
     Matrix,
     ShapeError,
     assemble_blocks,
-    identity,
-    kron,
     zeros,
 )
-from .periodic import PeriodicComplex, _square_mismatch, compress, residue_degrees, validate_periodic
+from .periodic import PeriodicComplex, _fold_labels, _square_mismatch, compress, validate_periodic
 
 __all__ = [
     "Algebra",
@@ -460,7 +458,8 @@ def tensor_periodic(x: BoundedComplex, y: PeriodicComplex) -> PeriodicComplex:
     """Tensor of a bounded complex with a periodic one, over the base field.
 
     Term r is the sum over increasing x-degrees j of X^j (x) Y^((r-j) mod
-    n); the Y differential picks up the Koszul sign (-1)^j.
+    n); the Y differential picks up the Koszul sign (-1)^j.  Signs and
+    order are those of `complexes._total_diffs`, as for `tensor_complex`.
     """
     if x.field != y.field:
         raise FieldMismatch("tensor across fields")
@@ -470,44 +469,9 @@ def tensor_periodic(x: BoundedComplex, y: PeriodicComplex) -> PeriodicComplex:
     v = validate_periodic(y)
     if v is not None:
         raise ValueError(f"invalid periodic complex: {v}")
-    field = x.field
     n = y.n
-    xdegs = list(x.degrees())
-    dims = tuple(sum(x.dim(j) * y.dim(r - j) for j in xdegs) for r in range(n))
-    diffs = []
-    for r in range(n):
-        rows = [x.dim(j) * y.dim(r + 1 - j) for j in xdegs]
-        cols = [x.dim(j) * y.dim(r - j) for j in xdegs]
-        blocks: dict[tuple[int, int], Matrix] = {}
-        for sj, j in enumerate(xdegs):
-            if x.dim(j) * y.dim(r - j) == 0:
-                continue
-            if j + 1 in xdegs and x.dim(j + 1) * y.dim(r - j):
-                blocks[(xdegs.index(j + 1), sj)] = kron(x.diff(j), identity(field, y.dim(r - j)))
-            if x.dim(j) * y.dim(r + 1 - j):
-                m = kron(identity(field, x.dim(j)), y.diff(r - j))
-                blocks[(sj, sj)] = m if j % 2 == 0 else -m
-        diffs.append(assemble_blocks(field, rows, cols, blocks))
-    return PeriodicComplex(field, n, dims, tuple(diffs))
-
-
-def _tensor_labels(x: BoundedComplex, y0: BoundedComplex, t: BoundedComplex, n: int, r: int) -> tuple[list[tuple], list[tuple]]:
-    # Folded order: compress(t), t = x tensor y0, groups by total degree
-    # l = r mod n and inside each l by increasing x-degree.  Other order:
-    # tensor_periodic lists x-degrees i, then x-basis vectors, then the
-    # y0-degrees j = r - i mod n in increasing order.
-    folded = []
-    for l in residue_degrees(t, n, r):
-        for i in x.degrees():
-            j = l - i
-            if x.dim(i) and y0.dim(j):
-                folded.extend((i, j, a, b) for a in range(x.dim(i)) for b in range(y0.dim(j)))
-    other = []
-    for i in x.degrees():
-        for a in range(x.dim(i)):
-            for j in residue_degrees(y0, n, (r - i) % n):
-                other.extend((i, j, a, b) for b in range(y0.dim(j)))
-    return folded, other
+    dims = tuple(sum(x.dim(j) * y.dim(r - j) for j in x.degrees()) for r in range(n))
+    return PeriodicComplex(x.field, n, dims, _total_diffs(x.field, range(n), *_tensor_grid(x, y)))
 
 
 def tensor_compression_square(x: BoundedComplex, y0: BoundedComplex, n: int) -> bool:
@@ -515,4 +479,5 @@ def tensor_compression_square(x: BoundedComplex, y0: BoundedComplex, n: int) -> 
     canonical matching of summands."""
     t = tensor_complex(x, y0)
     other = tensor_periodic(x, compress(y0, n))
-    return _square_mismatch(compress(t, n), other, lambda r: _tensor_labels(x, y0, t, n, r)) is None
+    labels = lambda r: _fold_labels(t, n, r, x.degrees(), x.dim, lambda i, j: y0.dim(j))
+    return _square_mismatch(compress(t, n), other, labels) is None

@@ -8,8 +8,9 @@ Sign conventions, pinned here and verified by the well-formedness checks:
 * the differential on the dual-algebra tensor pieces sends ``f (x) m`` with
   ``f`` of exterior degree l and ``m`` of internal degree i to
   ``(-1)^(l+i) * sum_j (xi_j f) (x) (x_j m)``;
-* totalization adds the vertical map with the sign ``(-1)^i`` on the cell
-  with internal index i.
+* totalization follows the one sign and order rule of
+  `complexes._total_diffs`: cells by increasing internal degree i, and the
+  vertical map with the sign ``(-1)^i``.
 
 With these choices every constructed differential squares to zero, commutes
 with the exterior action on the nose, and folding commutes with the functor
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complexes import BoundedComplex, Violation, validate
+from .complexes import BoundedComplex, Violation, _total_diffs, validate, zero_complex
 from .graded import (
     GradedModule,
     ModuleComplex,
@@ -40,7 +41,7 @@ from .linalg import (
     kron,
     zeros,
 )
-from .periodic import PeriodicComplex, _square_mismatch, compress, residue_degrees, validate_periodic
+from .periodic import PeriodicComplex, _fold_labels, _square_mismatch, compress, validate_periodic
 
 __all__ = [
     "BGGComplex",
@@ -223,10 +224,11 @@ class Totalization:
 def total_complex(grid: DoubleComplex) -> Totalization:
     """Collapse a double complex along anti-diagonals.
 
-    Cell (i, j) lands in total degree i + j; within one total degree the
-    cells are ordered by increasing i.  The total differential restricted
-    to cell (i, j) is horizontal + (-1)^i vertical; the result is checked
-    to square to zero and a failure signals malformed input signs.
+    Cell (i, j) lands in total degree i + j, with the sign and order rule
+    of `complexes._total_diffs`: within one total degree the cells are
+    ordered by increasing i, and the total differential restricted to cell
+    (i, j) is horizontal + (-1)^i vertical.  The result is checked to
+    square to zero; a failure signals malformed input signs.
     """
     field = grid.field
     live = sorted((key for key, d in grid.cells.items() if d > 0), key=lambda t: (t[0] + t[1], t[0]))
@@ -241,31 +243,13 @@ def total_complex(grid: DoubleComplex) -> Totalization:
         if grid.dim(i, j + 2) and not (grid.v(i, j + 1) @ grid.v(i, j)).is_zero():
             raise ValueError(f"column {i} does not square to zero at {(i, j)}")
     if not live:
-        from .complexes import zero_complex
-
         return Totalization(zero_complex(field), {})
     lo = min(i + j for i, j in live)
     hi = max(i + j for i, j in live)
-    summands = {
-        l: tuple(sorted((cell for cell in live if cell[0] + cell[1] == l), key=lambda t: t[0]))
-        for l in range(lo, hi + 1)
-    }
+    summands = {l: tuple(cell for cell in live if cell[0] + cell[1] == l) for l in range(lo, hi + 1)}
     dims = tuple(sum(grid.dim(*cell) for cell in summands[l]) for l in range(lo, hi + 1))
-    diffs = []
-    for l in range(lo, hi):
-        src = summands[l]
-        dst = summands[l + 1]
-        rows = [grid.dim(*cell) for cell in dst]
-        cols = [grid.dim(*cell) for cell in src]
-        blocks = {}
-        for sj, (i, j) in enumerate(src):
-            if (i + 1, j) in dst:
-                blocks[(dst.index((i + 1, j)), sj)] = grid.h(i, j)
-            if (i, j + 1) in dst:
-                m = grid.v(i, j)
-                blocks[(dst.index((i, j + 1)), sj)] = m if i % 2 == 0 else -m
-        diffs.append(assemble_blocks(field, rows, cols, blocks))
-    cx = BoundedComplex(field, lo, dims, tuple(diffs))
+    columns = range(min(i for i, _ in live), max(i for i, _ in live) + 1)
+    cx = BoundedComplex(field, lo, dims, _total_diffs(field, range(lo, hi), columns, grid.dim, grid.h, grid.v))
     bad = validate(cx)
     if bad is not None:
         raise ValueError(f"total differential does not square to zero: {bad}")
@@ -296,8 +280,6 @@ def bgg_complex(mc: ModuleComplex) -> BGGComplex:
     if v is not None:
         raise ValueError(f"invalid module complex: {v}")
     if not mc.modules:
-        from .complexes import zero_complex
-
         raise ValueError("cannot apply the functor to an empty complex")
     field = mc.modules[0].field
     if mc.modules[0].algebra.kind != "poly":
@@ -331,33 +313,20 @@ def bgg_periodic(pm: PeriodicModuleComplex) -> PeriodicComplex:
     bounded internal window, ordered by increasing i; the differential uses
     the same signs as the bounded totalization.
     """
-    v = validate_module_complex(pm)
-    if v is not None:
-        raise ValueError(f"invalid periodic module complex: {v}")
+    bad = validate_module_complex(pm)
+    if bad is not None:
+        raise ValueError(f"invalid periodic module complex: {bad}")
     field = pm.modules[0].field
     if pm.modules[0].algebra.kind != "poly":
         raise ValueError("input must be periodic over a polynomial algebra")
     dual = lambda_dual(pm.modules[0].algebra.generators, field)
-    n = pm.n
-    window = list(pm.modules[0].degrees())
-    dims = tuple(
-        sum(dual.total_dim * pm.module(r - i).dim(i) for i in window) for r in range(n)
-    )
-    diffs = []
-    for r in range(n):
-        rows = [dual.total_dim * pm.module(r + 1 - i).dim(i) for i in window]
-        cols = [dual.total_dim * pm.module(r - i).dim(i) for i in window]
-        blocks = {}
-        for si, i in enumerate(window):
-            m = pm.module(r - i)
-            if m.dim(i) == 0:
-                continue
-            if i + 1 in window and pm.module(r - i).dim(i + 1):
-                blocks[(window.index(i + 1), si)] = _bgg_differential(dual, m, i)
-            vert = kron(identity(field, dual.total_dim), pm.map_at(r - i, i))
-            blocks[(si, si)] = vert if i % 2 == 0 else -vert
-        diffs.append(assemble_blocks(field, rows, cols, blocks))
-    out = PeriodicComplex(field, n, dims, tuple(diffs))
+    size = dual.total_dim
+    window = pm.modules[0].degrees()
+    dim = lambda i, j: size * pm.module(j).dim(i)
+    h = lambda i, j: _bgg_differential(dual, pm.module(j), i)
+    v = lambda i, j: kron(identity(field, size), pm.map_at(j, i))
+    dims = tuple(sum(dim(i, r - i) for i in window) for r in range(pm.n))
+    out = PeriodicComplex(field, pm.n, dims, _total_diffs(field, range(pm.n), window, dim, h, v))
     bad = validate_periodic(out)
     if bad is not None:
         raise AssertionError(f"construction violated its own invariant: {bad}")
@@ -375,28 +344,6 @@ class BGGSquareReport:
     detail: str
 
 
-def _square_labels(mc: ModuleComplex, dual: LambdaDual, cx: BoundedComplex, n: int, r: int) -> tuple[list[tuple], list[tuple]]:
-    # Folded order: compress(cx), cx the totalization of mc, groups by total
-    # degree l = r mod n and inside each l by increasing internal degree i.
-    # Other order: bgg_periodic lists internal degrees i, then dual basis
-    # vectors, then the homological degrees j = r - i mod n in increasing
-    # order.
-    window = mc.modules[0].degrees()
-    folded = []
-    for l in residue_degrees(cx, n, r):
-        for i in window:
-            j = l - i
-            if mc.jlo <= j <= mc.jhi:
-                folded.extend((i, j, a, b) for a in range(dual.total_dim) for b in range(mc.module(j).dim(i)))
-    other = []
-    for i in window:
-        cls = [j for j in mc.homological_degrees() if (j - (r - i)) % n == 0]
-        for a in range(dual.total_dim):
-            for j in cls:
-                other.extend((i, j, a, b) for b in range(mc.module(j).dim(i)))
-    return folded, other
-
-
 def verify_bgg_square(mc: ModuleComplex, n: int) -> BGGSquareReport:
     """Compare folding after the functor with the periodic functor after
     folding, matching summands by the canonical bijection.
@@ -407,5 +354,8 @@ def verify_bgg_square(mc: ModuleComplex, n: int) -> BGGSquareReport:
     bounded = bgg_complex(mc)
     cx = bounded.complex
     other = bgg_periodic(compress_modules(mc, n))
-    mismatch = _square_mismatch(compress(cx, n), other, lambda r: _square_labels(mc, bounded.dual, cx, n, r))
+    size = bounded.dual.total_dim
+    inner = lambda i, j: mc.module(j).dim(i) if mc.jlo <= j <= mc.jhi else 0
+    labels = lambda r: _fold_labels(cx, n, r, mc.modules[0].degrees(), lambda i: size, inner)
+    mismatch = _square_mismatch(compress(cx, n), other, labels)
     return BGGSquareReport(n, mismatch is None, mismatch or "exact equality")

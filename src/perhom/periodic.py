@@ -26,17 +26,20 @@ from .complexes import (
     HomReport,
     Homotopy,
     Violation,
+    _cone_grid,
     _contraction,
     _echelons,
     _split_hom_report,
     _split_null_homotopy,
     _split_ranks,
+    _total_diffs,
     chain_map,
     cone,
     identity_chain_map,
     shift,
     degree_shift,
     validate,
+    validate_chain_map,
     zero_chain_map,
     zero_complex,
 )
@@ -229,8 +232,6 @@ def compress(x: BoundedComplex, n: int) -> PeriodicComplex:
 
 def compress_map(f: ChainMap, n: int) -> PeriodicChainMap:
     """Fold a chain map block-diagonally into residue classes."""
-    from .complexes import validate_chain_map
-
     v = validate_chain_map(f)
     if v is not None:
         raise ValueError(f"invalid chain map: {v}")
@@ -289,23 +290,13 @@ def unit_and_retraction(x: BoundedComplex, n: int, window: tuple[int, int]) -> t
 
 
 def periodic_cone(f: PeriodicChainMap) -> PeriodicComplex:
-    """Cyclic mapping cone: term i is X^(i+1) (+) Y^i with the usual blocks."""
+    """Cyclic mapping cone: term i is X^(i+1) (+) Y^i with the blocks of
+    `complexes.cone`, totalized by `complexes._total_diffs`."""
     _require_valid_map(f)
     x, y = f.source, f.target
     n = x.n
-    field = x.field
     dims = tuple(x.dim(i + 1) + y.dims[i] for i in range(n))
-    diffs = []
-    for i in range(n):
-        row_sizes = (x.dim(i + 2), y.dim(i + 1))
-        col_sizes = (x.dim(i + 1), y.dims[i])
-        blocks = {
-            (0, 0): -x.diff(i + 1),
-            (1, 0): f.component(i + 1),
-            (1, 1): y.diffs[i],
-        }
-        diffs.append(assemble_blocks(field, row_sizes, col_sizes, blocks))
-    return PeriodicComplex(field, n, dims, tuple(diffs))
+    return PeriodicComplex(x.field, n, dims, _total_diffs(x.field, range(n), *_cone_grid(f)))
 
 
 def _prev(n: int):
@@ -481,21 +472,25 @@ def _square_mismatch(folded: PeriodicComplex, other: PeriodicComplex, labels) ->
     return None
 
 
-def _cone_labels(f: ChainMap, c: BoundedComplex, n: int, r: int) -> tuple[list[tuple], list[tuple]]:
-    # Folded order: compress(c), c = cone(f), groups by cone degree l = r mod
-    # n, inside each l the X^(l+1) part precedes the Y^l part.  Other order:
-    # periodic_cone(compress_map(f)) lists all X summands (degree = r+1 mod
-    # n, increasing) and then all Y summands (degree = r mod n, increasing).
-    x, y = f.source, f.target
-    folded: list[tuple] = []
-    for l in residue_degrees(c, n, r):
-        folded.extend(("x", l + 1, t) for t in range(x.dim(l + 1)))
-        folded.extend(("y", l, t) for t in range(y.dim(l)))
-    other: list[tuple] = []
-    for j in residue_degrees(x, n, r + 1):
-        other.extend(("x", j, t) for t in range(x.dim(j)))
-    for j in residue_degrees(y, n, r):
-        other.extend(("y", j, t) for t in range(y.dim(j)))
+def _fold_labels(total: BoundedComplex, n: int, r: int, columns, outer, inner) -> tuple[list[tuple], list[tuple]]:
+    """Labels of term r of a folded totalization, in the order of
+    compress(total, n) and in the order of the periodic construction on the
+    folded inputs.
+
+    `total` is the bounded totalization of a double complex whose cell
+    (i, j) has the basis (a, b) with a < outer(i) major and b < inner(i, j);
+    label (i, l, a, b) names a basis vector of cell (i, l - i).  The folded
+    side runs over l = r mod n, then i, a, b; the periodic side sums the
+    cells of column i over the same l inside each a, so it runs over i, a,
+    l, b.
+    """
+    degrees = residue_degrees(total, n, r)
+    folded = [
+        (i, l, a, b) for l in degrees for i in columns for a in range(outer(i)) for b in range(inner(i, l - i))
+    ]
+    other = [
+        (i, l, a, b) for i in columns for a in range(outer(i)) for l in degrees for b in range(inner(i, l - i))
+    ]
     return folded, other
 
 
@@ -504,4 +499,6 @@ def compression_cone_square(f: ChainMap, n: int) -> bool:
     the compressed map, after the documented reordering of summands."""
     c = cone(f).complex
     other = periodic_cone(compress_map(f, n))
-    return _square_mismatch(compress(c, n), other, lambda r: _cone_labels(f, c, n, r)) is None
+    columns, dim, _, _ = _cone_grid(f)
+    labels = lambda r: _fold_labels(c, n, r, columns, lambda i: 1, dim)
+    return _square_mismatch(compress(c, n), other, labels) is None

@@ -10,7 +10,10 @@ zero).  They share `rank`, `solve_linear` and the system assembly with the
 library, but not the splitting of each complex into cohomology and
 contractible pieces that the library counts and builds witnesses from.
 The Tor oracle counts BGG cohomology from the Koszul complex of the module,
-sharing only `rank` and `assemble_blocks` with the functor it checks.
+sharing only `rank` and `assemble_blocks` with the functor it checks.  The
+entrywise oracles write the cone and tensor differentials one entry at a
+time from the input differentials on basis labels, sharing only `Matrix`
+with the totalization they check.
 """
 
 from itertools import combinations, product
@@ -283,3 +286,96 @@ def koszul_tor_dims(m: GradedModule, j: int) -> int:
         into = rank(_koszul_differential(m, l + 1, j - 1)) if l < c else 0
         total += comb(c, l) * m.dim(j) - out - into
     return total
+
+
+def _dim(c, i: int) -> int:
+    """Dimension of degree i of a bounded or periodic complex."""
+    if isinstance(c, PeriodicComplex):
+        return c.dims[i % c.n]
+    return c.dims[i - c.lo] if c.lo <= i < c.lo + len(c.dims) else 0
+
+
+def _rows(c, i: int) -> tuple:
+    """Rows of the differential out of degree i; none outside the window."""
+    if isinstance(c, PeriodicComplex):
+        return c.diffs[i % c.n].entries
+    return c.diffs[i - c.lo].entries if c.lo <= i < c.lo + len(c.diffs) else ()
+
+
+def _component_rows(f, i: int) -> tuple:
+    if isinstance(f, PeriodicChainMap):
+        return f.components[i % f.source.n].entries
+    return next((m.entries for d, m in f.components if d == i), ())
+
+
+def _column(rows, col: int) -> list:
+    """(row, entry) for the nonzero entries of one column."""
+    return [(k, row[col]) for k, row in enumerate(rows) if row[col]]
+
+
+def _by_labels(field, degrees, out_of, labels, image) -> tuple:
+    """Term dimensions over `degrees` and the differential out of each degree
+    in `out_of`, entry by entry: basis label s of term l goes to the sum of
+    e * t over (t, e) in image(l, s)."""
+    diffs = []
+    for l in out_of:
+        src, dst = labels(l), labels(l + 1)
+        pos = {label: k for k, label in enumerate(dst)}
+        body = [[field.zero] * len(src) for _ in dst]
+        for col, label in enumerate(src):
+            for target, e in image(l, label):
+                body[pos[target]][col] = field.add(body[pos[target]][col], e)
+        diffs.append(Matrix(field, len(dst), len(src), tuple(map(tuple, body))))
+    return tuple(len(labels(l)) for l in degrees), tuple(diffs)
+
+
+def entrywise_cone(f) -> tuple:
+    """(lo, dims, diffs) of `cone(f).complex`, or (n, dims, diffs) of the
+    periodic cone of a periodic chain map: term l has the labels ("x", a) of
+    X^(l+1), then ("y", b) of Y^l, with ("x", a) -> -d_X a + f a and
+    ("y", b) -> d_Y b."""
+    x, y = f.source, f.target
+    field = x.field
+
+    def labels(l):
+        return [("x", a) for a in range(_dim(x, l + 1))] + [("y", b) for b in range(_dim(y, l))]
+
+    def image(l, label):
+        side, a = label
+        if side == "y":
+            return [(("y", b), e) for b, e in _column(_rows(y, l), a)]
+        out = [(("x", a2), field.neg(e)) for a2, e in _column(_rows(x, l + 1), a)]
+        return out + [(("y", b), e) for b, e in _column(_component_rows(f, l + 1), a)]
+
+    if isinstance(x, PeriodicComplex):
+        return (x.n, *_by_labels(field, range(x.n), range(x.n), labels, image))
+    windows = [(c.lo - s, c.lo + len(c.dims) - 1 - s) for c, s in ((x, 1), (y, 0)) if c.dims]
+    if not windows:
+        return 0, (), ()
+    lo, hi = min(w[0] for w in windows), max(w[1] for w in windows)
+    return (lo, *_by_labels(field, range(lo, hi + 1), range(lo, hi), labels, image))
+
+
+def entrywise_tensor(x: BoundedComplex, y) -> tuple:
+    """(lo, dims, diffs) of `tensor_complex(x, y)`, or (n, dims, diffs) of
+    `tensor_periodic(x, y)`: term l has the labels (i, a, b) of
+    X^i (x) Y^(l-i) over increasing i, then a, then b, with
+    (i, a, b) -> sum dx (i+1, a', b) + (-1)^i sum dy (i, a, b')."""
+    field = x.field
+    xdegs = range(x.lo, x.lo + len(x.dims))
+
+    def labels(l):
+        return [(i, a, b) for i in xdegs for a in range(_dim(x, i)) for b in range(_dim(y, l - i))]
+
+    def image(l, label):
+        i, a, b = label
+        out = [((i + 1, a2, b), e) for a2, e in _column(_rows(x, i), a)]
+        dy = _column(_rows(y, l - i), b)
+        return out + [((i, a, b2), e if i % 2 == 0 else field.neg(e)) for b2, e in dy]
+
+    if isinstance(y, PeriodicComplex):
+        return (y.n, *_by_labels(field, range(y.n), range(y.n), labels, image))
+    if not x.dims or not y.dims:
+        return 0, (), ()
+    lo, hi = x.lo + y.lo, x.lo + y.lo + len(x.dims) + len(y.dims) - 2
+    return (lo, *_by_labels(field, range(lo, hi + 1), range(lo, hi), labels, image))

@@ -1,15 +1,18 @@
 """Byte-exact `homdim` / `orbit-homdim` / `periodize` output on the golden
 documents, the exit codes of the Hom and period commands, the round trip
-of every golden document, and the `verify` report bytes of the folding
-and BGG suites."""
+of every golden document, the `verify` report bytes of the folding and BGG
+suites, the `cone` and `tensor` output on seeded documents, and the exit
+codes and error pointers of malformed input."""
 
 import hashlib
 from pathlib import Path
+from random import Random
 
 import pytest
 
-from perhom import QQ, orbit_hom, parse_document, serialize_document, single
+from perhom import GF, QQ, orbit_hom, parse_document, serialize_document, single
 from perhom.cli import main
+from perhom.samples import random_bounded_complex, random_chain_map, random_periodic
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -151,3 +154,104 @@ def test_verify_report_bytes(capsysbinary, suite):
     code, out, err = run(capsysbinary, "verify", suite, "--seed", "0")
     assert (code, err) == (0, b"")
     assert hashlib.sha256(out).hexdigest() == VERIFY_SHA256[suite]
+
+
+# SHA-256 of the stdout of `perhom cone` and `perhom tensor` on the seeded
+# documents of `seeded_documents`, seeds 0-5 concatenated, recorded at
+# commit 0836826, before the cone and tensor differentials were built by
+# one totalization.
+CONSTRUCTION_SHA256 = {
+    "cone-QQ": "a4a72911ea5e5b6c1b2590cbc296b532e42d35a687de80b0f7d9a51ac13fbcc8",
+    "cone-GF(5)": "943375d6ce15039a2b748aef5b4f056c37fcc3e9fcc0cfe10a0f4397c4028aa2",
+    "tensor-complex-QQ": "a148bf92e20a732658dc3df81bd440760a7a24aa9f2fba5dad8d24f36facbf89",
+    "tensor-complex-GF(5)": "8a378b44b544a64cf225ba7be6f653d47963007336d750dcf305245c21641de4",
+    "tensor-periodic-QQ": "770655758762ecdafad5a3c42247b59be5de140eadbaecbc5f02cec674eee618",
+    "tensor-periodic-GF(5)": "49f6772aa0247c25fd1b4cc9eef3b32470a1ab8dc5c3ce99c9efb71a9933f269",
+}
+
+FIELDS = {"QQ": QQ, "GF(5)": GF(5)}
+
+
+def seeded_documents(kind, field, seed, tmp_path):
+    """The argv of one seeded `cone` or `tensor` run, documents written to tmp_path."""
+    rng = Random(f"{kind} {field!r} {seed}")
+    x = random_bounded_complex(rng, field, max_dim=3, max_width=4)
+    if kind == "cone":
+        y = random_bounded_complex(rng, field, max_dim=3, max_width=4)
+        values = [random_chain_map(rng, x, y)]
+    elif kind == "tensor-complex":
+        values = [x, random_bounded_complex(rng, field, max_dim=3, max_width=4)]
+    else:
+        values = [x, random_periodic(rng, field, rng.randint(1, 3), max_dim=3, max_width=4)]
+    paths = []
+    for k, value in enumerate(values):
+        path = tmp_path / f"{kind}-{seed}-{k}.json"
+        path.write_bytes(serialize_document(value))
+        paths.append(str(path))
+    return ["cone" if kind == "cone" else "tensor", *paths]
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTION_SHA256))
+def test_construction_bytes(capsysbinary, tmp_path, case):
+    kind, field = case.rsplit("-", 1)
+    digest = hashlib.sha256()
+    for seed in range(6):
+        code, out, err = run(capsysbinary, *seeded_documents(kind, FIELDS[field], seed, tmp_path))
+        assert (code, err) == (0, b"")
+        digest.update(out)
+    assert digest.hexdigest() == CONSTRUCTION_SHA256[case]
+
+
+COMPLEX_DOC = '{"diffs":%s,"dims":%s,"field":%s,"kind":"complex","window":[0,%d]}'
+
+
+@pytest.mark.parametrize(
+    "document, error",
+    [
+        (COMPLEX_DOC % ("[]", "[1]", '{"reals":true}', 0), "/field/reals: unknown field"),
+        (COMPLEX_DOC % ("[]", "[1]", '{"fp":4}', 0), "/field/fp: 4 is not prime"),
+        (COMPLEX_DOC % ("[[[1]]]", "[2,1]", '{"fp":5}', 1), "/diffs/0/0: expected 2 entries, got 1"),
+        (COMPLEX_DOC % ('[[[1,"x"]]]', "[2,1]", '{"fp":5}', 1), "/diffs/0/0/1: not a residue: 'x'"),
+    ],
+    ids=["unknown-field", "non-prime", "ragged-row", "non-residue"],
+)
+def test_malformed_document_exits_2(capsysbinary, tmp_path, document, error):
+    path = tmp_path / "malformed.json"
+    path.write_text(document)
+    assert run(capsysbinary, "cohomology", str(path)) == (2, b"", f"error: {error}\n".encode())
+
+
+def test_cone_of_non_chain_map_exits_1(capsysbinary, tmp_path):
+    # f^1 d_X = 1 but d_Y f^0 = 0.
+    x = '{"diffs":[[[1]]],"dims":[1,1],"field":{"fp":5},"kind":"complex","window":[0,1]}'
+    y = '{"diffs":[[[0]]],"dims":[1,1],"field":{"fp":5},"kind":"complex","window":[0,1]}'
+    comps = '[{"degree":0,"matrix":[[0]]},{"degree":1,"matrix":[[1]]}]'
+    path = tmp_path / "not_a_chain_map.json"
+    path.write_text(f'{{"components":{comps},"field":{{"fp":5}},"kind":"chain-map","source":{x},"target":{y}}}')
+    want = b'{"error":"invalid chain map: chain-map at degree 0: f d != d f","ok":false}\n'
+    assert run(capsysbinary, "cone", str(path)) == (1, want, b"")
+
+
+@pytest.mark.parametrize(
+    "algebra, dims, actions, error",
+    [
+        ("ext", [1, 1], "[[[[1]]]]", "input must be a module over a polynomial algebra"),
+        # x_0 x_1 sends the degree-0 generator to 1, x_1 x_0 sends it to 0.
+        (
+            "poly",
+            [1, 2, 1],
+            "[[[[1],[0]],[[0,1]]],[[[0],[1]],[[0,0]]]]",
+            "invalid graded module: commute at degree 0: generators (0, 1) do not commute",
+        ),
+    ],
+    ids=["exterior", "non-commuting"],
+)
+def test_bgg_of_invalid_module_exits_1(capsysbinary, tmp_path, algebra, dims, actions, error):
+    c = 1 if algebra == "ext" else 2
+    path = tmp_path / "module.json"
+    path.write_text(
+        f'{{"actions":{actions},"algebra":{{"{algebra}":{c}}},"dims":{dims},"field":{{"fp":5}},'
+        f'"kind":"graded-module","window":[0,{len(dims) - 1}]}}'
+    )
+    want = f'{{"error":"{error}","ok":false}}\n'.encode()
+    assert run(capsysbinary, "bgg", str(path)) == (1, want, b"")

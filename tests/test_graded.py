@@ -1,4 +1,3 @@
-from fractions import Fraction
 from random import Random
 
 import pytest
@@ -6,7 +5,6 @@ import pytest
 from perhom import (
     GF,
     QQ,
-    Algebra,
     FlagData,
     FlagError,
     GradedModule,
@@ -17,7 +15,6 @@ from perhom import (
     flag_assemble,
     flag_filtration,
     free_module,
-    identity,
     is_acyclic_periodic,
     mat,
     polynomial_algebra,
@@ -30,7 +27,7 @@ from perhom import (
     zeros,
 )
 from perhom.graded import ModuleComplex, PeriodicModuleComplex, compress_modules, validate_module_complex
-from perhom.samples import random_bounded_complex, random_flag, random_graded_module, random_module_complex
+from perhom.samples import random_bounded_complex, random_flag, random_module_complex
 
 F5 = GF(5)
 F7 = GF(7)

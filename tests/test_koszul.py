@@ -1,7 +1,9 @@
-"""The BGG folding square, the one comparison helper behind the three
-folding squares (cone, tensor, BGG), and the BGG cohomology against the
-Koszul-complex Tor oracle."""
+"""The BGG folding square, the one comparison helper and the one label rule
+(`_square_mismatch`, `_fold_labels`) behind the three folding squares
+(cone, tensor, BGG), the BGG construction bytes, and the BGG cohomology
+against the Koszul-complex Tor oracle."""
 
+import hashlib
 from random import Random
 
 import pytest
@@ -22,10 +24,11 @@ from perhom import (
     compress_modules,
     cone,
     periodic_cone,
+    serialize_document,
     verify_bgg_square,
 )
-from perhom.koszul import _square_labels
-from perhom.periodic import _cone_labels, _square_mismatch
+from perhom.complexes import _cone_grid
+from perhom.periodic import _fold_labels, _square_mismatch
 from perhom.samples import random_bounded_complex, random_chain_map, random_graded_module, random_module_complex
 from strategies import SETTINGS
 
@@ -37,7 +40,9 @@ def bgg_square_sides(mc, n):
     bounded = bgg_complex(mc)
     cx = bounded.complex
     other = bgg_periodic(compress_modules(mc, n))
-    return compress(cx, n), other, lambda r: _square_labels(mc, bounded.dual, cx, n, r)
+    size = bounded.dual.total_dim
+    inner = lambda i, j: mc.module(j).dim(i) if mc.jlo <= j <= mc.jhi else 0  # noqa: E731
+    return compress(cx, n), other, lambda r: _fold_labels(cx, n, r, mc.modules[0].degrees(), lambda i: size, inner)
 
 
 def negated(p: PeriodicComplex) -> PeriodicComplex:
@@ -66,6 +71,32 @@ class TestBGGSquare:
             assert (rep.n, rep.ok, rep.detail) == (n, True, "exact equality")
 
 
+# SHA-256 of the documents of bgg_complex(mc).complex followed by
+# bgg_periodic(compress_modules(mc, n)) for three seeded module complexes
+# mc over QQ and three over GF(5), recorded at commit 0836826, before the
+# bounded and periodic BGG differentials were built by one totalization.
+BGG_SHA256 = {
+    (1, 1): "39b3c54b827eb4f121dabe547ce37f543211b69b7b63f744d6b34d4f450c733f",
+    (1, 2): "6cc9b5634e137a3d066c38603f7bc990568dd80297690b693ff4b5379f5205d4",
+    (1, 3): "58c7cd860c339b6f81368300be6343b2e17a1c2a22e48931ce4e54a19a6f781e",
+    (2, 1): "bb08ce8ddab3489d532f3675aa47f16c9ff1662fea60edebab39e70dfaaaca6b",
+    (2, 2): "a1fdad259637f260a6f50fab0351585238ddca92cad85df5bcc41e4b0509b2cb",
+    (2, 3): "a9bd0e00b4c76da2f795fe596dc68610642a05c7ce84d0f1778dae6ef840c3fe",
+}
+
+
+@pytest.mark.parametrize("c, n", sorted(BGG_SHA256))
+def test_bgg_construction_bytes(c, n):
+    digest = hashlib.sha256()
+    for field in (QQ, F5):
+        rng = Random(f"bgg bytes {c} {n} {field!r}")
+        for _ in range(3):
+            mc = random_module_complex(rng, field, c, (0, 2))
+            digest.update(serialize_document(bgg_complex(mc).complex))
+            digest.update(serialize_document(bgg_periodic(compress_modules(mc, n))))
+    assert digest.hexdigest() == BGG_SHA256[(c, n)]
+
+
 class TestSquareMismatch:
     @pytest.mark.parametrize("field", [QQ, F5], ids=repr)
     @pytest.mark.parametrize("c", [1, 2])
@@ -85,7 +116,8 @@ class TestSquareMismatch:
         f = random_chain_map(rng, x, x)
         c = cone(f).complex
         other = periodic_cone(compress_map(f, 2))
-        labels = lambda r: _cone_labels(f, c, 2, r)  # noqa: E731
+        columns, dim, _, _ = _cone_grid(f)
+        labels = lambda r: _fold_labels(c, 2, r, columns, lambda i: 1, dim)  # noqa: E731
         assert _square_mismatch(compress(c, 2), other, labels) is None
         first = next(r for r in range(2) if not other.diffs[r].is_zero())
         assert _square_mismatch(compress(c, 2), negated(other), labels) == f"differentials disagree at residue {first}"

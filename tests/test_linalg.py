@@ -9,7 +9,6 @@ from perhom.linalg import (
     BlockSystem,
     Field,
     FieldMismatch,
-    Matrix,
     ShapeError,
     hstack,
     identity,
