@@ -24,8 +24,10 @@ from .linalg import (
     hstack,
     identity,
     kron,
+    place_rows,
     rref,
     solve_linear,
+    submatrix,
     zeros,
 )
 
@@ -375,19 +377,6 @@ def _splitting(c: BoundedComplex) -> tuple[dict[int, int], dict[int, int]]:
     return _split_ranks(c, _echelons(c, range(c.lo, c.hi)), c.degrees(), lambda i: i - 1)
 
 
-def _place_rows(m: Matrix, positions, height: int) -> Matrix:
-    """The height x m.cols matrix whose row positions[t] is row t of m, the
-    other rows zero."""
-    body = [(m.field.zero,) * m.cols] * height
-    for t, pos in enumerate(positions):
-        body[pos] = m.entries[t]
-    return Matrix(m.field, height, m.cols, tuple(body))
-
-
-def _columns(m: Matrix, cols) -> Matrix:
-    return Matrix(m.field, m.rows, len(cols), tuple(tuple(row[j] for j in cols) for row in m.entries))
-
-
 class _Split(NamedTuple):
     """Splitting data of one degree: d s + s d = 1 - i p."""
 
@@ -418,17 +407,17 @@ def _contraction(c, echelons, r: int, prev) -> _Split:
     m = c.dim(r)
     reduced, pivots = echelons[r]
     incoming = echelons[prev(r)][1]
-    boundaries = _columns(c.diff(r - 1), incoming)
+    boundaries = submatrix(c.diff(r - 1), range(m), incoming)
     cycles = zeros(field, m, 0)
     if m - len(pivots) - len(incoming):
         kernel = _kernel_of_rref(reduced, pivots)
         chosen = rref(hstack([boundaries, kernel]))[1][len(incoming) :]
-        cycles = _columns(kernel, [j - len(incoming) for j in chosen])
-    coords = solve_linear(hstack([boundaries, cycles]), identity(field, m) - _place_rows(reduced, pivots, m))
+        cycles = submatrix(kernel, range(m), [j - len(incoming) for j in chosen])
+    coords = solve_linear(hstack([boundaries, cycles]), identity(field, m) - place_rows(reduced, pivots, m))
     if coords is None:
         raise AssertionError(f"splitting of degree {r} is not a basis")
-    s = _place_rows(coords, incoming, c.dim(r - 1))
-    project = Matrix(field, cycles.cols, m, coords.entries[len(incoming) :])
+    s = place_rows(coords, incoming, c.dim(r - 1))
+    project = submatrix(coords, range(len(incoming), coords.rows), range(m))
     return _Split(cycles, project, s)
 
 

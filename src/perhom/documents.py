@@ -107,12 +107,6 @@ def _parse_entry(field: Field, value, ptr: str):
     return value % field.p
 
 
-def _entry_doc(field: Field, value):
-    if field.p is None:
-        return str(value)
-    return int(value)
-
-
 def _parse_matrix(field: Field, value, rows: int, cols: int, ptr: str) -> Matrix:
     body = _expect_list(value, ptr)
     if len(body) != rows:
@@ -128,7 +122,9 @@ def _parse_matrix(field: Field, value, rows: int, cols: int, ptr: str) -> Matrix
 
 def matrix_doc(m: Matrix):
     """The JSON form of one matrix (rows of encoded entries)."""
-    return [[_entry_doc(m.field, x) for x in row] for row in m.entries]
+    if m.array is not None:
+        return m.array.tolist()
+    return [[str(x) for x in row] for row in m.entries]
 
 
 def _parse_window(value, ptr: str) -> tuple[int, int]:

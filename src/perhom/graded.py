@@ -19,6 +19,7 @@ from .linalg import (
     Matrix,
     ShapeError,
     assemble_blocks,
+    submatrix,
     zeros,
 )
 from .periodic import PeriodicComplex, _fold_labels, _square_mismatch, compress, validate_periodic
@@ -437,17 +438,11 @@ def flag_filtration(f: FlagData) -> tuple[FlagStage, ...]:
     stages = []
     for i in range(len(f.parts)):
         cut = offsets[i + 1]
-        sub_delta = Matrix(
-            f.field, cut, cut, tuple(tuple(row[:cut]) for row in delta.entries[:cut])
-        )
-        sub = PeriodicComplex(f.field, 1, (cut,), (sub_delta,))
+        sub = PeriodicComplex(f.field, 1, (cut,), (submatrix(delta, range(cut), range(cut)),))
         v = validate_periodic(sub)
         if v is not None:
             raise FlagError(f"filtration stage {i} is not a differential module: {v}")
-        quotient_block = tuple(
-            tuple(row[offsets[i] : cut]) for row in delta.entries[offsets[i] : cut]
-        )
-        induced = Matrix(f.field, f.parts[i], f.parts[i], quotient_block)
+        induced = submatrix(delta, range(offsets[i], cut), range(offsets[i], cut))
         stages.append(
             FlagStage(sub, PeriodicComplex(f.field, 1, (f.parts[i],), (induced,)))
         )

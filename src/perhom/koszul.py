@@ -21,6 +21,7 @@ than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .complexes import BoundedComplex, Violation, _total_diffs, validate, zero_complex
@@ -81,8 +82,13 @@ class LambdaDual:
         return len(self.monomials)
 
 
+@lru_cache(maxsize=32)
 def lambda_dual(c: int, field: Field) -> LambdaDual:
-    """Construct the dual exterior algebra; 1 <= c <= 6."""
+    """Construct the dual exterior algebra; 1 <= c <= 6.
+
+    Cached per (c, field), so the construction and its self-check run once
+    per key; sharing the result is safe because matrices are immutable.
+    """
     if not 1 <= c <= 6:
         raise ValueError(f"generator count out of range: {c}")
     monomials: list[tuple[int, ...]] = []

@@ -8,13 +8,26 @@ Conventions used by the whole package:
 * pivoting is deterministic (first nonzero row in column order), so echelon
   forms, kernel bases and particular solutions are reproducible bit for bit.
 
-Row reduction over F_p runs on int64 numpy buffers; products of residues
-stay below 2**62 for p < 2**31, so the arithmetic is exact.  Everything
-else runs on exact Python scalars.  There is no floating point anywhere.
+Storage: over QQ a matrix holds row tuples of `Fraction`s and every
+operation runs on exact Python scalars.  Over F_p it holds one read-only
+int64 array of residues and every operation runs in numpy; sums, scalings,
+Kronecker products and row reduction stay below 2**62 since p < 2**31.
+
+A product over F_p with inner dimension k is chosen by the bound
+k (p-1)^2 on the entries of the unreduced product:
+
+* below 2**53, from 16**3 multiply-adds on: float64 `@` (BLAS).  Every
+  product of two residues and every partial sum is an integer in
+  [0, 2**53), which float64 holds exactly, so each step is exact in any
+  summation order, with or without fused multiply-add.  Smaller products
+  stay in int64, where the conversions would cost more than they save;
+* below 2**62: int64 `@`;
+* above (p beyond about 2**31 / sqrt(k)): Python ints.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -37,9 +50,11 @@ __all__ = [
     "mat",
     "permute_cols",
     "permute_rows",
+    "place_rows",
     "rank",
     "rref",
     "solve_linear",
+    "submatrix",
     "vec",
     "unvec",
     "vstack",
@@ -149,23 +164,40 @@ def GF(p: int) -> Field:
     return Field(p)
 
 
-@dataclass(frozen=True)
 class Matrix:
-    """Immutable exact-entry matrix; 0xm and mx0 shapes are legal."""
+    """Immutable exact-entry matrix; 0xm and mx0 shapes are legal.
 
-    field: Field
-    rows: int
-    cols: int
-    entries: tuple
+    Over QQ the entries are a tuple of row tuples of `Fraction` values and
+    ``array`` is None.  Over F_p ``array`` is the only storage: one
+    read-only int64 array of residues in [0, p), which the constructor
+    copies from nested rows or from an array.  ``entries`` is then a tuple
+    of row tuples of Python ints, derived from it on first use for callers
+    outside this module.  Matrices compare and hash by field, shape and
+    entries, whatever they were built from.
+    """
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    __slots__ = ("field", "rows", "cols", "array", "_entries")
+
+    def __init__(self, field: Field, rows: int, cols: int, entries) -> None:
+        if rows < 0 or cols < 0:
             raise ShapeError("negative dimensions")
-        if len(self.entries) != self.rows:
+        if len(entries) != rows:
             raise ShapeError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ShapeError("ragged rows")
+        self.field, self.rows, self.cols = field, rows, cols
+        if field.p is None:
+            self.array, self._entries = None, entries
+        else:
+            self.array, self._entries = np.array(entries, dtype=np.int64).reshape(rows, cols), None
+            self.array.flags.writeable = False
+
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            self._entries = tuple(map(tuple, self.array.tolist()))
+        return self._entries
 
     def entry(self, i: int, j: int):
         return self.entries[i][j]
@@ -174,52 +206,64 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.field != other.field or self.shape != other.shape:
+            return False
+        if self.array is None:
+            return self._entries == other._entries
+        return not (self.array != other.array).any()
+
+    def __hash__(self) -> int:
+        body = self._entries if self.array is None else self.array.tobytes()
+        return hash((self.field, self.rows, self.cols, body))
+
     def is_zero(self) -> bool:
+        if self.array is not None:
+            return not self.array.any()
         z = self.field.zero
-        return all(x == z for row in self.entries for x in row)
+        return all(x == z for row in self._entries for x in row)
 
     def transpose(self) -> "Matrix":
+        if self.array is not None:
+            return _fp(self.field, self.array.T)
         return Matrix(
             self.field,
             self.cols,
             self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
+            tuple(tuple(self._entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
         )
 
     def scale(self, value) -> "Matrix":
         c = self.field.coerce(value)
-        mul = self.field.mul
-        return Matrix(
-            self.field,
-            self.rows,
-            self.cols,
-            tuple(tuple(mul(c, x) for x in row) for row in self.entries),
-        )
+        if self.array is not None:
+            return _fp(self.field, self.array * c % self.field.p)
+        return Matrix(self.field, self.rows, self.cols, tuple(tuple(c * x for x in row) for row in self._entries))
 
     def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix(
-            self.field, self.rows, self.cols, tuple(tuple(neg(x) for x in row) for row in self.entries)
-        )
+        if self.array is not None:
+            return _fp(self.field, -self.array % self.field.p)
+        return Matrix(self.field, self.rows, self.cols, tuple(tuple(-x for x in row) for row in self._entries))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        add = self.field.add
-        return Matrix(
-            self.field,
-            self.rows,
-            self.cols,
-            tuple(tuple(add(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        sub = self.field.sub
+        return self._entrywise(other, operator.sub)
+
+    def _entrywise(self, other: "Matrix", op) -> "Matrix":
+        if self.field != other.field:
+            raise FieldMismatch(f"{self.field} vs {other.field}")
+        if self.shape != other.shape:
+            raise ShapeError(f"{self.shape} vs {other.shape}")
+        if self.array is not None:
+            return _fp(self.field, op(self.array, other.array) % self.field.p)
         return Matrix(
             self.field,
             self.rows,
             self.cols,
-            tuple(tuple(sub(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
+            tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self._entries, other._entries)),
         )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -228,47 +272,41 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         p = self.field.p
-        if p is not None and self.rows and self.cols and other.cols:
-            # int64 products are exact while (p-1)^2 * inner < 2**62.
-            if (p - 1) ** 2 * self.cols < 2**62:
-                a = np.array(self.entries, dtype=np.int64)
-                b = np.array(other.entries, dtype=np.int64)
-                c = (a @ b) % p
-                return Matrix(
-                    self.field,
-                    self.rows,
-                    other.cols,
-                    tuple(tuple(int(x) for x in row) for row in c),
-                )
-        zero = self.field.zero
-        out = [[zero] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            arow = self.entries[i]
+        if p is not None:
+            bound = self.cols * (p - 1) ** 2
+            if bound < 2**53 and self.rows * self.cols * other.cols >= 16**3:
+                product = self.array.astype(np.float64) @ other.array.astype(np.float64)
+                return _fp(self.field, product.astype(np.int64) % p)
+            if bound < 2**62:
+                return _fp(self.field, self.array @ other.array % p)
+        out = [[self.field.zero] * other.cols for _ in range(self.rows)]
+        right = other.entries
+        for i, arow in enumerate(self.entries):
             acc = out[i]
             for k, a in enumerate(arow):
                 if not a:
                     continue
-                brow = other.entries[k]
-                for j, b in enumerate(brow):
+                for j, b in enumerate(right[k]):
                     if b:
                         acc[j] = acc[j] + a * b
         if p is not None:
-            return Matrix(
-                self.field, self.rows, other.cols, tuple(tuple(x % p for x in row) for row in out)
-            )
-        return Matrix(self.field, self.rows, other.cols, tuple(tuple(row) for row in out))
-
-    def _check_same_shape(self, other: "Matrix") -> None:
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-        if self.shape != other.shape:
-            raise ShapeError(f"{self.shape} vs {other.shape}")
+            out = [[x % p for x in row] for row in out]
+        return Matrix(self.field, self.rows, other.cols, tuple(map(tuple, out)))
 
     def __repr__(self) -> str:
         if self.rows * self.cols == 0:
             return f"Matrix({self.field}, {self.rows}x{self.cols})"
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Matrix({self.field}, [{body}])"
+
+
+def _fp(field: Field, a: np.ndarray) -> Matrix:
+    """Wrap `a`, an int64 array of residues mod field.p that nothing else
+    writes to, without copying it; the array becomes read-only."""
+    a.flags.writeable = False
+    m = object.__new__(Matrix)
+    m.field, m.rows, m.cols, m.array, m._entries = field, a.shape[0], a.shape[1], a, None
+    return m
 
 
 def mat(field: Field, data: Iterable[Iterable], rows: int | None = None, cols: int | None = None) -> Matrix:
@@ -296,41 +334,44 @@ def mat(field: Field, data: Iterable[Iterable], rows: int | None = None, cols: i
 
 
 def zeros(field: Field, rows: int, cols: int) -> Matrix:
+    if field.p is not None:
+        return _fp(field, np.zeros((rows, cols), dtype=np.int64))
     z = field.zero
     return Matrix(field, rows, cols, tuple(tuple([z] * cols) for _ in range(rows)))
 
 
 def identity(field: Field, n: int) -> Matrix:
+    if field.p is not None:
+        return _fp(field, np.eye(n, dtype=np.int64))
     z, o = field.zero, field.one
     return Matrix(field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
-    if not mats:
-        raise ShapeError("nothing to stack")
-    rows = mats[0].rows
-    field = mats[0].field
-    for m in mats:
-        if m.rows != rows:
-            raise ShapeError("hstack needs equal row counts")
-        if m.field != field:
-            raise FieldMismatch("hstack across fields")
-    entries = tuple(tuple(x for m in mats for x in m.entries[i]) for i in range(rows))
-    return Matrix(field, rows, sum(m.cols for m in mats), entries)
+    return _stack(mats, 1)
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
+    return _stack(mats, 0)
+
+
+def _stack(mats: Sequence[Matrix], axis: int) -> Matrix:
+    """Side by side (axis 1) or one above another (axis 0)."""
     if not mats:
         raise ShapeError("nothing to stack")
-    cols = mats[0].cols
-    field = mats[0].field
+    name, counts = ("hstack", "row") if axis else ("vstack", "column")
+    field, side = mats[0].field, mats[0].shape[1 - axis]
     for m in mats:
-        if m.cols != cols:
-            raise ShapeError("vstack needs equal column counts")
+        if m.shape[1 - axis] != side:
+            raise ShapeError(f"{name} needs equal {counts} counts")
         if m.field != field:
-            raise FieldMismatch("vstack across fields")
-    entries = tuple(row for m in mats for row in m.entries)
-    return Matrix(field, sum(m.rows for m in mats), cols, entries)
+            raise FieldMismatch(f"{name} across fields")
+    if field.p is not None:
+        return _fp(field, np.concatenate([m.array for m in mats], axis=axis))
+    if axis:
+        entries = tuple(tuple(x for m in mats for x in m.entries[i]) for i in range(side))
+        return Matrix(field, side, sum(m.cols for m in mats), entries)
+    return Matrix(field, sum(m.rows for m in mats), side, tuple(row for m in mats for row in m.entries))
 
 
 def assemble_blocks(
@@ -349,8 +390,10 @@ def assemble_blocks(
     col_off = [0]
     for s in col_sizes:
         col_off.append(col_off[-1] + s)
-    z = field.zero
-    grid = [[z] * col_off[-1] for _ in range(row_off[-1])]
+    if field.p is not None:
+        grid = np.zeros((row_off[-1], col_off[-1]), dtype=np.int64)
+    else:
+        grid = [[field.zero] * col_off[-1] for _ in range(row_off[-1])]
     for (bi, bj), m in blocks.items():
         if m.field != field:
             raise FieldMismatch("block over the wrong field")
@@ -360,9 +403,14 @@ def assemble_blocks(
                 f"({row_sizes[bi]}, {col_sizes[bj]})"
             )
         r0, c0 = row_off[bi], col_off[bj]
-        for i, row in enumerate(m.entries):
-            grid[r0 + i][c0 : c0 + m.cols] = row
-    return Matrix(field, row_off[-1], col_off[-1], tuple(tuple(r) for r in grid))
+        if m.array is not None:
+            grid[r0 : r0 + m.rows, c0 : c0 + m.cols] = m.array
+        else:
+            for i, row in enumerate(m.entries):
+                grid[r0 + i][c0 : c0 + m.cols] = row
+    if field.p is not None:
+        return _fp(field, grid)
+    return Matrix(field, row_off[-1], col_off[-1], tuple(map(tuple, grid)))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -373,16 +421,13 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """
     if a.field != b.field:
         raise FieldMismatch("kron across fields")
-    mul = a.field.mul
     rows = a.rows * b.rows
     cols = a.cols * b.cols
-    out = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            arow = a.entries[i]
-            brow = b.entries[k]
-            out.append(tuple(mul(ax, bx) for ax in arow for bx in brow))
-    return Matrix(a.field, rows, cols, tuple(out))
+    if a.array is not None:
+        out = a.array[:, None, :, None] * b.array[None, :, None, :]
+        return _fp(a.field, out.reshape(rows, cols) % a.field.p)
+    out = tuple(tuple(ax * bx for ax in arow for bx in brow) for arow in a.entries for brow in b.entries)
+    return Matrix(a.field, rows, cols, out)
 
 
 def vec(m: Matrix) -> Matrix:
@@ -402,19 +447,34 @@ def permute_rows(m: Matrix, perm: Sequence[int]) -> Matrix:
     """Row shuffle: row i of the result is row perm[i] of the input."""
     if len(perm) != m.rows or sorted(perm) != list(range(m.rows)):
         raise ShapeError("not a permutation of the rows")
-    return Matrix(m.field, m.rows, m.cols, tuple(m.entries[p] for p in perm))
+    return submatrix(m, perm, range(m.cols))
 
 
 def permute_cols(m: Matrix, perm: Sequence[int]) -> Matrix:
     """Column shuffle: column j of the result is column perm[j] of the input."""
     if len(perm) != m.cols or sorted(perm) != list(range(m.cols)):
         raise ShapeError("not a permutation of the columns")
-    return Matrix(m.field, m.rows, m.cols, tuple(tuple(row[p] for p in perm) for row in m.entries))
+    return submatrix(m, range(m.rows), perm)
+
+
+def submatrix(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
+    """Entry (s, t) is entry (rows[s], cols[t]) of m; indices may repeat."""
+    if m.array is not None:
+        return _fp(m.field, m.array.take(rows, 0).take(cols, 1))
+    return Matrix(m.field, len(rows), len(cols), tuple(tuple(m.entries[i][j] for j in cols) for i in rows))
+
+
+def place_rows(m: Matrix, positions: Sequence[int], height: int) -> Matrix:
+    """The height x m.cols matrix whose row positions[t] is row t of m, the
+    other rows zero; rows of m past len(positions) are dropped."""
+    source = dict(zip(positions, range(m.rows)))
+    padded = vstack([m, zeros(m.field, 1, m.cols)])
+    return submatrix(padded, [source.get(i, m.rows) for i in range(height)], range(m.cols))
 
 
 def _rref_fp(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     p = m.field.p
-    a = np.array(m.entries, dtype=np.int64).reshape(m.rows, m.cols)
+    a = m.array.copy()
     pivots = []
     r = 0
     for c in range(m.cols):
@@ -436,8 +496,7 @@ def _rref_fp(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
             a[others] %= p
         pivots.append(c)
         r += 1
-    entries = tuple(tuple(int(x) for x in row) for row in a)
-    return Matrix(m.field, m.rows, m.cols, entries), tuple(pivots)
+    return _fp(m.field, a), tuple(pivots)
 
 
 def _rref_exact(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -492,18 +551,11 @@ def _kernel_of_rref(reduced: Matrix, pivots: Sequence[int]) -> Matrix:
     """`kernel_basis` of any matrix whose rref is `reduced`, with these pivots."""
     pivot_set = set(pivots)
     free = [c for c in range(reduced.cols) if c not in pivot_set]
-    field = reduced.field
-    z = field.zero
-    o = field.one
-    columns = []
-    for f in free:
-        v = [z] * reduced.cols
-        v[f] = o
-        for r_i, pc in enumerate(pivots):
-            v[pc] = field.neg(reduced.entries[r_i][f])
-        columns.append(v)
-    entries = tuple(tuple(col[i] for col in columns) for i in range(reduced.cols))
-    return Matrix(field, reduced.cols, len(free), entries)
+    # Column t sets free variable free[t] to 1 and pivot variable pivots[r]
+    # to -reduced[r][free[t]]: rows of [-R_free; 1] put into variable order.
+    stacked = vstack([-submatrix(reduced, range(len(pivots)), free), identity(reduced.field, len(free))])
+    row_of = {c: t for t, c in enumerate([*pivots, *free])}
+    return submatrix(stacked, [row_of[c] for c in range(reduced.cols)], range(len(free)))
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
@@ -519,11 +571,7 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     reduced, pivots = rref(hstack([a, b]))
     if any(p >= a.cols for p in pivots):
         return None
-    z = a.field.zero
-    out = [[z] * b.cols for _ in range(a.cols)]
-    for r_i, pc in enumerate(pivots):
-        out[pc] = list(reduced.entries[r_i][a.cols :])
-    return Matrix(a.field, a.cols, b.cols, tuple(tuple(r) for r in out))
+    return place_rows(submatrix(reduced, range(len(pivots)), range(a.cols, reduced.cols)), pivots, a.cols)
 
 
 class BlockSystem:
@@ -575,25 +623,11 @@ class BlockSystem:
     def unknown_dim(self) -> int:
         return sum(r * c for r, c in self._unknowns.values())
 
-    def _offsets(self) -> tuple[dict, dict, int, int]:
-        col_off = {}
-        off = 0
-        for k, (r, c) in self._unknowns.items():
-            col_off[k] = off
-            off += r * c
-        total_cols = off
-        row_off = {}
-        off = 0
-        for k, (r, c) in self._equations.items():
-            row_off[k] = off
-            off += r * c
-        return row_off, col_off, off, total_cols
-
     def matrix(self) -> Matrix:
-        row_off, col_off, total_rows, total_cols = self._offsets()
         field = self.field
-        z = field.zero
-        grid = [[z] * total_cols for _ in range(total_rows)]
+        row_of = {key: t for t, key in enumerate(self._equations)}
+        col_of = {key: t for t, key in enumerate(self._unknowns)}
+        blocks: dict = {}
         for eq_key, unk_key, left, right, sign in self._terms:
             er, ec = self._equations[eq_key]
             ur, uc = self._unknowns[unk_key]
@@ -607,47 +641,25 @@ class BlockSystem:
                 raise ShapeError("implicit identity needs square placement")
             if right is None and uc != ec:
                 raise ShapeError("implicit identity needs square placement")
-            r0, c0 = row_off[eq_key], col_off[unk_key]
-            sgn = field.coerce(sign)
-            for i in range(er):
-                lrow = left.entries[i] if left is not None else None
-                for r_ in range(ur):
-                    a = lrow[r_] if lrow is not None else (field.one if i == r_ else z)
-                    if not a:
-                        continue
-                    a = a * sgn
-                    base_r = r0 + i * ec
-                    base_c = c0 + r_ * uc
-                    for c_ in range(uc):
-                        if right is None:
-                            grid[base_r + c_][base_c + c_] += a
-                        else:
-                            for l, b in enumerate(right.entries[c_]):
-                                if b:
-                                    grid[base_r + l][base_c + c_] += a * b
-        if field.p is not None:
-            p = field.p
-            grid = [[x % p for x in row] for row in grid]
-        return Matrix(field, total_rows, total_cols, tuple(tuple(r) for r in grid))
+            left = identity(field, er) if left is None else left
+            right = identity(field, ec) if right is None else right
+            term = kron(left, right.transpose())
+            term = term if sign == 1 else term.scale(sign)
+            key = (row_of[eq_key], col_of[unk_key])
+            blocks[key] = blocks[key] + term if key in blocks else term
+        rows = [r * c for r, c in self._equations.values()]
+        cols = [r * c for r, c in self._unknowns.values()]
+        return assemble_blocks(field, rows, cols, blocks)
 
     def rhs_vector(self) -> Matrix:
-        row_off, _, total_rows, _ = self._offsets()
-        z = self.field.zero
-        out = [z] * total_rows
-        for key, value in self._rhs.items():
-            off = row_off[key]
-            flat = [x for row in value.entries for x in row]
-            out[off : off + len(flat)] = flat
-        return Matrix(self.field, total_rows, 1, tuple((x,) for x in out))
+        pieces = [vec(self._rhs.get(k, zeros(self.field, r, c))) for k, (r, c) in self._equations.items()]
+        return vstack([zeros(self.field, 0, 1), *pieces])
 
     def split_solution(self, column: Matrix) -> dict:
-        _, col_off, _, total_cols = self._offsets()
-        if column.rows != total_cols or column.cols != 1:
+        if column.shape != (self.unknown_dim, 1):
             raise ShapeError("solution vector has the wrong length")
-        flat = [r[0] for r in column.entries]
-        out = {}
+        out, off = {}, 0
         for k, (r, c) in self._unknowns.items():
-            off = col_off[k]
-            body = flat[off : off + r * c]
-            out[k] = Matrix(self.field, r, c, tuple(tuple(body[i * c : (i + 1) * c]) for i in range(r)))
+            out[k] = unvec(self.field, submatrix(column, range(off, off + r * c), [0]), r, c)
+            off += r * c
         return out

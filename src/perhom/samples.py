@@ -36,6 +36,7 @@ from .linalg import (
     mat,
     rank,
     solve_linear,
+    submatrix,
     zeros,
 )
 from .periodic import PeriodicComplex, compress, identity_periodic_map, periodic_cone
@@ -198,11 +199,7 @@ def random_flag(rng: Random, field: Field, max_parts: int = 3, max_part_dim: int
     out_blocks = []
     for jj in range(count):
         for ii in range(jj):
-            body = tuple(
-                tuple(delta.entries[offs[ii] + a][offs[jj] + b] for b in range(parts[jj]))
-                for a in range(parts[ii])
-            )
-            m = Matrix(field, parts[ii], parts[jj], body)
+            m = submatrix(delta, range(offs[ii], offs[ii + 1]), range(offs[jj], offs[jj + 1]))
             if not m.is_zero():
                 out_blocks.append((jj, ii, m))
     return FlagData(field, parts, tuple(out_blocks))

@@ -13,7 +13,9 @@ The Tor oracle counts BGG cohomology from the Koszul complex of the module,
 sharing only `rank` and `assemble_blocks` with the functor it checks.  The
 entrywise oracles write the cone and tensor differentials one entry at a
 time from the input differentials on basis labels, sharing only `Matrix`
-with the totalization they check.
+with the totalization they check.  The F_p kernel oracles compute products,
+Kronecker products and entrywise operations on Python ints from `entries`,
+with no numpy and no choice of kernel.
 """
 
 from itertools import combinations, product
@@ -53,6 +55,30 @@ def brute_rank_fp(m: Matrix) -> int:
         rank += 1
     assert p**rank == size
     return rank
+
+
+def fp_product(a: Matrix, b: Matrix) -> tuple:
+    """Entries of a @ b over F_p: sum_t a[i][t] * b[t][j] mod p, on Python ints."""
+    p, ea, eb = a.field.p, a.entries, b.entries
+    return tuple(tuple(sum(ea[i][t] * eb[t][j] for t in range(a.cols)) % p for j in range(b.cols)) for i in range(a.rows))
+
+
+def fp_kron(a: Matrix, b: Matrix) -> tuple:
+    """Entries of kron(a, b) over F_p: entry (i*r + k, j*s + l) is
+    a[i][j] * b[k][l] mod p for b of shape r x s."""
+    p, r, s = a.field.p, b.rows, b.cols
+    return tuple(
+        tuple(a.entries[i // r][j // s] * b.entries[i % r][j % s] % p for j in range(a.cols * s))
+        for i in range(a.rows * r)
+    )
+
+
+def fp_entrywise(op, *mats: Matrix) -> tuple:
+    """Entries of `op` applied entry by entry to equally shaped matrices
+    over F_p, reduced mod p: (operator.add, a, b) for a + b,
+    (operator.neg, a) for -a."""
+    p, m = mats[0].field.p, mats[0]
+    return tuple(tuple(op(*(x.entries[i][j] for x in mats)) % p for j in range(m.cols)) for i in range(m.rows))
 
 
 def _graded_maps(x: BoundedComplex, y: BoundedComplex, offset: int):

@@ -1,8 +1,9 @@
 """Byte-exact `homdim` / `orbit-homdim` / `periodize` output on the golden
 documents, the exit codes of the Hom and period commands, the round trip
 of every golden document, the `verify` report bytes of the folding and BGG
-suites, the `cone` and `tensor` output on seeded documents, and the exit
-codes and error pointers of malformed input."""
+suites, the `cone` and `tensor` output on seeded documents, the `bgg`
+output on a golden and two free modules, and the exit codes and error
+pointers of malformed input."""
 
 import hashlib
 from pathlib import Path
@@ -10,7 +11,7 @@ from random import Random
 
 import pytest
 
-from perhom import GF, QQ, orbit_hom, parse_document, serialize_document, single
+from perhom import GF, QQ, free_module, orbit_hom, parse_document, polynomial_algebra, serialize_document, single
 from perhom.cli import main
 from perhom.samples import random_bounded_complex, random_chain_map, random_periodic
 
@@ -255,3 +256,40 @@ def test_bgg_of_invalid_module_exits_1(capsysbinary, tmp_path, algebra, dims, ac
     )
     want = f'{{"error":"{error}","ok":false}}\n'.encode()
     assert run(capsysbinary, "bgg", str(path)) == (1, want, b"")
+
+
+# SHA-256 of the stdout of `perhom bgg` (JSON: complex, actions,
+# cohomology; and `--format table`) on a golden module and on free modules
+# generated in degree 0 over the window [0, 2], recorded at commit 9491817,
+# before F_p matrices were stored as int64 arrays.
+BGG_SHA256 = {
+    "graded_module_f7": (
+        "fa6d6768157e458a1f8a7e19ef6ca9a466d07e283432b405199b1610f370b2f1",
+        "ae2ea31dbaded9b1ce7aa2b938500d211cc7a293f4772715142e45eafce52470",
+    ),
+    "free-GF(32003)-c4": (
+        "fa4c55b951d2342a1d233ac25b69d26c9ca2598cc633f35f793e880f987227b4",
+        "744197255ccbf8a51756c067894954ccf4e1da185f96d9a7fbd3d15aa4febbf5",
+    ),
+    "free-QQ-c2": (
+        "4940f29f16abeae5b461cfd826b195a2892a7648eb9c60e68391e0adc11c672d",
+        "427f84f958573f74931094152268de5effe751fc6633435812360edf017e3e4b",
+    ),
+}
+
+BGG_FREE = {"free-GF(32003)-c4": (GF(32003), 4), "free-QQ-c2": (QQ, 2)}
+
+
+@pytest.mark.parametrize("case", sorted(BGG_SHA256))
+def test_bgg_bytes(capsysbinary, tmp_path, case):
+    if case in BGG_FREE:
+        field, c = BGG_FREE[case]
+        path = tmp_path / f"{case}.json"
+        path.write_bytes(serialize_document(free_module(field, polynomial_algebra(c), 0, (0, 2))))
+        path = str(path)
+    else:
+        path = doc(case)
+    for argv, want in zip(([], ["--format", "table"]), BGG_SHA256[case]):
+        code, out, err = run(capsysbinary, "bgg", path, *argv)
+        assert (code, err) == (0, b"")
+        assert hashlib.sha256(out).hexdigest() == want

@@ -1,15 +1,21 @@
+import json
+import operator
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
+from perhom.documents import matrix_doc
 from perhom.linalg import (
     GF,
     QQ,
     BlockSystem,
     Field,
     FieldMismatch,
+    Matrix,
     ShapeError,
+    assemble_blocks,
     hstack,
     identity,
     kernel_basis,
@@ -18,12 +24,14 @@ from perhom.linalg import (
     permute_cols,
     permute_rows,
     rank,
+    rref,
     solve_linear,
     unvec,
     vec,
+    vstack,
     zeros,
 )
-from oracles import brute_rank_fp, sympy_rank
+from oracles import brute_rank_fp, fp_entrywise, fp_kron, fp_product, sympy_rank
 
 
 def rand_mat(rng, field, rows, cols, bound=3):
@@ -188,3 +196,114 @@ class TestStructure:
         got = a @ b
         want = [[((p - 1) * (p - 1) + (p - 2) * (p - 1)) % p], [((p - 1) + (p - 1) * (p - 1)) % p]]
         assert got == mat(f, want)
+
+
+# At inner dimension k = 64, 11863279 is the largest prime with
+# k (p-1)^2 < 2^53, where products may run in float64, and 11863289 the
+# first prime above it, so its products run in int64; 2147483629 needs
+# Python ints.
+KERNEL_PRIMES = [2, 5, 32003, 11863279, 11863289, 2147483629]
+
+# (rows, inner, cols) on both sides of 16^3 multiply-adds, the size from
+# which float64 products are used, plus empty shapes.
+PRODUCT_SHAPES = [(3, 64, 5), (15, 16, 16), (16, 16, 16), (20, 64, 20), (0, 64, 7), (7, 64, 0), (4, 0, 6)]
+
+
+def fp_fill(rng, field, rows, cols, fill):
+    """"top": every entry p - 1, so a product meets the bound k (p-1)^2;
+    "near": entries in [p - 3, p), whose partial sums cross 2^53 where
+    k (p-1)^2 does; "any": uniform residues."""
+    p = field.p
+    low = {"top": p - 1, "near": max(0, p - 3), "any": 0}[fill]
+    return mat(field, [[rng.randrange(low, p) for _ in range(cols)] for _ in range(rows)], rows=rows, cols=cols)
+
+
+def python_ints(m):
+    return all(type(x) is int for row in m.entries for x in row)
+
+
+class TestFpKernels:
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_product_matches_oracle(self, p):
+        rng = Random(p)
+        for rows, inner, cols in PRODUCT_SHAPES:
+            for fill in ("top", "near", "any"):
+                a = fp_fill(rng, GF(p), rows, inner, fill)
+                b = fp_fill(rng, GF(p), inner, cols, fill)
+                got = a @ b
+                assert got.shape == (rows, cols)
+                assert got.entries == fp_product(a, b)
+                assert python_ints(got)
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_entrywise_and_structural_ops_match_oracle(self, p):
+        rng = Random(-p)
+        field = GF(p)
+        for rows, cols in [(3, 4), (1, 1), (0, 3), (3, 0)]:
+            for fill in ("top", "near", "any"):
+                a, b = fp_fill(rng, field, rows, cols, fill), fp_fill(rng, field, rows, cols, fill)
+                c = fp_fill(rng, field, 2, 3, fill)
+                row_perm, col_perm = rng.sample(range(rows), rows), rng.sample(range(cols), cols)
+                cases = [
+                    (a + b, fp_entrywise(operator.add, a, b)),
+                    (a - b, fp_entrywise(operator.sub, a, b)),
+                    (-a, fp_entrywise(operator.neg, a)),
+                    (a.scale(p - 1), fp_entrywise(lambda x: x * (p - 1), a)),
+                    (kron(a, c), fp_kron(a, c)),
+                    (kron(c, a), fp_kron(c, a)),
+                    (a.transpose(), tuple(tuple(a.entries[i][j] for i in range(rows)) for j in range(cols))),
+                    (hstack([a, b]), tuple(r + s for r, s in zip(a.entries, b.entries))),
+                    (vstack([a, b]), a.entries + b.entries),
+                    (permute_rows(a, row_perm), tuple(a.entries[i] for i in row_perm)),
+                    (permute_cols(a, col_perm), tuple(tuple(r[j] for j in col_perm) for r in a.entries)),
+                    (
+                        assemble_blocks(field, [rows, 2], [cols, 3], {(0, 0): a, (1, 1): c}),
+                        tuple(r + (0,) * 3 for r in a.entries) + tuple((0,) * cols + r for r in c.entries),
+                    ),
+                ]
+                for got, want in cases:
+                    assert got.entries == want
+                    assert python_ints(got)
+                assert a.transpose().shape == (cols, rows)
+                assert hstack([a, b]).shape == (rows, 2 * cols)
+
+
+class TestValueSemantics:
+    def test_tuple_and_array_built_matrices_are_equal_and_hash_equal(self):
+        field = GF(7)
+        rows = ((1, 2, 3), (4, 5, 6))
+        source = np.array(rows)
+        built = [
+            Matrix(field, 2, 3, rows),
+            Matrix(field, 2, 3, source),
+            mat(field, rows),
+            identity(field, 2) @ mat(field, rows),
+            mat(field, rows).transpose().transpose(),
+        ]
+        source[0, 0] = 6
+        for m in built:
+            assert m == built[0]
+            assert hash(m) == hash(built[0])
+        assert built[1].entries == rows
+        assert mat(field, ((1, 2, 3), (4, 5, 0))) != built[0]
+        assert Matrix(field, 3, 2, ((1, 2), (3, 4), (5, 6))) != built[0]
+        assert mat(GF(11), rows) != built[0]
+        assert zeros(field, 0, 3) != zeros(field, 3, 0)
+        assert built[0] != rows
+
+    def test_entries_are_python_ints(self):
+        field = GF(32003)
+        a = fp_fill(Random(9), field, 20, 20, "any")
+        for m in (a @ a, kron(a, a), a + a, -a, rref(a)[0], a.transpose(), hstack([a, a])):
+            assert python_ints(m)
+            assert type(m.entry(1, 2)) is int
+            assert field.coerce(m.entry(1, 2)) == m.entry(1, 2)
+            assert json.loads(json.dumps(matrix_doc(m))) == [list(r) for r in m.entries]
+
+    def test_backing_array_is_read_only(self):
+        field = GF(5)
+        a = mat(field, [[1, 2], [3, 4]])
+        for m in (a, a @ a, a + a, a.transpose(), kron(a, a), rref(a)[0], zeros(field, 2, 2), identity(field, 2)):
+            with pytest.raises(ValueError):
+                m.array[0, 0] = 1
+        assert a == mat(field, [[1, 2], [3, 4]])
