@@ -122,7 +122,7 @@ def _parse_matrix(field: Field, value, rows: int, cols: int, ptr: str) -> Matrix
 
 def matrix_doc(m: Matrix):
     """The JSON form of one matrix (rows of encoded entries)."""
-    if m.array is not None:
+    if m.field.p is not None:
         return m.array.tolist()
     return [[str(x) for x in row] for row in m.entries]
 

@@ -8,13 +8,26 @@ Conventions used by the whole package:
 * pivoting is deterministic (first nonzero row in column order), so echelon
   forms, kernel bases and particular solutions are reproducible bit for bit.
 
-Storage: over QQ a matrix holds row tuples of `Fraction`s and every
-operation runs on exact Python scalars.  Over F_p it holds one read-only
-int64 array of residues and every operation runs in numpy; sums, scalings,
-Kronecker products and row reduction stay below 2**62 since p < 2**31.
+Storage: a matrix over either field is one read-only numpy array of
+integers, ``array``, over one positive int ``den``, and every operation
+runs on the array.  The fields differ only in the reduction mod p and in
+the bookkeeping of the denominator:
 
-A product over F_p with inner dimension k is chosen by the bound
-k (p-1)^2 on the entries of the unreduced product:
+* over F_p the array is int64 and holds residues in [0, p), and ``den`` is
+  1.  Sums, scalings, Kronecker products and row reduction stay below 2**62
+  since p < 2**31;
+* over QQ the array has object dtype and holds Python ints, the numerators
+  over ``den``.  The pair is canonical: gcd(den, every numerator) = 1, so an
+  integer matrix and every zero matrix have ``den`` 1, and two matrices are
+  equal exactly when their (den, array) pairs are.  Python ints grow as
+  needed, so no QQ step has an overflow bound to prove.
+
+`Fraction` values appear only where entries come in (``Field.coerce`` and
+the constructor) and where they go out (``Matrix.entries``).
+
+A product over QQ is object-dtype `@` over the product of the two
+denominators.  A product over F_p with inner dimension k is chosen by the
+bound k (p-1)^2 on the entries of the unreduced product:
 
 * below 2**53, from 16**3 multiply-adds on: float64 `@` (BLAS).  Every
   product of two residues and every partial sum is an integer in
@@ -22,11 +35,20 @@ k (p-1)^2 on the entries of the unreduced product:
   summation order, with or without fused multiply-add.  Smaller products
   stay in int64, where the conversions would cost more than they save;
 * below 2**62: int64 `@`;
-* above (p beyond about 2**31 / sqrt(k)): Python ints.
+* while k (p-1) (2**16-1) < 2**63, which holds for every k < 2**16 since
+  p < 2**31: the right factor is split into 16-bit limbs, b = hi 2**16 +
+  lo, and the product is ((a @ hi mod p) 2**16 + a @ lo mod p) mod p, with
+  both limb products in int64;
+* above: object-dtype `@` on Python ints, the kernel QQ uses.
+
+Row reduction over QQ is fraction-free Gauss-Jordan elimination (Bareiss,
+Math. Comp. 22, 1968) on the numerators; see `rref`.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,19 +160,8 @@ class Field:
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p
 
-    def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
-
     def neg(self, a):
         return -a if self.p is None else (-a) % self.p
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a if self.p is None else pow(a, self.p - 2, self.p)
 
     def __repr__(self) -> str:
         return "QQ" if self.p is None else f"GF({self.p})"
@@ -167,16 +178,19 @@ def GF(p: int) -> Field:
 class Matrix:
     """Immutable exact-entry matrix; 0xm and mx0 shapes are legal.
 
-    Over QQ the entries are a tuple of row tuples of `Fraction` values and
-    ``array`` is None.  Over F_p ``array`` is the only storage: one
-    read-only int64 array of residues in [0, p), which the constructor
-    copies from nested rows or from an array.  ``entries`` is then a tuple
-    of row tuples of Python ints, derived from it on first use for callers
-    outside this module.  Matrices compare and hash by field, shape and
-    entries, whatever they were built from.
+    The matrix is ``array / den``: ``array`` is one read-only integer array
+    (int64 residues in [0, p) over F_p, Python ints in an object array over
+    QQ) and ``den`` a positive int, 1 over F_p, with gcd(den, every entry)
+    = 1 over QQ.  The constructor takes nested rows or an array of ints,
+    and over QQ of `Fraction`s too; it copies them, reduces ints mod p, and
+    raises TypeError on a float, a bool or anything else.  ``entries`` is a
+    tuple of row tuples of Python ints (F_p) or of `Fraction`s in lowest
+    terms (QQ), derived on first use for callers outside this module.
+    Matrices compare and hash by field, shape, ``den`` and ``array``, which
+    the canonical form makes the same as comparing entries.
     """
 
-    __slots__ = ("field", "rows", "cols", "array", "_entries")
+    __slots__ = ("field", "rows", "cols", "array", "den", "_entries")
 
     def __init__(self, field: Field, rows: int, cols: int, entries) -> None:
         if rows < 0 or cols < 0:
@@ -186,17 +200,31 @@ class Matrix:
         for row in entries:
             if len(row) != cols:
                 raise ShapeError("ragged rows")
-        self.field, self.rows, self.cols = field, rows, cols
+        flat = entries.ravel().tolist() if isinstance(entries, np.ndarray) else [x for row in entries for x in row]
+        allowed = (int,) if field.p is not None else (int, Fraction)
+        for kind in set(map(type, flat)).difference(allowed):
+            if kind is bool or not issubclass(kind, numbers.Integral):
+                raise TypeError(f"cannot store a {kind.__name__} in a matrix over {field}")
+            flat = [x if type(x) in allowed else int(x) for x in flat]
         if field.p is None:
-            self.array, self._entries = None, entries
+            # The least common denominator of fractions in lowest terms
+            # leaves no factor common to it and every numerator.
+            den = math.lcm(*(x.denominator for x in flat))
+            array = np.array([x.numerator * (den // x.denominator) for x in flat], dtype=object)
         else:
-            self.array, self._entries = np.array(entries, dtype=np.int64).reshape(rows, cols), None
-            self.array.flags.writeable = False
+            den = 1
+            array = (np.array(flat, dtype=object) % field.p).astype(np.int64)
+        self.field, self.rows, self.cols, self.den, self._entries = field, rows, cols, den, None
+        self.array = array.reshape(rows, cols)
+        self.array.flags.writeable = False
 
     @property
     def entries(self) -> tuple:
         if self._entries is None:
-            self._entries = tuple(map(tuple, self.array.tolist()))
+            rows = self.array.tolist()
+            if self.field.p is None:
+                rows = [[Fraction(x, self.den) for x in row] for row in rows]
+            self._entries = tuple(map(tuple, rows))
         return self._entries
 
     def entry(self, i: int, j: int):
@@ -209,42 +237,28 @@ class Matrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.field != other.field or self.shape != other.shape:
+        if self.field != other.field or self.shape != other.shape or self.den != other.den:
             return False
-        if self.array is None:
-            return self._entries == other._entries
         return not (self.array != other.array).any()
 
     def __hash__(self) -> int:
-        body = self._entries if self.array is None else self.array.tobytes()
-        return hash((self.field, self.rows, self.cols, body))
+        body = tuple(self.array.flat) if self.field.p is None else self.array.tobytes()
+        return hash((self.field, self.rows, self.cols, self.den, body))
 
     def is_zero(self) -> bool:
-        if self.array is not None:
-            return not self.array.any()
-        z = self.field.zero
-        return all(x == z for row in self._entries for x in row)
+        return not self.array.any()
 
     def transpose(self) -> "Matrix":
-        if self.array is not None:
-            return _fp(self.field, self.array.T)
-        return Matrix(
-            self.field,
-            self.cols,
-            self.rows,
-            tuple(tuple(self._entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
+        return _wrap(self.field, self.array.T, self.den)
 
     def scale(self, value) -> "Matrix":
         c = self.field.coerce(value)
-        if self.array is not None:
-            return _fp(self.field, self.array * c % self.field.p)
-        return Matrix(self.field, self.rows, self.cols, tuple(tuple(c * x for x in row) for row in self._entries))
+        if self.field.p is not None:
+            return _wrap(self.field, self.array * c % self.field.p)
+        return _wrap(self.field, self.array * c.numerator, self.den * c.denominator)
 
     def __neg__(self) -> "Matrix":
-        if self.array is not None:
-            return _fp(self.field, -self.array % self.field.p)
-        return Matrix(self.field, self.rows, self.cols, tuple(tuple(-x for x in row) for row in self._entries))
+        return _wrap(self.field, _mod(self.field, -self.array), self.den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(other, operator.add)
@@ -257,41 +271,26 @@ class Matrix:
             raise FieldMismatch(f"{self.field} vs {other.field}")
         if self.shape != other.shape:
             raise ShapeError(f"{self.shape} vs {other.shape}")
-        if self.array is not None:
-            return _fp(self.field, op(self.array, other.array) % self.field.p)
-        return Matrix(
-            self.field,
-            self.rows,
-            self.cols,
-            tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self._entries, other._entries)),
-        )
+        den = math.lcm(self.den, other.den)
+        return _wrap(self.field, _mod(self.field, op(_over(self, den), _over(other, den))), den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        p = self.field.p
-        if p is not None:
-            bound = self.cols * (p - 1) ** 2
-            if bound < 2**53 and self.rows * self.cols * other.cols >= 16**3:
-                product = self.array.astype(np.float64) @ other.array.astype(np.float64)
-                return _fp(self.field, product.astype(np.int64) % p)
-            if bound < 2**62:
-                return _fp(self.field, self.array @ other.array % p)
-        out = [[self.field.zero] * other.cols for _ in range(self.rows)]
-        right = other.entries
-        for i, arow in enumerate(self.entries):
-            acc = out[i]
-            for k, a in enumerate(arow):
-                if not a:
-                    continue
-                for j, b in enumerate(right[k]):
-                    if b:
-                        acc[j] = acc[j] + a * b
-        if p is not None:
-            out = [[x % p for x in row] for row in out]
-        return Matrix(self.field, self.rows, other.cols, tuple(map(tuple, out)))
+        p, k, a, b = self.field.p, self.cols, self.array, other.array
+        if p is None:
+            return _wrap(self.field, a @ b, self.den * other.den)
+        if k * (p - 1) ** 2 < 2**53 and self.rows * k * other.cols >= 16**3:
+            product = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        elif k * (p - 1) ** 2 < 2**62:
+            product = a @ b
+        elif k * (p - 1) * 0xFFFF < 2**63:
+            product = ((a @ (b >> 16) % p) << 16) + a @ (b & 0xFFFF) % p
+        else:
+            product = (a.astype(object) @ b.astype(object) % p).astype(np.int64)
+        return _wrap(self.field, product % p)
 
     def __repr__(self) -> str:
         if self.rows * self.cols == 0:
@@ -300,13 +299,36 @@ class Matrix:
         return f"Matrix({self.field}, [{body}])"
 
 
-def _fp(field: Field, a: np.ndarray) -> Matrix:
-    """Wrap `a`, an int64 array of residues mod field.p that nothing else
-    writes to, without copying it; the array becomes read-only."""
+def _wrap(field: Field, a: np.ndarray, den: int = 1) -> Matrix:
+    """The matrix a / den, wrapping `a` without copying it; nothing else may
+    write to `a`, which becomes read-only.
+
+    Over F_p `a` is an int64 array of residues and `den` is 1.  Over QQ `a`
+    is an object array of Python ints and `den` > 0; the factor common to
+    `den` and every entry is cancelled here, so the result is canonical.
+    """
+    if den != 1:
+        g = math.gcd(den, *a.flat)
+        if g != 1:
+            a, den = a // g, den // g
     a.flags.writeable = False
     m = object.__new__(Matrix)
-    m.field, m.rows, m.cols, m.array, m._entries = field, a.shape[0], a.shape[1], a, None
+    m.field, m.rows, m.cols, m.array, m.den, m._entries = field, a.shape[0], a.shape[1], a, den, None
     return m
+
+
+def _mod(field: Field, a: np.ndarray) -> np.ndarray:
+    """`a` reduced mod p over F_p; over QQ `a` itself."""
+    return a if field.p is None else a % field.p
+
+
+def _over(m: Matrix, den: int) -> np.ndarray:
+    """The numerators of `m` over `den`, a multiple of m.den."""
+    return m.array if m.den == den else m.array * (den // m.den)
+
+
+def _dtype(field: Field):
+    return object if field.p is None else np.int64
 
 
 def mat(field: Field, data: Iterable[Iterable], rows: int | None = None, cols: int | None = None) -> Matrix:
@@ -334,17 +356,11 @@ def mat(field: Field, data: Iterable[Iterable], rows: int | None = None, cols: i
 
 
 def zeros(field: Field, rows: int, cols: int) -> Matrix:
-    if field.p is not None:
-        return _fp(field, np.zeros((rows, cols), dtype=np.int64))
-    z = field.zero
-    return Matrix(field, rows, cols, tuple(tuple([z] * cols) for _ in range(rows)))
+    return _wrap(field, np.zeros((rows, cols), dtype=_dtype(field)))
 
 
 def identity(field: Field, n: int) -> Matrix:
-    if field.p is not None:
-        return _fp(field, np.eye(n, dtype=np.int64))
-    z, o = field.zero, field.one
-    return Matrix(field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
+    return _wrap(field, np.eye(n, dtype=_dtype(field)))
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
@@ -366,12 +382,8 @@ def _stack(mats: Sequence[Matrix], axis: int) -> Matrix:
             raise ShapeError(f"{name} needs equal {counts} counts")
         if m.field != field:
             raise FieldMismatch(f"{name} across fields")
-    if field.p is not None:
-        return _fp(field, np.concatenate([m.array for m in mats], axis=axis))
-    if axis:
-        entries = tuple(tuple(x for m in mats for x in m.entries[i]) for i in range(side))
-        return Matrix(field, side, sum(m.cols for m in mats), entries)
-    return Matrix(field, sum(m.rows for m in mats), side, tuple(row for m in mats for row in m.entries))
+    den = math.lcm(*(m.den for m in mats))
+    return _wrap(field, np.concatenate([_over(m, den) for m in mats], axis=axis), den)
 
 
 def assemble_blocks(
@@ -390,10 +402,8 @@ def assemble_blocks(
     col_off = [0]
     for s in col_sizes:
         col_off.append(col_off[-1] + s)
-    if field.p is not None:
-        grid = np.zeros((row_off[-1], col_off[-1]), dtype=np.int64)
-    else:
-        grid = [[field.zero] * col_off[-1] for _ in range(row_off[-1])]
+    grid = np.zeros((row_off[-1], col_off[-1]), dtype=_dtype(field))
+    den = math.lcm(*(m.den for m in blocks.values()))
     for (bi, bj), m in blocks.items():
         if m.field != field:
             raise FieldMismatch("block over the wrong field")
@@ -403,14 +413,8 @@ def assemble_blocks(
                 f"({row_sizes[bi]}, {col_sizes[bj]})"
             )
         r0, c0 = row_off[bi], col_off[bj]
-        if m.array is not None:
-            grid[r0 : r0 + m.rows, c0 : c0 + m.cols] = m.array
-        else:
-            for i, row in enumerate(m.entries):
-                grid[r0 + i][c0 : c0 + m.cols] = row
-    if field.p is not None:
-        return _fp(field, grid)
-    return Matrix(field, row_off[-1], col_off[-1], tuple(map(tuple, grid)))
+        grid[r0 : r0 + m.rows, c0 : c0 + m.cols] = _over(m, den)
+    return _wrap(field, grid, den)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -421,26 +425,21 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """
     if a.field != b.field:
         raise FieldMismatch("kron across fields")
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    if a.array is not None:
-        out = a.array[:, None, :, None] * b.array[None, :, None, :]
-        return _fp(a.field, out.reshape(rows, cols) % a.field.p)
-    out = tuple(tuple(ax * bx for ax in arow for bx in brow) for arow in a.entries for brow in b.entries)
-    return Matrix(a.field, rows, cols, out)
+    out = a.array[:, None, :, None] * b.array[None, :, None, :]
+    return _wrap(a.field, _mod(a.field, out.reshape(a.rows * b.rows, a.cols * b.cols)), a.den * b.den)
 
 
 def vec(m: Matrix) -> Matrix:
     """Row-major flattening into a column vector."""
-    col = tuple((x,) for row in m.entries for x in row)
-    return Matrix(m.field, m.rows * m.cols, 1, col)
+    return _wrap(m.field, m.array.reshape(m.rows * m.cols, 1), m.den)
 
 
 def unvec(field: Field, column: Matrix, rows: int, cols: int) -> Matrix:
+    if column.field != field:
+        raise FieldMismatch(f"{column.field} vs {field}")
     if column.cols != 1 or column.rows != rows * cols:
         raise ShapeError("column has the wrong length")
-    flat = [r[0] for r in column.entries]
-    return Matrix(field, rows, cols, tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows)))
+    return _wrap(field, column.array.reshape(rows, cols), column.den)
 
 
 def permute_rows(m: Matrix, perm: Sequence[int]) -> Matrix:
@@ -459,9 +458,7 @@ def permute_cols(m: Matrix, perm: Sequence[int]) -> Matrix:
 
 def submatrix(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
     """Entry (s, t) is entry (rows[s], cols[t]) of m; indices may repeat."""
-    if m.array is not None:
-        return _fp(m.field, m.array.take(rows, 0).take(cols, 1))
-    return Matrix(m.field, len(rows), len(cols), tuple(tuple(m.entries[i][j] for j in cols) for i in rows))
+    return _wrap(m.field, m.array.take(rows, 0).take(cols, 1), m.den)
 
 
 def place_rows(m: Matrix, positions: Sequence[int], height: int) -> Matrix:
@@ -472,10 +469,25 @@ def place_rows(m: Matrix, positions: Sequence[int], height: int) -> Matrix:
     return submatrix(padded, [source.get(i, m.rows) for i in range(height)], range(m.cols))
 
 
-def _rref_fp(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and the tuple of pivot columns.
+
+    Both fields share the pivot loop.  Over F_p the pivot row is scaled to
+    1 and cleared from the other rows mod p.  Over QQ the elimination is
+    fraction-free Gauss-Jordan (Bareiss) on the numerators: with d the
+    previous pivot (1 at first) and q the new one, every other row becomes
+    (q row - row[c] pivot_row) / d.  Every entry then stays a minor of the
+    numerator array, so each division is exact, and at the end every pivot
+    entry equals the last pivot, which the result takes as its denominator.
+    The reduced row echelon form is unique, so both routes give the same
+    matrix.
+    """
+    if m.rows == 0 or m.cols == 0:
+        return m, ()
     p = m.field.p
     a = m.array.copy()
     pivots = []
+    d = 1
     r = 0
     for c in range(m.cols):
         if r == m.rows:
@@ -486,51 +498,22 @@ def _rref_fp(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        if inv != 1:
-            a[r] = (a[r] * inv) % p
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            a[others] -= np.outer(a[others, c], a[r])
-            a[others] %= p
+        if p is None:
+            others = np.arange(m.rows) != r
+            a[others] = (a[r, c] * a[others] - np.outer(a[others, c], a[r])) // d
+            d = a[r, c]
+        else:
+            inv = pow(int(a[r, c]), p - 2, p)
+            if inv != 1:
+                a[r] = (a[r] * inv) % p
+            others = np.nonzero(a[:, c])[0]
+            others = others[others != r]
+            if others.size:
+                a[others] -= np.outer(a[others, c], a[r])
+                a[others] %= p
         pivots.append(c)
         r += 1
-    return _fp(m.field, a), tuple(pivots)
-
-
-def _rref_exact(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    field = m.field
-    rows = [list(r) for r in m.entries]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        if r == m.rows:
-            break
-        piv = next((i for i in range(r, m.rows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][c])
-        if inv != field.one:
-            rows[r] = [field.mul(inv, x) for x in rows[r]]
-        prow = rows[r]
-        for i in range(m.rows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-    return Matrix(field, m.rows, m.cols, tuple(tuple(row) for row in rows)), tuple(pivots)
-
-
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the tuple of pivot columns."""
-    if m.rows == 0 or m.cols == 0:
-        return m, ()
-    if m.field.p is not None:
-        return _rref_fp(m)
-    return _rref_exact(m)
+    return _wrap(m.field, a if d > 0 else -a, abs(d)), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:

@@ -15,9 +15,14 @@ entrywise oracles write the cone and tensor differentials one entry at a
 time from the input differentials on basis labels, sharing only `Matrix`
 with the totalization they check.  The F_p kernel oracles compute products,
 Kronecker products and entrywise operations on Python ints from `entries`,
-with no numpy and no choice of kernel.
+with no numpy and no choice of kernel.  The QQ kernel oracles do the same
+on the `Fraction` rows of `entries`, down to row reduction, kernel bases
+and particular solutions by Gauss-Jordan elimination on fractions; the
+structural oracles (transpose, stacks, blocks, submatrices, vec) rearrange
+the `entries` of either field.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
@@ -79,6 +84,116 @@ def fp_entrywise(op, *mats: Matrix) -> tuple:
     (operator.neg, a) for -a."""
     p, m = mats[0].field.p, mats[0]
     return tuple(tuple(op(*(x.entries[i][j] for x in mats)) % p for j in range(m.cols)) for i in range(m.rows))
+
+
+def qq_product(a: Matrix, b: Matrix) -> tuple:
+    """Entries of a @ b over QQ: sum_t a[i][t] * b[t][j] on `Fraction`s."""
+    ea, eb = a.entries, b.entries
+    return tuple(
+        tuple(sum((ea[i][t] * eb[t][j] for t in range(a.cols)), Fraction(0)) for j in range(b.cols))
+        for i in range(a.rows)
+    )
+
+
+def qq_kron(a: Matrix, b: Matrix) -> tuple:
+    """Entries of kron(a, b) over QQ, indexed as in `fp_kron`."""
+    r, s = b.rows, b.cols
+    return tuple(
+        tuple(a.entries[i // r][j // s] * b.entries[i % r][j % s] for j in range(a.cols * s)) for i in range(a.rows * r)
+    )
+
+
+def qq_entrywise(op, *mats: Matrix) -> tuple:
+    """Entries of `op` applied entry by entry to equally shaped matrices over QQ."""
+    m = mats[0]
+    return tuple(tuple(op(*(x.entries[i][j] for x in mats)) for j in range(m.cols)) for i in range(m.rows))
+
+
+def qq_rref(m: Matrix) -> tuple[tuple, tuple]:
+    """Entries of the reduced row echelon form over QQ and the pivot columns."""
+    return _gauss_jordan(m.entries, m.cols)
+
+
+def _gauss_jordan(entries, cols: int) -> tuple[tuple, tuple]:
+    """Gauss-Jordan elimination on `Fraction` rows, pivoting on the first
+    nonzero entry of each column."""
+    rows = [list(r) for r in entries]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return tuple(map(tuple, rows)), tuple(pivots)
+
+
+def qq_kernel_basis(m: Matrix) -> tuple:
+    """Entries of the kernel basis over QQ: column t sets the t-th free
+    variable to 1, the other free variables to 0, and solves for the pivot
+    variables from the reduced rows."""
+    reduced, pivots = qq_rref(m)
+    free = [c for c in range(m.cols) if c not in pivots]
+    cols = []
+    for f in free:
+        x = [Fraction(0)] * m.cols
+        x[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            x[c] = -reduced[r][f]
+        cols.append(x)
+    return tuple(tuple(col[v] for col in cols) for v in range(m.cols))
+
+
+def qq_solve(a: Matrix, b: Matrix):
+    """Entries of the particular solution of a x = b over QQ with every free
+    variable zero, or None when the system has no solution."""
+    reduced, pivots = _gauss_jordan([r + s for r, s in zip(a.entries, b.entries)], a.cols + b.cols)
+    if any(c >= a.cols for c in pivots):
+        return None
+    x = [(Fraction(0),) * b.cols] * a.cols
+    for r, c in enumerate(pivots):
+        x[c] = reduced[r][a.cols :]
+    return tuple(x)
+
+
+def entries_transpose(m: Matrix) -> tuple:
+    return tuple(tuple(row[j] for row in m.entries) for j in range(m.cols))
+
+
+def entries_stack(mats, axis: int) -> tuple:
+    """Entries of hstack (axis 1) or vstack (axis 0) of `mats`."""
+    if axis == 0:
+        return tuple(row for m in mats for row in m.entries)
+    return tuple(tuple(x for m in mats for x in m.entries[i]) for i in range(mats[0].rows))
+
+
+def entries_blocks(field, row_sizes, col_sizes, blocks) -> tuple:
+    """Entries of assemble_blocks: block (bi, bj) at its offsets, zero elsewhere."""
+    body = [[field.zero] * sum(col_sizes) for _ in range(sum(row_sizes))]
+    for (bi, bj), m in blocks.items():
+        r0, c0 = sum(row_sizes[:bi]), sum(col_sizes[:bj])
+        for i, row in enumerate(m.entries):
+            body[r0 + i][c0 : c0 + m.cols] = row
+    return tuple(map(tuple, body))
+
+
+def entries_submatrix(m: Matrix, rows, cols) -> tuple:
+    return tuple(tuple(m.entries[i][j] for j in cols) for i in rows)
+
+
+def entries_vec(m: Matrix) -> tuple:
+    return tuple((x,) for row in m.entries for x in row)
+
+
+def entries_unvec(column: Matrix, rows: int, cols: int) -> tuple:
+    flat = [r[0] for r in column.entries]
+    return tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows))
 
 
 def _graded_maps(x: BoundedComplex, y: BoundedComplex, offset: int):

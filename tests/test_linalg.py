@@ -1,10 +1,13 @@
 import json
+import math
 import operator
 from fractions import Fraction
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perhom.documents import matrix_doc
 from perhom.linalg import (
@@ -26,12 +29,31 @@ from perhom.linalg import (
     rank,
     rref,
     solve_linear,
+    submatrix,
     unvec,
     vec,
     vstack,
     zeros,
 )
-from oracles import brute_rank_fp, fp_entrywise, fp_kron, fp_product, sympy_rank
+from oracles import (
+    brute_rank_fp,
+    entries_blocks,
+    entries_stack,
+    entries_submatrix,
+    entries_transpose,
+    entries_unvec,
+    entries_vec,
+    fp_entrywise,
+    fp_kron,
+    fp_product,
+    qq_entrywise,
+    qq_kernel_basis,
+    qq_kron,
+    qq_product,
+    qq_rref,
+    qq_solve,
+    sympy_rank,
+)
 
 
 def rand_mat(rng, field, rows, cols, bound=3):
@@ -200,8 +222,8 @@ class TestStructure:
 
 # At inner dimension k = 64, 11863279 is the largest prime with
 # k (p-1)^2 < 2^53, where products may run in float64, and 11863289 the
-# first prime above it, so its products run in int64; 2147483629 needs
-# Python ints.
+# first prime above it, so its products run in int64; 2147483629 takes the
+# 16-bit limb kernel.
 KERNEL_PRIMES = [2, 5, 32003, 11863279, 11863289, 2147483629]
 
 # (rows, inner, cols) on both sides of 16^3 multiply-adds, the size from
@@ -267,6 +289,21 @@ class TestFpKernels:
                 assert a.transpose().shape == (cols, rows)
                 assert hstack([a, b]).shape == (rows, 2 * cols)
 
+    @pytest.mark.parametrize("k", [1, 2, 17, 65537, 65538])
+    def test_limb_product_matches_oracle(self, k):
+        # At p = 2147483629, k (p-1)^2 >= 2^62 from k = 2 on, so products
+        # take the 16-bit limb kernel while k (p-1) (2^16-1) < 2^63, that is
+        # up to k = 65537, and object-dtype `@` from k = 65538.  Left rows of
+        # p - 1 against right entries whose low limb is 2^16 - 1 meet that
+        # bound, so a limb product past it would overflow int64.
+        p = 2147483629
+        field, rng = GF(p), Random(k)
+        a = mat(field, [[p - 1] * k, [rng.randrange(p) for _ in range(k)]])
+        b = mat(field, [[0x7FFEFFFF, rng.randrange(p), p - 1] for _ in range(k)])
+        got = a @ b
+        assert got.entries == fp_product(a, b)
+        assert python_ints(got)
+
 
 class TestValueSemantics:
     def test_tuple_and_array_built_matrices_are_equal_and_hash_equal(self):
@@ -307,3 +344,135 @@ class TestValueSemantics:
             with pytest.raises(ValueError):
                 m.array[0, 0] = 1
         assert a == mat(field, [[1, 2], [3, 4]])
+
+
+def rationals():
+    """Zero, small integers, small fractions, and fractions whose numerator
+    and denominator reach past 2^63."""
+    return st.one_of(
+        st.just(Fraction(0)),
+        st.integers(-3, 3).map(Fraction),
+        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+        st.builds(Fraction, st.integers(2**63, 2**80) | st.integers(-(2**80), -(2**63)), st.integers(2**63, 2**80)),
+    )
+
+
+@st.composite
+def qq_matrices(draw, rows, cols):
+    return Matrix(QQ, rows, cols, tuple(tuple(draw(rationals()) for _ in range(cols)) for _ in range(rows)))
+
+
+def assert_canonical(m):
+    """m is array / den with den > 0 and no factor common to den and every
+    numerator; the array is read-only and holds Python ints; entries are
+    Fractions in lowest terms; rebuilding m from its entries gives an equal
+    matrix with an equal hash."""
+    assert type(m.den) is int and m.den > 0
+    assert math.gcd(m.den, *m.array.flat) == 1
+    assert m.array.dtype == object and all(type(x) is int for x in m.array.flat)
+    assert not m.array.flags.writeable
+    for row in m.entries:
+        for x in row:
+            assert type(x) is Fraction and x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+    rebuilt = Matrix(QQ, m.rows, m.cols, m.entries)
+    assert rebuilt == m and hash(rebuilt) == hash(m)
+
+
+class TestQqKernels:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_kernels_match_fraction_oracles(self, data):
+        rows, inner, cols = (data.draw(st.integers(0, 4)) for _ in range(3))
+        a, a2 = data.draw(qq_matrices(rows, inner)), data.draw(qq_matrices(rows, inner))
+        b = data.draw(qq_matrices(inner, cols))
+        c = data.draw(qq_matrices(rows, cols))
+        scalar = data.draw(rationals())
+        # a @ b has rank at most inner, so row reduction meets dependent rows.
+        low = Matrix(QQ, rows, cols, qq_product(a, b))
+        pick_rows = data.draw(st.lists(st.integers(0, rows - 1), max_size=5)) if rows else []
+        pick_cols = data.draw(st.lists(st.integers(0, inner - 1), max_size=5)) if inner else []
+        blocks = {(0, 0): a, (1, 1): b}
+        cases = [
+            (a @ b, qq_product(a, b)),
+            (kron(a, b), qq_kron(a, b)),
+            (kron(b, a), qq_kron(b, a)),
+            (a + a2, qq_entrywise(operator.add, a, a2)),
+            (a - a2, qq_entrywise(operator.sub, a, a2)),
+            (-a, qq_entrywise(operator.neg, a)),
+            (a.scale(scalar), qq_entrywise(lambda x: x * scalar, a)),
+            (a.transpose(), entries_transpose(a)),
+            (hstack([a, a2]), entries_stack([a, a2], 1)),
+            (vstack([a, a2]), entries_stack([a, a2], 0)),
+            (assemble_blocks(QQ, [rows, inner], [inner, cols], blocks), entries_blocks(QQ, [rows, inner], [inner, cols], blocks)),
+            (submatrix(a, pick_rows, pick_cols), entries_submatrix(a, pick_rows, pick_cols)),
+            (vec(a), entries_vec(a)),
+            (unvec(QQ, vec(a), rows, inner), entries_unvec(vec(a), rows, inner)),
+            (rref(low)[0], qq_rref(low)[0]),
+            (rref(a)[0], qq_rref(a)[0]),
+            (kernel_basis(low), qq_kernel_basis(low)),
+        ]
+        for got, want in cases:
+            assert got.entries == want
+            assert_canonical(got)
+        assert rref(low)[1] == qq_rref(low)[1]
+        for rhs in (c, low):
+            want = qq_solve(low, rhs)
+            got = solve_linear(low, rhs)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.entries == want
+                assert_canonical(got)
+
+    def test_equal_values_are_equal_across_routes(self):
+        half = mat(QQ, [["1/2"]])
+        assert half.den == 2 and half != identity(QQ, 1)
+        for one in (half.scale(2), half + half, half @ mat(QQ, [[2]]), rref(half)[0], Matrix(QQ, 1, 1, ((1,),))):
+            assert one == identity(QQ, 1) and hash(one) == hash(identity(QQ, 1))
+            assert one.den == 1
+        m = mat(QQ, [["2/3", "1/6"], ["-1/2", 0]])
+        routes = [
+            Matrix(QQ, 2, 2, ((Fraction(2, 3), Fraction(1, 6)), (Fraction(-1, 2), 0))),
+            m.transpose().transpose(),
+            identity(QQ, 2) @ m,
+            m.scale(3).scale("1/3"),
+            submatrix(hstack([m, m]), [0, 1], [2, 3]),
+            unvec(QQ, vec(m), 2, 2),
+        ]
+        for r in routes:
+            assert r == m and hash(r) == hash(m)
+            assert r.den == 6
+        assert m.scale(0) == zeros(QQ, 2, 2) and m.scale(0).den == 1
+        assert m - m == zeros(QQ, 2, 2) and hash(m - m) == hash(zeros(QQ, 2, 2))
+        assert m != mat(QQ, [["2/3", "1/6"], ["-1/2", "1/6"]])
+        assert mat(QQ, [[1, 2]]) != mat(GF(5), [[1, 2]])
+
+
+class TestConstructor:
+    def test_ints_are_reduced_mod_p(self):
+        field = GF(5)
+        assert Matrix(field, 1, 1, ((7,),)) == mat(field, [[2]])
+        assert hash(Matrix(field, 1, 1, ((7,),))) == hash(mat(field, [[2]]))
+        assert Matrix(field, 1, 1, ((-1,),)).entries == ((4,),)
+        assert Matrix(field, 1, 2, ((2**70, -(2**70)),)).entries == ((2**70 % 5, -(2**70) % 5),)
+        assert Matrix(field, 1, 2, np.array([[7, -1]])) == mat(field, [[2, 4]])
+
+    def test_rationals_take_ints_and_fractions(self):
+        m = Matrix(QQ, 1, 3, ((1, Fraction(1, 2), np.int64(3)),))
+        assert m == mat(QQ, [["1", "1/2", "3"]]) and m.den == 2
+        assert Matrix(QQ, 1, 2, np.array([[2, -4]])) == mat(QQ, [[2, -4]])
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)])
+    @pytest.mark.parametrize("bad", [0.5, 2.0, True, False, np.float64(1.0), np.bool_(True), "1", None])
+    def test_floats_bools_and_other_values_raise(self, field, bad):
+        with pytest.raises(TypeError):
+            Matrix(field, 1, 2, ((1, bad),))
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)])
+    def test_float_and_bool_arrays_raise(self, field):
+        for bad in (np.array([[0.5, 1.0]]), np.array([[True, False]])):
+            with pytest.raises(TypeError):
+                Matrix(field, 1, 2, bad)
+
+    def test_fraction_over_fp_raises(self):
+        with pytest.raises(TypeError):
+            Matrix(GF(5), 1, 1, ((Fraction(1, 2),),))
