@@ -213,7 +213,10 @@ class Matrix:
             array = np.array([x.numerator * (den // x.denominator) for x in flat], dtype=object)
         else:
             den = 1
-            array = (np.array(flat, dtype=object) % field.p).astype(np.int64)
+            try:
+                array = np.array(flat, dtype=np.int64) % field.p
+            except OverflowError:  # an int outside int64, reduced on Python ints
+                array = (np.array(flat, dtype=object) % field.p).astype(np.int64)
         self.field, self.rows, self.cols, self.den, self._entries = field, rows, cols, den, None
         self.array = array.reshape(rows, cols)
         self.array.flags.writeable = False
