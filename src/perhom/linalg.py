@@ -187,7 +187,10 @@ class Matrix:
     tuple of row tuples of Python ints (F_p) or of `Fraction`s in lowest
     terms (QQ), derived on first use for callers outside this module.
     Matrices compare and hash by field, shape, ``den`` and ``array``, which
-    the canonical form makes the same as comparing entries.
+    the canonical form makes the same as comparing entries.  Python ints
+    grow as needed, so QQ arithmetic has no overflow bound; the F_p product
+    kernels and their bounds, the 16-bit limb split among them, are set out
+    in the module docstring.
     """
 
     __slots__ = ("field", "rows", "cols", "array", "den", "_entries")
