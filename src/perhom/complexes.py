@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .linalg import (
-    BlockSystem,
     Field,
     FieldMismatch,
     Matrix,
@@ -165,10 +164,11 @@ def validate(c: BoundedComplex) -> Violation | None:
     return None
 
 
-def _require_valid(c: BoundedComplex) -> None:
-    v = validate(c)
-    if v is not None:
-        raise ValueError(f"invalid complex: {v}")
+def _require(violation: Violation | None, what: str) -> None:
+    """The guard of every public entry point: raise ``ValueError("invalid
+    <what>: <violation>")`` when the validator of its input found one."""
+    if violation is not None:
+        raise ValueError(f"invalid {what}: {violation}")
 
 
 def shift(c: BoundedComplex, l: int) -> BoundedComplex:
@@ -259,12 +259,6 @@ def validate_chain_map(f: ChainMap) -> Violation | None:
     return None
 
 
-def _require_chain_map(f: ChainMap) -> None:
-    v = validate_chain_map(f)
-    if v is not None:
-        raise ValueError(f"invalid chain map: {v}")
-
-
 @dataclass(frozen=True)
 class Cone:
     """Mapping cone with its canonical inclusion and projection.
@@ -329,7 +323,7 @@ def _cone_grid(f):
 def cone(f: ChainMap) -> Cone:
     """C(f)^i = X^(i+1) (+) Y^i with differential ((-dX, 0), (f, dY)),
     totalized by `_total_diffs`."""
-    _require_chain_map(f)
+    _require(validate_chain_map(f), "chain map")
     x, y = f.source, f.target
     field = x.field
     w = _union_window(degree_shift(x, 1), y)
@@ -448,7 +442,7 @@ def _split_null_homotopy(x, y, phi, degrees, prev) -> dict | None:
 
 def cohomology_dims(c: BoundedComplex) -> tuple[tuple[int, int], ...]:
     """dim H^i = dim X^i - rank d^i - rank d^(i-1) for every window degree."""
-    _require_valid(c)
+    _require(validate(c), "complex")
     return tuple(_splitting(c)[0].items())
 
 
@@ -468,26 +462,6 @@ class HomReport:
     chain_maps: int
     null_homotopic: int
     homotopy_classes: int
-
-
-def _chain_map_system(x: BoundedComplex, y: BoundedComplex) -> BlockSystem:
-    sys = BlockSystem(x.field)
-    lo = min(x.lo, y.lo) if x.dims and y.dims else 0
-    hi = max(x.hi, y.hi) if x.dims and y.dims else -1
-    for i in range(lo, hi + 1):
-        if x.dim(i) and y.dim(i):
-            sys.add_unknown(i, y.dim(i), x.dim(i))
-    for i in range(lo, hi + 1):
-        if x.dim(i) and y.dim(i + 1):
-            sys.add_equation(i, y.dim(i + 1), x.dim(i))
-    for i in range(lo, hi + 1):
-        if not (x.dim(i) and y.dim(i + 1)):
-            continue
-        if x.dim(i + 1) and y.dim(i + 1):
-            sys.add_term(i, i + 1, right=x.diff(i))
-        if x.dim(i) and y.dim(i):
-            sys.add_term(i, i, left=y.diff(i), sign=-1)
-    return sys
 
 
 def _split_hom_report(x_split, y_split, prev) -> HomReport:
@@ -523,8 +497,8 @@ def hom_space_dims(x: BoundedComplex, y: BoundedComplex) -> HomReport:
     """
     if x.field != y.field:
         raise FieldMismatch("hom across fields")
-    _require_valid(x)
-    _require_valid(y)
+    _require(validate(x), "complex")
+    _require(validate(y), "complex")
     return _split_hom_report(_splitting(x), _splitting(y), lambda i: i - 1)
 
 
@@ -573,7 +547,7 @@ def find_null_homotopy(f: ChainMap) -> Homotopy | None:
     h^r = s_Y^r f^r + i_Y^(r-1) p_Y^(r-1) f^(r-1) s_X^r.  Components are
     kept for the degrees r with X^r and Y^(r-1) both nonzero.
     """
-    _require_chain_map(f)
+    _require(validate_chain_map(f), "chain map")
     x, y = f.source, f.target
     w = _union_window(x, y)
     degrees = range(w[0], w[1] + 1) if w is not None else range(0)
@@ -609,8 +583,8 @@ def tensor_complex(x: BoundedComplex, y: BoundedComplex) -> BoundedComplex:
     """
     if x.field != y.field:
         raise FieldMismatch("tensor across fields")
-    _require_valid(x)
-    _require_valid(y)
+    _require(validate(x), "complex")
+    _require(validate(y), "complex")
     field = x.field
     if not x.dims or not y.dims:
         return zero_complex(field)

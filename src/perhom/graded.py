@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import BoundedComplex, Violation, _tensor_grid, _total_diffs, tensor_complex, validate
+from .complexes import BoundedComplex, Violation, _require, _tensor_grid, _total_diffs, tensor_complex, validate
 from .linalg import (
     Field,
     FieldMismatch,
@@ -22,7 +22,7 @@ from .linalg import (
     submatrix,
     zeros,
 )
-from .periodic import PeriodicComplex, _fold_labels, _square_mismatch, compress, validate_periodic
+from .periodic import PeriodicComplex, _fold, _fold_labels, _square_mismatch, compress, validate_periodic
 
 __all__ = [
     "Algebra",
@@ -155,12 +155,6 @@ def validate_module(m: GradedModule) -> Violation | None:
     return None
 
 
-def _require_valid_module(m: GradedModule) -> None:
-    v = validate_module(m)
-    if v is not None:
-        raise ValueError(f"invalid graded module: {v}")
-
-
 def free_module(field: Field, algebra: Algebra, generator_degree: int, window: tuple[int, int]) -> GradedModule:
     """The free rank-one module on a generator, truncated to the window.
 
@@ -272,6 +266,8 @@ class PeriodicModuleComplex:
     maps: tuple[tuple[Matrix, ...], ...]
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("period must be at least 1")
         if len(self.modules) != self.n or len(self.maps) != self.n:
             raise ShapeError("expected n modules and n maps")
 
@@ -336,9 +332,9 @@ def compress_modules(mc: ModuleComplex, n: int) -> PeriodicModuleComplex:
     Term r is the direct sum of the terms with homological degree r mod n,
     in increasing degree, with the block maps of the original complex.
     """
-    v = validate_module_complex(mc)
-    if v is not None:
-        raise ValueError(f"invalid module complex: {v}")
+    _require(validate_module_complex(mc), "module complex")
+    if n < 1:
+        raise ValueError("period must be at least 1")
     if not mc.modules:
         raise ValueError("cannot fold an empty module complex")
     first = mc.modules[0]
@@ -358,18 +354,11 @@ def compress_modules(mc: ModuleComplex, n: int) -> PeriodicModuleComplex:
             terms.append(GradedModule(field, first.algebra, first.lo, (0,) * window_len, empty_actions))
     maps = []
     for r in range(n):
-        src = classes[r]
-        dst = classes[(r + 1) % n]
         family = []
-        for k in range(window_len):
-            i = first.lo + k
-            rows = [mc.module(j).dim(i) for j in dst]
-            cols = [mc.module(j).dim(i) for j in src]
-            blocks = {}
-            for sj, j in enumerate(src):
-                if j + 1 in dst:
-                    blocks[(dst.index(j + 1), sj)] = mc.map_at(j, i)
-            family.append(assemble_blocks(field, rows, cols, blocks))
+        for i in first.degrees():
+            dim = lambda j: mc.module(j).dim(i)
+            block = lambda j: mc.map_at(j, i)
+            family.append(_fold(field, classes[r], classes[(r + 1) % n], 1, dim, dim, block))
         maps.append(tuple(family))
     return PeriodicModuleComplex(n, tuple(terms), tuple(maps))
 
@@ -458,12 +447,8 @@ def tensor_periodic(x: BoundedComplex, y: PeriodicComplex) -> PeriodicComplex:
     """
     if x.field != y.field:
         raise FieldMismatch("tensor across fields")
-    v = validate(x)
-    if v is not None:
-        raise ValueError(f"invalid complex: {v}")
-    v = validate_periodic(y)
-    if v is not None:
-        raise ValueError(f"invalid periodic complex: {v}")
+    _require(validate(x), "complex")
+    _require(validate_periodic(y), "periodic complex")
     n = y.n
     dims = tuple(sum(x.dim(j) * y.dim(r - j) for j in x.degrees()) for r in range(n))
     return PeriodicComplex(x.field, n, dims, _total_diffs(x.field, range(n), *_tensor_grid(x, y)))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .complexes import BoundedComplex, Violation, _total_diffs, validate, zero_complex
+from .complexes import BoundedComplex, Violation, _require, _total_diffs, validate, zero_complex
 from .graded import (
     GradedModule,
     ModuleComplex,
@@ -174,9 +174,7 @@ def bgg_module(m: GradedModule) -> BGGComplex:
     """
     if m.algebra.kind != "poly":
         raise ValueError("input must be a module over a polynomial algebra")
-    v = validate_module(m)
-    if v is not None:
-        raise ValueError(f"invalid graded module: {v}")
+    _require(validate_module(m), "graded module")
     dual = lambda_dual(m.algebra.generators, m.field)
     dims = tuple(dual.total_dim * d for d in m.dims)
     diffs = tuple(_bgg_differential(dual, m, i) for i in range(m.lo, m.hi))
@@ -282,9 +280,7 @@ def bgg_complex(mc: ModuleComplex) -> BGGComplex:
     The exterior action on a total term is blockwise over the contributing
     cells; linearity of the total differential is checked.
     """
-    v = validate_module_complex(mc)
-    if v is not None:
-        raise ValueError(f"invalid module complex: {v}")
+    _require(validate_module_complex(mc), "module complex")
     if not mc.modules:
         raise ValueError("cannot apply the functor to an empty complex")
     field = mc.modules[0].field
@@ -319,9 +315,7 @@ def bgg_periodic(pm: PeriodicModuleComplex) -> PeriodicComplex:
     bounded internal window, ordered by increasing i; the differential uses
     the same signs as the bounded totalization.
     """
-    bad = validate_module_complex(pm)
-    if bad is not None:
-        raise ValueError(f"invalid periodic module complex: {bad}")
+    _require(validate_module_complex(pm), "periodic module complex")
     field = pm.modules[0].field
     if pm.modules[0].algebra.kind != "poly":
         raise ValueError("input must be periodic over a polynomial algebra")

@@ -157,12 +157,6 @@ class Field:
             raise TypeError(f"cannot coerce {value!r} into GF({self.p})")
         return value % self.p
 
-    def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
-
     def __repr__(self) -> str:
         return "QQ" if self.p is None else f"GF({self.p})"
 

@@ -3,10 +3,12 @@
 A period-n complex is stored as n terms and n cyclically composed
 differentials ``d^i : X^i -> X^((i+1) mod n)``.  Folding a bounded complex
 into residue classes mod n (`compress`) orders the summands of each term by
-increasing original degree; unrolling a periodic complex onto a finite
-window (`expand_window`) truncates the outgoing differential at the top of
-the window, so statements about the unrolled complex are made on window
-interiors.
+increasing original degree.  `_fold` is the one home of that order: every
+fold of a complex, a chain map or a complex of modules, and the unit and
+retraction of the fold, places its blocks through it.  Unrolling a periodic
+complex onto a finite window (`expand_window`) truncates the outgoing
+differential at the top of the window, so statements about the unrolled
+complex are made on window interiors.
 
 Hom dimensions and homotopy witnesses come from the splitting of each
 complex into cohomology and contractible pieces, read off one rref of each
@@ -29,6 +31,7 @@ from .complexes import (
     _cone_grid,
     _contraction,
     _echelons,
+    _require,
     _split_hom_report,
     _split_null_homotopy,
     _split_ranks,
@@ -118,12 +121,6 @@ def validate_periodic(p: PeriodicComplex) -> Violation | None:
     return None
 
 
-def _require_valid(p: PeriodicComplex) -> None:
-    v = validate_periodic(p)
-    if v is not None:
-        raise ValueError(f"invalid periodic complex: {v}")
-
-
 @dataclass(frozen=True)
 class PeriodicChainMap:
     """n components f^i compatible with the cyclic differentials."""
@@ -167,12 +164,6 @@ def validate_periodic_map(f: PeriodicChainMap) -> Violation | None:
     return None
 
 
-def _require_valid_map(f: PeriodicChainMap) -> None:
-    v = validate_periodic_map(f)
-    if v is not None:
-        raise ValueError(f"invalid periodic chain map: {v}")
-
-
 @dataclass(frozen=True)
 class PeriodicHomotopy:
     """n components s^i : X^i -> Y^((i-1) mod n) relating f and g."""
@@ -201,6 +192,25 @@ def residue_degrees(x: BoundedComplex, n: int, r: int) -> list[int]:
     return [j for j in x.degrees() if (j - r) % n == 0]
 
 
+def _fold(field: Field, src, dst, step: int, src_dim, dst_dim, block) -> Matrix:
+    """The fold rule: term r of a fold is the sum of the X^j with j = r mod
+    n, in increasing j, and a folded map has the blocks of the maps it folds.
+
+    Returns the map from the sum of the X^j over j in `src` to the sum of
+    the Y^j over j in `dst` (each list increasing, as `residue_degrees`
+    gives) whose block from summand j to summand j + step is block(j):
+    step 1 folds a differential, step 0 a degree-0 map.  Blocks whose
+    summand j + step is missing from `dst`, or whose source or target has
+    dimension zero (src_dim(j), dst_dim(j + step)), are zero.
+    """
+    pos = {j: k for k, j in enumerate(dst)}
+    blocks = {}
+    for k, j in enumerate(src):
+        if j + step in pos and src_dim(j) and dst_dim(j + step):
+            blocks[(pos[j + step], k)] = block(j)
+    return assemble_blocks(field, [dst_dim(j) for j in dst], [src_dim(j) for j in src], blocks)
+
+
 def compress(x: BoundedComplex, n: int) -> PeriodicComplex:
     """Fold a bounded complex into residue classes mod n.
 
@@ -208,46 +218,26 @@ def compress(x: BoundedComplex, n: int) -> PeriodicComplex:
     increasing j; the differential has the blocks of d_X between adjacent
     degrees and zero elsewhere.
     """
-    v = validate(x)
-    if v is not None:
-        raise ValueError(f"invalid complex: {v}")
+    _require(validate(x), "complex")
     if n < 1:
         raise ValueError("period must be at least 1")
-    field = x.field
     classes = [residue_degrees(x, n, r) for r in range(n)]
     dims = tuple(sum(x.dim(j) for j in classes[r]) for r in range(n))
-    diffs = []
-    for r in range(n):
-        src = classes[r]
-        dst = classes[(r + 1) % n]
-        blocks = {}
-        for sj, j in enumerate(src):
-            if j + 1 in dst and x.dim(j) and x.dim(j + 1):
-                blocks[(dst.index(j + 1), sj)] = x.diff(j)
-        diffs.append(
-            assemble_blocks(field, [x.dim(j) for j in dst], [x.dim(j) for j in src], blocks)
-        )
-    return PeriodicComplex(field, n, dims, tuple(diffs))
+    diffs = tuple(
+        _fold(x.field, classes[r], classes[(r + 1) % n], 1, x.dim, x.dim, x.diff) for r in range(n)
+    )
+    return PeriodicComplex(x.field, n, dims, diffs)
 
 
 def compress_map(f: ChainMap, n: int) -> PeriodicChainMap:
     """Fold a chain map block-diagonally into residue classes."""
-    v = validate_chain_map(f)
-    if v is not None:
-        raise ValueError(f"invalid chain map: {v}")
+    _require(validate_chain_map(f), "chain map")
     x, y = f.source, f.target
     px, py = compress(x, n), compress(y, n)
-    comps = []
-    for r in range(n):
-        src = residue_degrees(x, n, r)
-        dst = residue_degrees(y, n, r)
-        blocks = {}
-        for sj, j in enumerate(src):
-            if j in dst and x.dim(j) and y.dim(j):
-                blocks[(dst.index(j), sj)] = f.component(j)
-        comps.append(
-            assemble_blocks(f.source.field, [y.dim(j) for j in dst], [x.dim(j) for j in src], blocks)
-        )
+    comps = [
+        _fold(x.field, residue_degrees(x, n, r), residue_degrees(y, n, r), 0, x.dim, y.dim, f.component)
+        for r in range(n)
+    ]
     return periodic_chain_map(px, py, comps)
 
 
@@ -278,21 +268,20 @@ def unit_and_retraction(x: BoundedComplex, n: int, window: tuple[int, int]) -> t
     eta = {}
     rho = {}
     field = x.field
+    unit = lambda j: identity(field, x.dim(j))
     for i in x.degrees():
         if x.dim(i) == 0 or e.dim(i) == 0:
             continue
         degrees = residue_degrees(x, n, i % n)
-        pos = degrees.index(i)
-        sizes = [x.dim(j) for j in degrees]
-        eta[i] = assemble_blocks(field, sizes, [x.dim(i)], {(pos, 0): identity(field, x.dim(i))})
-        rho[i] = assemble_blocks(field, [x.dim(i)], sizes, {(0, pos): identity(field, x.dim(i))})
+        eta[i] = _fold(field, [i], degrees, 0, x.dim, x.dim, unit)
+        rho[i] = _fold(field, degrees, [i], 0, x.dim, x.dim, unit)
     return chain_map(x, e, eta), chain_map(e, x, rho)
 
 
 def periodic_cone(f: PeriodicChainMap) -> PeriodicComplex:
     """Cyclic mapping cone: term i is X^(i+1) (+) Y^i with the blocks of
     `complexes.cone`, totalized by `complexes._total_diffs`."""
-    _require_valid_map(f)
+    _require(validate_periodic_map(f), "periodic chain map")
     x, y = f.source, f.target
     n = x.n
     dims = tuple(x.dim(i + 1) + y.dims[i] for i in range(n))
@@ -310,7 +299,7 @@ def _periodic_splitting(p: PeriodicComplex) -> tuple[dict[int, int], dict[int, i
 
 def periodic_cohomology(p: PeriodicComplex) -> tuple[int, ...]:
     """dim H^i = dims_i - rank d^i - rank d^(i-1), cyclically."""
-    _require_valid(p)
+    _require(validate_periodic(p), "periodic complex")
     return tuple(_periodic_splitting(p)[0].values())
 
 
@@ -333,8 +322,8 @@ def periodic_hom_dims(x: PeriodicComplex, y: PeriodicComplex) -> HomReport:
         raise FieldMismatch("hom across fields")
     if x.n != y.n:
         raise ShapeError("hom across different periods")
-    _require_valid(x)
-    _require_valid(y)
+    _require(validate_periodic(x), "periodic complex")
+    _require(validate_periodic(y), "periodic complex")
     return _split_hom_report(_periodic_splitting(x), _periodic_splitting(y), _prev(x.n))
 
 
@@ -348,8 +337,8 @@ def find_periodic_homotopy(f: PeriodicChainMap, g: PeriodicChainMap) -> Periodic
     """
     if f.source != g.source or f.target != g.target:
         raise ShapeError("homotopy endpoints must share source and target")
-    _require_valid_map(f)
-    _require_valid_map(g)
+    _require(validate_periodic_map(f), "periodic chain map")
+    _require(validate_periodic_map(g), "periodic chain map")
     x, y = f.source, f.target
     n = x.n
     phi = lambda r: f.component(r) - g.component(r)
@@ -379,7 +368,7 @@ def unrolled_identity_contraction(p: PeriodicComplex) -> Homotopy | None:
     unrolled as s^i = s_(i mod n), so the top edge is s^n = s_0.  Each
     differential is reduced once.
     """
-    _require_valid(p)
+    _require(validate_periodic(p), "periodic complex")
     n = p.n
     prev = _prev(n)
     echelons = _echelons(p, range(n))
@@ -401,7 +390,7 @@ def periodize_null_homotopy(p: PeriodicComplex, s: Homotopy) -> PeriodicHomotopy
     j for 1 <= j <= n-1; the output is checked against the periodic
     homotopy identity before being returned.
     """
-    _require_valid(p)
+    _require(validate_periodic(p), "periodic complex")
     n = p.n
     for i in range(0, n):
         if p.dim(i) == 0:
@@ -423,7 +412,7 @@ def periodize_null_homotopy(p: PeriodicComplex, s: Homotopy) -> PeriodicHomotopy
 
 def shift_periodic(p: PeriodicComplex, l: int) -> PeriodicComplex:
     """Rotate the indexing by l and twist the differentials by (-1)^l."""
-    _require_valid(p)
+    _require(validate_periodic(p), "periodic complex")
     n = p.n
     dims = tuple(p.dim(i + l) for i in range(n))
     sign = 1 if l % 2 == 0 else -1
@@ -434,9 +423,7 @@ def shift_periodic(p: PeriodicComplex, l: int) -> PeriodicComplex:
 def twist_iso(x: BoundedComplex, n: int) -> ChainMap:
     """The chain isomorphism from the signed shift by n to the plain index
     translation by n, acting on an original degree-i vector by (-1)^(n*i)."""
-    v = validate(x)
-    if v is not None:
-        raise ValueError(f"invalid complex: {v}")
+    _require(validate(x), "complex")
     src = shift(x, n)
     dst = degree_shift(x, n)
     comps = {}

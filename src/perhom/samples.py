@@ -15,7 +15,6 @@ from random import Random
 from .complexes import (
     BoundedComplex,
     ChainMap,
-    _chain_map_system,
     chain_map,
 )
 from .graded import (
@@ -235,6 +234,26 @@ def random_graded_module(
     gens = [hi - rng.randint(0, min(slack, hi - lo)) for _ in range(count)]
     m = direct_sum_modules([free_module(field, algebra, g, window) for g in gens])
     return conjugate_module(rng, m)[0]
+
+
+def _chain_map_system(x: BoundedComplex, y: BoundedComplex) -> BlockSystem:
+    sys = BlockSystem(x.field)
+    lo = min(x.lo, y.lo) if x.dims and y.dims else 0
+    hi = max(x.hi, y.hi) if x.dims and y.dims else -1
+    for i in range(lo, hi + 1):
+        if x.dim(i) and y.dim(i):
+            sys.add_unknown(i, y.dim(i), x.dim(i))
+    for i in range(lo, hi + 1):
+        if x.dim(i) and y.dim(i + 1):
+            sys.add_equation(i, y.dim(i + 1), x.dim(i))
+    for i in range(lo, hi + 1):
+        if not (x.dim(i) and y.dim(i + 1)):
+            continue
+        if x.dim(i + 1) and y.dim(i + 1):
+            sys.add_term(i, i + 1, right=x.diff(i))
+        if x.dim(i) and y.dim(i):
+            sys.add_term(i, i, left=y.diff(i), sign=-1)
+    return sys
 
 
 def _module_map_system(src: GradedModule, dst: GradedModule) -> BlockSystem:

@@ -13,9 +13,13 @@ The Tor oracle counts BGG cohomology from the Koszul complex of the module,
 sharing only `rank` and `assemble_blocks` with the functor it checks.  The
 entrywise oracles write the cone and tensor differentials one entry at a
 time from the input differentials on basis labels, sharing only `Matrix`
-with the totalization they check.  The F_p kernel oracles compute products,
-Kronecker products and entrywise operations on Python ints from `entries`,
-with no numpy and no choice of kernel.  The QQ kernel oracles do the same
+with the totalization they check.  The entrywise fold oracles do the same
+for every fold (`compress`, `compress_map`, `compress_modules` and the unit
+and retraction of `unit_and_retraction`), on the labels (j, a) with
+j = r mod n in increasing order, sharing only `Matrix` with
+`periodic._fold`.  The F_p kernel oracles compute products, Kronecker
+products and entrywise operations on Python ints from `entries`, with no
+numpy and no choice of kernel.  The QQ kernel oracles do the same
 on the `Fraction` rows of `entries`, down to row reduction, kernel bases
 and particular solutions by Gauss-Jordan elimination on fractions; the
 structural oracles (transpose, stacks, blocks, submatrices, vec) rearrange
@@ -41,7 +45,7 @@ from perhom import (
     zero_chain_map,
     zeros,
 )
-from perhom.complexes import _chain_map_system
+from perhom.samples import _chain_map_system
 from perhom.linalg import BlockSystem, assemble_blocks
 from perhom.periodic import PeriodicChainMap, PeriodicHomotopy
 
@@ -454,20 +458,32 @@ def _column(rows, col: int) -> list:
     return [(k, row[col]) for k, row in enumerate(rows) if row[col]]
 
 
+def _add(field, a, b):
+    """a + b for scalars of `field` as `entries` holds them."""
+    return a + b if field.p is None else (a + b) % field.p
+
+
+def _neg(field, a):
+    return -a if field.p is None else (-a) % field.p
+
+
+def _labelled_matrix(field, src, dst, image) -> Matrix:
+    """The matrix from the basis labelled `src` to the one labelled `dst`,
+    entry by entry: label s goes to the sum of e * t over (t, e) in image(s)."""
+    pos = {label: k for k, label in enumerate(dst)}
+    body = [[field.zero] * len(src) for _ in dst]
+    for col, label in enumerate(src):
+        for target, e in image(label):
+            body[pos[target]][col] = _add(field, body[pos[target]][col], e)
+    return Matrix(field, len(dst), len(src), tuple(map(tuple, body)))
+
+
 def _by_labels(field, degrees, out_of, labels, image) -> tuple:
     """Term dimensions over `degrees` and the differential out of each degree
     in `out_of`, entry by entry: basis label s of term l goes to the sum of
     e * t over (t, e) in image(l, s)."""
-    diffs = []
-    for l in out_of:
-        src, dst = labels(l), labels(l + 1)
-        pos = {label: k for k, label in enumerate(dst)}
-        body = [[field.zero] * len(src) for _ in dst]
-        for col, label in enumerate(src):
-            for target, e in image(l, label):
-                body[pos[target]][col] = field.add(body[pos[target]][col], e)
-        diffs.append(Matrix(field, len(dst), len(src), tuple(map(tuple, body))))
-    return tuple(len(labels(l)) for l in degrees), tuple(diffs)
+    diffs = tuple(_labelled_matrix(field, labels(l), labels(l + 1), lambda s: image(l, s)) for l in out_of)
+    return tuple(len(labels(l)) for l in degrees), diffs
 
 
 def entrywise_cone(f) -> tuple:
@@ -485,7 +501,7 @@ def entrywise_cone(f) -> tuple:
         side, a = label
         if side == "y":
             return [(("y", b), e) for b, e in _column(_rows(y, l), a)]
-        out = [(("x", a2), field.neg(e)) for a2, e in _column(_rows(x, l + 1), a)]
+        out = [(("x", a2), _neg(field, e)) for a2, e in _column(_rows(x, l + 1), a)]
         return out + [(("y", b), e) for b, e in _column(_component_rows(f, l + 1), a)]
 
     if isinstance(x, PeriodicComplex):
@@ -512,7 +528,7 @@ def entrywise_tensor(x: BoundedComplex, y) -> tuple:
         i, a, b = label
         out = [((i + 1, a2, b), e) for a2, e in _column(_rows(x, i), a)]
         dy = _column(_rows(y, l - i), b)
-        return out + [((i, a, b2), e if i % 2 == 0 else field.neg(e)) for b2, e in dy]
+        return out + [((i, a, b2), e if i % 2 == 0 else _neg(field, e)) for b2, e in dy]
 
     if isinstance(y, PeriodicComplex):
         return (y.n, *_by_labels(field, range(y.n), range(y.n), labels, image))
@@ -520,3 +536,89 @@ def entrywise_tensor(x: BoundedComplex, y) -> tuple:
         return 0, (), ()
     lo, hi = x.lo + y.lo, x.lo + y.lo + len(x.dims) + len(y.dims) - 2
     return (lo, *_by_labels(field, range(lo, hi + 1), range(lo, hi), labels, image))
+
+
+def _residue_labels(degrees, dim, n: int, r: int) -> list:
+    """Labels (j, a) of term r of a fold: the degrees j = r mod n in
+    increasing order, then a < dim(j)."""
+    return [(j, a) for j in degrees if (j - r) % n == 0 for a in range(dim(j))]
+
+
+def _blockwise(rows, step: int):
+    """The image function of a folded map whose block out of summand j has
+    the rows rows(j) and lands in summand j + step: (j, a) goes to the sum
+    of e * (j + step, b) over the entries e in row b, column a."""
+    return lambda label: [((label[0] + step, b), e) for b, e in _column(rows(label[0]), label[1])]
+
+
+def entrywise_compress(x: BoundedComplex, n: int) -> tuple:
+    """(dims, diffs) of `compress(x, n)`: term r has the labels (j, a) of X^j
+    over j = r mod n, with (j, a) -> d_X (j + 1, b)."""
+    degrees = range(x.lo, x.lo + len(x.dims))
+    labels = lambda r: _residue_labels(degrees, lambda j: _dim(x, j), n, r)
+    image = _blockwise(lambda j: _rows(x, j), 1)
+    diffs = tuple(_labelled_matrix(x.field, labels(r), labels((r + 1) % n), image) for r in range(n))
+    return tuple(len(labels(r)) for r in range(n)), diffs
+
+
+def entrywise_compress_map(f: ChainMap, n: int) -> tuple:
+    """The components of `compress_map(f, n)`: label (j, a) of the source
+    term r goes to f (j, b) in the target term r."""
+    x, y = f.source, f.target
+
+    def labels(c, r):
+        return _residue_labels(range(c.lo, c.lo + len(c.dims)), lambda j: _dim(c, j), n, r)
+
+    image = _blockwise(lambda j: _component_rows(f, j), 0)
+    return tuple(_labelled_matrix(x.field, labels(x, r), labels(y, r), image) for r in range(n))
+
+
+def entrywise_compress_modules(mc, n: int) -> tuple:
+    """Term by term, (dims, actions, maps) of `compress_modules(mc, n)` for a
+    complex of polynomial-algebra modules, in each internal degree i: term r
+    has the labels (j, a) of the i-th piece of the modules j = r mod n.  The
+    action of generator g sends (j, a) of degree i to x_g (j, b) of degree
+    i + 1, and the map out of term r sends (j, a) to d (j + 1, b)."""
+    first = mc.modules[0]
+    field, width = first.field, len(first.dims)
+    terms = range(mc.jlo, mc.jlo + len(mc.modules))
+    module = lambda j: mc.modules[j - mc.jlo]
+    labels = lambda r, k: _residue_labels(terms, lambda j: module(j).dims[k], n, r)
+
+    def map_rows(j, k):
+        return mc.maps[j - mc.jlo][k].entries if j < terms[-1] else ()
+
+    out = []
+    for r in range(n):
+        dims = tuple(len(labels(r, k)) for k in range(width))
+        actions = []
+        for g in range(first.algebra.generators):
+            family = []
+            for k in range(width - 1):
+                image = _blockwise(lambda j: module(j).actions[g][k].entries, 0)
+                family.append(_labelled_matrix(field, labels(r, k), labels(r, k + 1), image))
+            actions.append(tuple(family))
+        maps = []
+        for k in range(width):
+            image = _blockwise(lambda j: map_rows(j, k), 1)
+            maps.append(_labelled_matrix(field, labels(r, k), labels((r + 1) % n, k), image))
+        out.append((dims, tuple(actions), tuple(maps)))
+    return tuple(out)
+
+
+def entrywise_unit_and_retraction(x: BoundedComplex, n: int) -> tuple[dict, dict]:
+    """The components, by degree, of both maps of `unit_and_retraction`: in
+    degree i the unit sends label (i, a) of X^i to the label (i, a) of the
+    fold term of i mod n (labelled as in `entrywise_compress`), and the
+    retraction sends that label back and every other label to zero."""
+    field = x.field
+    degrees = range(x.lo, x.lo + len(x.dims))
+    unit, retraction = {}, {}
+    for i in degrees:
+        if not _dim(x, i):
+            continue
+        own = [(i, a) for a in range(_dim(x, i))]
+        folded = _residue_labels(degrees, lambda j: _dim(x, j), n, i % n)
+        unit[i] = _labelled_matrix(field, own, folded, lambda s: [(s, field.one)])
+        retraction[i] = _labelled_matrix(field, folded, own, lambda s: [(s, field.one)] if s[0] == i else [])
+    return unit, retraction

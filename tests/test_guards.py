@@ -1,0 +1,168 @@
+"""The input guards of the public entry points: each rejects a malformed
+input with ValueError and the exact text ``invalid <what>: <violation>``,
+and the folds of module complexes reject a period below one."""
+
+import pytest
+
+from perhom import (
+    QQ,
+    GradedModule,
+    ModuleComplex,
+    PeriodicComplex,
+    PeriodicModuleComplex,
+    bgg_complex,
+    bgg_module,
+    bgg_periodic,
+    chain_map,
+    cohomology_dims,
+    compress,
+    compress_map,
+    compress_modules,
+    cone,
+    find_null_homotopy,
+    find_periodic_homotopy,
+    free_module,
+    hom_space_dims,
+    mat,
+    orbit_hom,
+    periodic_cohomology,
+    periodic_cone,
+    periodic_hom_dims,
+    periodize_null_homotopy,
+    polynomial_algebra,
+    shift_periodic,
+    single,
+    tensor_complex,
+    tensor_periodic,
+    twist_iso,
+    two_term,
+    unrolled_identity_contraction,
+    verify_bgg_square,
+    zeros,
+)
+from perhom.complexes import BoundedComplex
+from perhom.periodic import periodic_chain_map
+
+ONE, ZERO = mat(QQ, [[1]]), zeros(QQ, 1, 1)
+SQUARE = "square at degree 0: composite of consecutive differentials is nonzero"
+
+# d^1 d^0 = 1.
+BAD_COMPLEX = BoundedComplex(QQ, 0, (1, 1, 1), (ONE, ONE))
+GOOD_COMPLEX = single(QQ, 0)
+# f^1 d = 0 but d f^0 = 1.
+_X = two_term(QQ, 0, ONE)
+BAD_MAP = chain_map(_X, _X, {0: ONE, 1: ZERO})
+BAD_PERIODIC = PeriodicComplex(QQ, 1, (1,), (ONE,))
+GOOD_PERIODIC = PeriodicComplex(QQ, 1, (1,), (ZERO,))
+_P = PeriodicComplex(QQ, 2, (1, 1), (ONE, ZERO))
+BAD_PERIODIC_MAP = periodic_chain_map(_P, _P, (ONE, ZERO))
+# x_0 x_1 sends the degree-0 generator to 1, x_1 x_0 sends it to 0.
+BAD_MODULE = GradedModule(
+    QQ,
+    polynomial_algebra(2),
+    0,
+    (1, 2, 1),
+    ((mat(QQ, [[1], [0]]), mat(QQ, [[0, 1]])), (mat(QQ, [[0], [1]]), zeros(QQ, 1, 2))),
+)
+# The map is 1 in internal degree 0 and 0 in degree 1, so it does not
+# commute with x_0 : degree 0 -> degree 1.
+_FREE = free_module(QQ, polynomial_algebra(1), 0, (0, 1))
+BAD_MODULE_COMPLEX = ModuleComplex(0, (_FREE, _FREE), ((ONE, ZERO),))
+BAD_PERIODIC_MODULE_COMPLEX = PeriodicModuleComplex(1, (_FREE,), ((ONE, ZERO),))
+GOOD_MODULE_COMPLEX = ModuleComplex(0, (_FREE,), ())
+
+NOT_CHAIN_MAP = "chain-map at degree 0: f d != d f"
+NOT_EQUIVARIANT = "linearity at degree 0: map out of term 0 is not equivariant for generator 0"
+
+CASES = [
+    ("cone", lambda: cone(BAD_MAP), f"invalid chain map: {NOT_CHAIN_MAP}"),
+    ("compress", lambda: compress(BAD_COMPLEX, 2), f"invalid complex: {SQUARE}"),
+    ("compress_map", lambda: compress_map(BAD_MAP, 2), f"invalid chain map: {NOT_CHAIN_MAP}"),
+    ("twist_iso", lambda: twist_iso(BAD_COMPLEX, 2), f"invalid complex: {SQUARE}"),
+    (
+        "tensor_periodic-bounded",
+        lambda: tensor_periodic(BAD_COMPLEX, GOOD_PERIODIC),
+        f"invalid complex: {SQUARE}",
+    ),
+    (
+        "tensor_periodic-periodic",
+        lambda: tensor_periodic(GOOD_COMPLEX, BAD_PERIODIC),
+        f"invalid periodic complex: {SQUARE}",
+    ),
+    (
+        "compress_modules",
+        lambda: compress_modules(BAD_MODULE_COMPLEX, 2),
+        f"invalid module complex: {NOT_EQUIVARIANT}",
+    ),
+    (
+        "bgg_module",
+        lambda: bgg_module(BAD_MODULE),
+        "invalid graded module: commute at degree 0: generators (0, 1) do not commute",
+    ),
+    ("bgg_complex", lambda: bgg_complex(BAD_MODULE_COMPLEX), f"invalid module complex: {NOT_EQUIVARIANT}"),
+    (
+        "bgg_periodic",
+        lambda: bgg_periodic(BAD_PERIODIC_MODULE_COMPLEX),
+        f"invalid periodic module complex: {NOT_EQUIVARIANT}",
+    ),
+    (
+        "verify_bgg_square",
+        lambda: verify_bgg_square(BAD_MODULE_COMPLEX, 2),
+        f"invalid module complex: {NOT_EQUIVARIANT}",
+    ),
+    (
+        "periodic_cone",
+        lambda: periodic_cone(BAD_PERIODIC_MAP),
+        f"invalid periodic chain map: {NOT_CHAIN_MAP}",
+    ),
+    (
+        "find_periodic_homotopy",
+        lambda: find_periodic_homotopy(BAD_PERIODIC_MAP, BAD_PERIODIC_MAP),
+        f"invalid periodic chain map: {NOT_CHAIN_MAP}",
+    ),
+    (
+        "periodic_hom_dims",
+        lambda: periodic_hom_dims(GOOD_PERIODIC, BAD_PERIODIC),
+        f"invalid periodic complex: {SQUARE}",
+    ),
+    ("periodic_cohomology", lambda: periodic_cohomology(BAD_PERIODIC), f"invalid periodic complex: {SQUARE}"),
+    (
+        "unrolled_identity_contraction",
+        lambda: unrolled_identity_contraction(BAD_PERIODIC),
+        f"invalid periodic complex: {SQUARE}",
+    ),
+    (
+        "periodize_null_homotopy",
+        lambda: periodize_null_homotopy(BAD_PERIODIC, None),
+        f"invalid periodic complex: {SQUARE}",
+    ),
+    ("shift_periodic", lambda: shift_periodic(BAD_PERIODIC, 1), f"invalid periodic complex: {SQUARE}"),
+    ("hom_space_dims", lambda: hom_space_dims(GOOD_COMPLEX, BAD_COMPLEX), f"invalid complex: {SQUARE}"),
+    ("orbit_hom", lambda: orbit_hom(BAD_COMPLEX, GOOD_COMPLEX, 2), f"invalid complex: {SQUARE}"),
+    ("cohomology_dims", lambda: cohomology_dims(BAD_COMPLEX), f"invalid complex: {SQUARE}"),
+    ("tensor_complex", lambda: tensor_complex(GOOD_COMPLEX, BAD_COMPLEX), f"invalid complex: {SQUARE}"),
+    ("find_null_homotopy", lambda: find_null_homotopy(BAD_MAP), f"invalid chain map: {NOT_CHAIN_MAP}"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+def test_guard_message_is_exact(call, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (ValueError, message)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: compress_modules(GOOD_MODULE_COMPLEX, n),
+        lambda n: verify_bgg_square(GOOD_MODULE_COMPLEX, n),
+        lambda n: PeriodicModuleComplex(n, (), ()),
+    ],
+    ids=["compress_modules", "verify_bgg_square", "PeriodicModuleComplex"],
+)
+def test_module_folds_reject_period_below_one(call, n):
+    with pytest.raises(ValueError) as caught:
+        call(n)
+    assert (type(caught.value), str(caught.value)) == (ValueError, "period must be at least 1")

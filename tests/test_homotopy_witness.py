@@ -24,10 +24,9 @@ from perhom import (
     unrolled_identity_contraction,
     zeros,
 )
-from perhom.complexes import _chain_map_system
 from perhom.documents import canonical_json_bytes, matrix_doc
 from perhom.periodic import periodic_chain_map
-from perhom.samples import random_periodic
+from perhom.samples import _chain_map_system, random_periodic
 from oracles import (
     _cyclic_chain_map_system,
     solver_null_homotopy,

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from perhom import GF, QQ, chain_map, compress_map, cone, periodic_cone, shift, tensor_complex, tensor_periodic
-from perhom.complexes import _chain_map_system
+from perhom.samples import _chain_map_system
 from oracles import entrywise_cone, entrywise_tensor
 from strategies import SETTINGS, bounded_complexes, kernel_elements, periodic_complexes
 
