@@ -232,13 +232,14 @@ def _cmd_periodize(args) -> int:
 def _cmd_tensor(args) -> int:
     x = _read_document(args.x)
     y = _read_document(args.y)
-    if isinstance(x, BoundedComplex) and isinstance(y, BoundedComplex):
-        _emit_json(document_dict(tensor_complex(x, y)))
-        return 0
-    if isinstance(x, BoundedComplex) and isinstance(y, PeriodicComplex):
-        _emit_json(document_dict(tensor_periodic(x, y)))
-        return 0
-    raise DocumentError("/kind", "tensor expects complex (x) complex or complex (x) periodic")
+    if not isinstance(x, BoundedComplex) or not isinstance(y, (BoundedComplex, PeriodicComplex)):
+        raise DocumentError("/kind", "tensor expects complex (x) complex or complex (x) periodic")
+    try:
+        product = tensor_complex(x, y) if isinstance(y, BoundedComplex) else tensor_periodic(x, y)
+    except ValueError as exc:
+        return _finding(1, str(exc))
+    _emit_json(document_dict(product))
+    return 0
 
 
 def _cmd_bgg(args) -> int:

@@ -164,6 +164,12 @@ def validate(c: BoundedComplex) -> Violation | None:
     return None
 
 
+def _validate_pair(check, x, y) -> Violation | None:
+    """check(x), then check(y) unless y is x: the first violation."""
+    v = check(x)
+    return v if v is not None or y is x else check(y)
+
+
 def _require(violation: Violation | None, what: str) -> None:
     """The guard of every public entry point: raise ``ValueError("invalid
     <what>: <violation>")`` when the validator of its input found one."""
@@ -244,11 +250,9 @@ def compose(g: ChainMap, f: ChainMap) -> ChainMap:
 
 def validate_chain_map(f: ChainMap) -> Violation | None:
     x, y = f.source, f.target
-    vx, vy = validate(x), validate(y)
-    if vx is not None:
-        return vx
-    if vy is not None:
-        return vy
+    v = _validate_pair(validate, x, y)
+    if v is not None:
+        return v
     lo = min(x.lo, y.lo)
     hi = max(x.hi, y.hi)
     for i in range(lo, hi):
@@ -497,8 +501,7 @@ def hom_space_dims(x: BoundedComplex, y: BoundedComplex) -> HomReport:
     """
     if x.field != y.field:
         raise FieldMismatch("hom across fields")
-    _require(validate(x), "complex")
-    _require(validate(y), "complex")
+    _require(_validate_pair(validate, x, y), "complex")
     return _split_hom_report(_splitting(x), _splitting(y), lambda i: i - 1)
 
 
@@ -583,8 +586,7 @@ def tensor_complex(x: BoundedComplex, y: BoundedComplex) -> BoundedComplex:
     """
     if x.field != y.field:
         raise FieldMismatch("tensor across fields")
-    _require(validate(x), "complex")
-    _require(validate(y), "complex")
+    _require(_validate_pair(validate, x, y), "complex")
     field = x.field
     if not x.dims or not y.dims:
         return zero_complex(field)

@@ -29,7 +29,7 @@ from .graded import (
     GradedModule,
     ModuleComplex,
     PeriodicModuleComplex,
-    compress_modules,
+    _compress_modules,
     validate_module,
     validate_module_complex,
 )
@@ -42,7 +42,7 @@ from .linalg import (
     kron,
     zeros,
 )
-from .periodic import PeriodicComplex, _fold_labels, _square_mismatch, compress, validate_periodic
+from .periodic import PeriodicComplex, _compress, _fold_labels, _square_mismatch, validate_periodic
 
 __all__ = [
     "BGGComplex",
@@ -146,8 +146,11 @@ class BGGComplex:
 def validate_bgg(b: BGGComplex) -> Violation | None:
     """Square-zero plus exterior-linearity of the differential."""
     v = validate(b.complex)
-    if v is not None:
-        return v
+    return v if v is not None else _linearity(b)
+
+
+def _linearity(b: BGGComplex) -> Violation | None:
+    """The exterior-linearity half of `validate_bgg`."""
     c = b.complex
     for i in range(c.lo, c.hi):
         for j in range(b.dual.c):
@@ -302,7 +305,8 @@ def bgg_complex(mc: ModuleComplex) -> BGGComplex:
             per_gen.append(assemble_blocks(field, sizes, sizes, blocks))
         actions.append(tuple(per_gen))
     out = BGGComplex(dual, cx, tuple(actions))
-    bad = validate_bgg(out)
+    # total_complex has checked that cx squares to zero.
+    bad = _linearity(out)
     if bad is not None:
         raise AssertionError(f"construction violated its own invariant: {bad}")
     return out
@@ -353,9 +357,10 @@ def verify_bgg_square(mc: ModuleComplex, n: int) -> BGGSquareReport:
     """
     bounded = bgg_complex(mc)
     cx = bounded.complex
-    other = bgg_periodic(compress_modules(mc, n))
+    other = bgg_periodic(_compress_modules(mc, n))
     size = bounded.dual.total_dim
     inner = lambda i, j: mc.module(j).dim(i) if mc.jlo <= j <= mc.jhi else 0
     labels = lambda r: _fold_labels(cx, n, r, mc.modules[0].degrees(), lambda i: size, inner)
-    mismatch = _square_mismatch(compress(cx, n), other, labels)
+    # bgg_complex has validated mc and cx.
+    mismatch = _square_mismatch(_compress(cx, n), other, labels)
     return BGGSquareReport(n, mismatch is None, mismatch or "exact equality")

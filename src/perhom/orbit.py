@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import BoundedComplex, cohomology_dims
+from .complexes import BoundedComplex, _require, _splitting, _validate_pair, validate
 from .linalg import FieldMismatch
-from .periodic import compress, periodic_hom_dims
+from .periodic import _compress, periodic_hom_dims
 
 __all__ = ["EmbeddingReport", "OrbitHomReport", "embedding_certificate", "orbit_hom"]
 
@@ -59,14 +59,21 @@ def orbit_hom(x: BoundedComplex, y: BoundedComplex, n: int) -> OrbitHomReport:
         raise FieldMismatch("orbit hom across fields")
     if n < 1:
         raise ValueError("period must be at least 1")
-    hx = dict(cohomology_dims(x))
-    hy = dict(cohomology_dims(y))
+    _require(_validate_pair(validate, x, y), "complex")
+    return _orbit_hom(x, y, n)
+
+
+def _orbit_hom(x: BoundedComplex, y: BoundedComplex, n: int) -> OrbitHomReport:
+    """`orbit_hom` of complexes already validated, with n >= 1."""
+    hx = _splitting(x)[0]
+    hy = hx if y is x else _splitting(y)[0]
     summands = []
     for i in _shift_range(x, y, n):
         # Y[n*i] has in degree k the cohomology of Y in degree k + n*i.
         summands.append((i, sum(h * hy.get(k + n * i, 0) for k, h in hx.items())))
     total = sum(d for _, d in summands)
-    periodic = periodic_hom_dims(compress(x, n), compress(y, n)).homotopy_classes
+    px = _compress(x, n)
+    periodic = periodic_hom_dims(px, px if y is x else _compress(y, n)).homotopy_classes
     return OrbitHomReport(n, tuple(summands), total, periodic)
 
 
@@ -87,15 +94,20 @@ class EmbeddingReport:
 
 
 def embedding_certificate(corpus: list[BoundedComplex], n: int) -> EmbeddingReport:
-    """Check total == periodic_side on every ordered pair of the corpus."""
+    """Check total == periodic_side on every ordered pair of the corpus;
+    each complex is validated once."""
     if corpus:
         field = corpus[0].field
         for c in corpus:
             if c.field != field:
                 raise FieldMismatch("corpus spans several fields")
+        if n < 1:
+            raise ValueError("period must be at least 1")
+        for c in corpus:
+            _require(validate(c), "complex")
     pairs = []
     for xi, x in enumerate(corpus):
         for yi, y in enumerate(corpus):
-            report = orbit_hom(x, y, n)
+            report = _orbit_hom(x, y, n)
             pairs.append((xi, yi, report.total, report.periodic_side))
     return EmbeddingReport(n, tuple(pairs))

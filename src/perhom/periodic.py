@@ -36,6 +36,7 @@ from .complexes import (
     _split_null_homotopy,
     _split_ranks,
     _total_diffs,
+    _validate_pair,
     chain_map,
     cone,
     identity_chain_map,
@@ -153,11 +154,9 @@ def identity_periodic_map(p: PeriodicComplex) -> PeriodicChainMap:
 
 def validate_periodic_map(f: PeriodicChainMap) -> Violation | None:
     x, y = f.source, f.target
-    vx, vy = validate_periodic(x), validate_periodic(y)
-    if vx is not None:
-        return vx
-    if vy is not None:
-        return vy
+    v = _validate_pair(validate_periodic, x, y)
+    if v is not None:
+        return v
     for i in range(x.n):
         if f.component(i + 1) @ x.diff(i) != y.diff(i) @ f.component(i):
             return Violation("chain-map", i, "f d != d f")
@@ -219,6 +218,11 @@ def compress(x: BoundedComplex, n: int) -> PeriodicComplex:
     degrees and zero elsewhere.
     """
     _require(validate(x), "complex")
+    return _compress(x, n)
+
+
+def _compress(x: BoundedComplex, n: int) -> PeriodicComplex:
+    """`compress` of a complex already validated."""
     if n < 1:
         raise ValueError("period must be at least 1")
     classes = [residue_degrees(x, n, r) for r in range(n)]
@@ -232,8 +236,14 @@ def compress(x: BoundedComplex, n: int) -> PeriodicComplex:
 def compress_map(f: ChainMap, n: int) -> PeriodicChainMap:
     """Fold a chain map block-diagonally into residue classes."""
     _require(validate_chain_map(f), "chain map")
+    return _compress_map(f, n)
+
+
+def _compress_map(f: ChainMap, n: int) -> PeriodicChainMap:
+    """`compress_map` of a chain map already validated."""
     x, y = f.source, f.target
-    px, py = compress(x, n), compress(y, n)
+    px = _compress(x, n)
+    py = px if y is x else _compress(y, n)
     comps = [
         _fold(x.field, residue_degrees(x, n, r), residue_degrees(y, n, r), 0, x.dim, y.dim, f.component)
         for r in range(n)
@@ -322,8 +332,7 @@ def periodic_hom_dims(x: PeriodicComplex, y: PeriodicComplex) -> HomReport:
         raise FieldMismatch("hom across fields")
     if x.n != y.n:
         raise ShapeError("hom across different periods")
-    _require(validate_periodic(x), "periodic complex")
-    _require(validate_periodic(y), "periodic complex")
+    _require(_validate_pair(validate_periodic, x, y), "periodic complex")
     return _split_hom_report(_periodic_splitting(x), _periodic_splitting(y), _prev(x.n))
 
 
@@ -485,7 +494,7 @@ def compression_cone_square(f: ChainMap, n: int) -> bool:
     """Exact matrix equality of compress(cone(f)) and the periodic cone of
     the compressed map, after the documented reordering of summands."""
     c = cone(f).complex
-    other = periodic_cone(compress_map(f, n))
+    other = periodic_cone(_compress_map(f, n))
     columns, dim, _, _ = _cone_grid(f)
     labels = lambda r: _fold_labels(c, n, r, columns, lambda i: 1, dim)
     return _square_mismatch(compress(c, n), other, labels) is None

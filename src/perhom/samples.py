@@ -33,7 +33,6 @@ from .linalg import (
     identity,
     kernel_basis,
     mat,
-    rank,
     solve_linear,
     submatrix,
     zeros,
@@ -61,18 +60,30 @@ def rand_matrix(rng: Random, field: Field, rows: int, cols: int, bound: int = 2)
 
 
 def rand_invertible(rng: Random, field: Field, n: int) -> Matrix:
+    return _basis_change(rng, field, n)[0]
+
+
+def _basis_change(rng: Random, field: Field, n: int) -> tuple[Matrix, Matrix]:
+    """A random invertible n x n matrix and its inverse.
+
+    Up to 30 random candidates are tried in turn; one elimination of
+    [M | 1] decides whether a candidate M is invertible and gives its
+    inverse.
+    """
     if n == 0:
-        return identity(field, 0)
+        return identity(field, 0), identity(field, 0)
     for _ in range(30):
         cand = rand_matrix(rng, field, n, n)
-        if rank(cand) == n:
-            return cand
+        inv = solve_linear(cand, identity(field, n))
+        if inv is not None:
+            return cand, inv
     # Unit upper-triangular fallback, invertible by construction.
     body = [
         [field.one if i == j else (field.coerce(rng.randint(-2, 2)) if j > i else field.zero) for j in range(n)]
         for i in range(n)
     ]
-    return Matrix(field, n, n, tuple(tuple(r) for r in body))
+    m = Matrix(field, n, n, tuple(tuple(r) for r in body))
+    return m, _inverse(m)
 
 
 def _inverse(m: Matrix) -> Matrix:
@@ -118,10 +129,10 @@ def random_bounded_complex(
         for t in range(heads.get(i, 0)):
             block[t][heads.get(i - 1, 0) + t] = field.one
         diffs.append(Matrix(field, rows, cols, tuple(tuple(r) for r in block)))
-    basis = {i: rand_invertible(rng, field, dims[i - lo]) for i in degs}
+    basis = {i: _basis_change(rng, field, dims[i - lo]) for i in degs}
     conjugated = []
     for k, i in enumerate(degs[:-1]):
-        conjugated.append(basis[i + 1] @ diffs[k] @ _inverse(basis[i]))
+        conjugated.append(basis[i + 1][0] @ diffs[k] @ basis[i][1])
     return BoundedComplex(field, lo, dims, tuple(conjugated))
 
 
@@ -151,10 +162,8 @@ def random_periodic(
 
 
 def conjugate_periodic(rng: Random, p: PeriodicComplex) -> PeriodicComplex:
-    basis = [rand_invertible(rng, p.field, d) for d in p.dims]
-    diffs = tuple(
-        basis[(i + 1) % p.n] @ p.diffs[i] @ _inverse(basis[i]) for i in range(p.n)
-    )
+    basis = [_basis_change(rng, p.field, d) for d in p.dims]
+    diffs = tuple(basis[(i + 1) % p.n][0] @ p.diffs[i] @ basis[i][1] for i in range(p.n))
     return PeriodicComplex(p.field, p.n, p.dims, diffs)
 
 
@@ -204,17 +213,18 @@ def random_flag(rng: Random, field: Field, max_parts: int = 3, max_part_dim: int
     return FlagData(field, parts, tuple(out_blocks))
 
 
-def conjugate_module(rng: Random, m: GradedModule) -> tuple[GradedModule, list[Matrix]]:
-    """Reskin a module by degreewise basis changes; returns the changes."""
-    changes = [rand_invertible(rng, m.field, d) for d in m.dims]
+def conjugate_module(rng: Random, m: GradedModule) -> tuple[GradedModule, list[tuple[Matrix, Matrix]]]:
+    """Reskin a module by degreewise basis changes; returns the changes,
+    each with its inverse."""
+    changes = [_basis_change(rng, m.field, d) for d in m.dims]
     actions = []
     for j in range(m.algebra.generators):
         family = []
         for k in range(max(0, len(m.dims) - 1)):
             if m.algebra.kind == "poly":
-                family.append(changes[k + 1] @ m.actions[j][k] @ _inverse(changes[k]))
+                family.append(changes[k + 1][0] @ m.actions[j][k] @ changes[k][1])
             else:
-                family.append(changes[k] @ m.actions[j][k] @ _inverse(changes[k + 1]))
+                family.append(changes[k][0] @ m.actions[j][k] @ changes[k + 1][1])
         actions.append(tuple(family))
     return GradedModule(m.field, m.algebra, m.lo, m.dims, tuple(actions)), changes
 
@@ -322,10 +332,6 @@ def random_module_complex(
     skin_a, ua = conjugate_module(rng, a)
     skin_m, um = conjugate_module(rng, middle)
     skin_b, ub = conjugate_module(rng, b)
-    maps0 = tuple(
-        um[k] @ include[k] @ _inverse(ua[k]) for k in range(len(a.dims))
-    )
-    maps1 = tuple(
-        ub[k] @ project[k] @ _inverse(um[k]) for k in range(len(a.dims))
-    )
+    maps0 = tuple(um[k][0] @ include[k] @ ua[k][1] for k in range(len(a.dims)))
+    maps1 = tuple(ub[k][0] @ project[k] @ um[k][1] for k in range(len(a.dims)))
     return ModuleComplex(jlo, (skin_a, skin_m, skin_b), (maps0, maps1))

@@ -21,7 +21,8 @@ j = r mod n in increasing order, sharing only `Matrix` with
 products and entrywise operations on Python ints from `entries`, with no
 numpy and no choice of kernel.  The QQ kernel oracles do the same
 on the `Fraction` rows of `entries`, down to row reduction, kernel bases
-and particular solutions by Gauss-Jordan elimination on fractions; the
+and particular solutions by Gauss-Jordan elimination on fractions, and
+the F_p row-reduction oracles by the same elimination on residues; the
 structural oracles (transpose, stacks, blocks, submatrices, vec) rearrange
 the `entries` of either field.
 """
@@ -118,9 +119,15 @@ def qq_rref(m: Matrix) -> tuple[tuple, tuple]:
     return _gauss_jordan(m.entries, m.cols)
 
 
-def _gauss_jordan(entries, cols: int) -> tuple[tuple, tuple]:
-    """Gauss-Jordan elimination on `Fraction` rows, pivoting on the first
-    nonzero entry of each column."""
+def fp_rref(m: Matrix) -> tuple[tuple, tuple]:
+    """Entries of the reduced row echelon form over F_p and the pivot
+    columns, on Python ints with inverses by Fermat's little theorem."""
+    return _gauss_jordan(m.entries, m.cols, m.field.p)
+
+
+def _gauss_jordan(entries, cols: int, p: int | None = None) -> tuple[tuple, tuple]:
+    """Gauss-Jordan elimination on `Fraction` rows (p None) or on rows of
+    residues mod p, pivoting on the first nonzero entry of each column."""
     rows = [list(r) for r in entries]
     pivots = []
     for c in range(cols):
@@ -129,11 +136,15 @@ def _gauss_jordan(entries, cols: int) -> tuple[tuple, tuple]:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
+        if p is None:
+            rows[r] = [x / rows[r][c] for x in rows[r]]
+        else:
+            inv = pow(rows[r][c], p - 2, p)
+            rows[r] = [x * inv % p for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - f * y if p is None else (x - f * y) % p for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
     return tuple(map(tuple, rows)), tuple(pivots)
 
@@ -142,14 +153,24 @@ def qq_kernel_basis(m: Matrix) -> tuple:
     """Entries of the kernel basis over QQ: column t sets the t-th free
     variable to 1, the other free variables to 0, and solves for the pivot
     variables from the reduced rows."""
-    reduced, pivots = qq_rref(m)
+    return _kernel_basis(m, qq_rref(m), Fraction(0), Fraction(1), lambda x: -x)
+
+
+def fp_kernel_basis(m: Matrix) -> tuple:
+    """Entries of the kernel basis over F_p, as in `qq_kernel_basis`."""
+    p = m.field.p
+    return _kernel_basis(m, fp_rref(m), 0, 1, lambda x: -x % p)
+
+
+def _kernel_basis(m: Matrix, echelon, zero, one, neg) -> tuple:
+    reduced, pivots = echelon
     free = [c for c in range(m.cols) if c not in pivots]
     cols = []
     for f in free:
-        x = [Fraction(0)] * m.cols
-        x[f] = Fraction(1)
+        x = [zero] * m.cols
+        x[f] = one
         for r, c in enumerate(pivots):
-            x[c] = -reduced[r][f]
+            x[c] = neg(reduced[r][f])
         cols.append(x)
     return tuple(tuple(col[v] for col in cols) for v in range(m.cols))
 
@@ -157,10 +178,20 @@ def qq_kernel_basis(m: Matrix) -> tuple:
 def qq_solve(a: Matrix, b: Matrix):
     """Entries of the particular solution of a x = b over QQ with every free
     variable zero, or None when the system has no solution."""
-    reduced, pivots = _gauss_jordan([r + s for r, s in zip(a.entries, b.entries)], a.cols + b.cols)
+    return _particular_solution(a, b, None, Fraction(0))
+
+
+def fp_solve(a: Matrix, b: Matrix):
+    """Entries of the particular solution of a x = b over F_p, as in `qq_solve`."""
+    return _particular_solution(a, b, a.field.p, 0)
+
+
+def _particular_solution(a: Matrix, b: Matrix, p, zero):
+    rows = [r + s for r, s in zip(a.entries, b.entries)]
+    reduced, pivots = _gauss_jordan(rows, a.cols + b.cols, p)
     if any(c >= a.cols for c in pivots):
         return None
-    x = [(Fraction(0),) * b.cols] * a.cols
+    x = [(zero,) * b.cols] * a.cols
     for r, c in enumerate(pivots):
         x[c] = reduced[r][a.cols :]
     return tuple(x)

@@ -58,6 +58,17 @@ VERIFY_SHA256 = {
     "periodize": "017b167d63aa687373305a986e97e5531a44b72a422453d697a52e3ffe8d650d",
     "bgg-wellformed": "0dac23b8091cbdea43d44c3ff07792a6115c48a22a53fc1cc0b4ae0d16820c4e",
 }
+# The other five suites, recorded at commit 7a61565, before the small-matrix
+# elimination route and the fused basis changes of the samplers.
+VERIFY_SHA256.update(
+    {
+        "flags": "908b585be8adcbadaf839c9a240904be8474b4fa276a1cfeccb86c93ab36a9b3",
+        "embedding": "566ec77be7b63e40aea99556e7d13804559cf4a29f5a056c6f7f3dac24cc621c",
+        "twist": "6f1019e2a913d30640cc387255ba5c9e7ec0c7f71fd228eead2f6bcc8ebfab56",
+        "unit-splitting": "c5d44698a29254cbc8ea99857d7b90a55bf8fd3551ff2b693e73a41484129226",
+        "bgg-cohomology": "30022b180a2a7b4eb7ecf79fc05414fbc7873567078d6a7a0f7ba7d1d33ff214",
+    }
+)
 
 
 def run(capsysbinary, *argv: str) -> tuple[int, bytes, bytes]:
@@ -96,6 +107,19 @@ def test_orbit_homdim(capsysbinary, name):
 def test_homdim_invariant_violations_exit_1(capsysbinary, x, y, error):
     want = f'{{"error":"{error}","ok":false}}\n'.encode()
     assert run(capsysbinary, "homdim", doc(x), doc(y)) == (1, want, b"")
+
+
+@pytest.mark.parametrize("y", ["complex_f5", "periodic_f5"])
+def test_tensor_across_fields_exits_1(capsysbinary, y):
+    want = b'{"error":"tensor across fields","ok":false}\n'
+    assert run(capsysbinary, "tensor", doc("complex_qq"), doc(y)) == (1, want, b"")
+
+
+def test_tensor_of_invalid_complex_exits_1(capsysbinary, tmp_path):
+    path = tmp_path / "square_nonzero.json"
+    path.write_bytes(b'{"diffs":[[[1]],[[1]]],"dims":[1,1,1],"field":{"fp":5},"kind":"complex","window":[0,2]}\n')
+    want = b'{"error":"invalid complex: square at degree 0: composite of consecutive differentials is nonzero","ok":false}\n'
+    assert run(capsysbinary, "tensor", str(path), doc("complex_f5")) == (1, want, b"")
 
 
 @pytest.mark.parametrize("x, y", [("complex_f5", "periodic_f5"), ("periodic_f5", "complex_f5")])

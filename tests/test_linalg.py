@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perhom import linalg
 from perhom.documents import matrix_doc
 from perhom.linalg import (
     GF,
@@ -44,8 +45,11 @@ from oracles import (
     entries_unvec,
     entries_vec,
     fp_entrywise,
+    fp_kernel_basis,
     fp_kron,
     fp_product,
+    fp_rref,
+    fp_solve,
     qq_entrywise,
     qq_kernel_basis,
     qq_kron,
@@ -445,6 +449,143 @@ class TestQqKernels:
         assert m - m == zeros(QQ, 2, 2) and hash(m - m) == hash(zeros(QQ, 2, 2))
         assert m != mat(QQ, [["2/3", "1/6"], ["-1/2", "1/6"]])
         assert mat(QQ, [[1, 2]]) != mat(GF(5), [[1, 2]])
+
+
+def mixed_denominator_matrices(rows, cols):
+    """Matrices whose entries are k / den for one den per matrix, drawn from
+    denominators that share factors (2, 3, 4, 6, 12) or pass 2^63, so that
+    lifting several to a common denominator can go wrong in both ways."""
+    dens = st.sampled_from([1, 2, 3, 4, 6, 12, 2**64, 3 * 2**64])
+    return dens.flatmap(
+        lambda den: st.lists(st.integers(-6, 6), min_size=rows * cols, max_size=rows * cols).map(
+            lambda ks: Matrix(QQ, rows, cols, tuple(tuple(Fraction(k, den) for k in ks[i * cols : (i + 1) * cols]) for i in range(rows)))
+        )
+    )
+
+
+class TestCanonicalRearrangements:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_stacks_blocks_and_reshapes_are_canonical(self, data):
+        # These operations skip the gcd pass of `_wrap`; the result must be
+        # in lowest terms all the same.
+        rows, cols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        count = data.draw(st.integers(1, 4))
+        side = [data.draw(mixed_denominator_matrices(rows, cols)) for _ in range(count)]
+        heights = [data.draw(st.integers(0, 3)) for _ in range(count)]
+        tower = [data.draw(mixed_denominator_matrices(h, cols)) for h in heights]
+        widths = [data.draw(st.integers(0, 3)) for _ in range(count)]
+        row = [data.draw(mixed_denominator_matrices(rows, w)) for w in widths]
+        keep = data.draw(st.lists(st.booleans(), min_size=count, max_size=count))
+        blocks = {(t, t): tower[t] for t in range(count) if keep[t]}
+        blocks.update({(t, (t + 1) % count): data.draw(mixed_denominator_matrices(heights[t], cols))
+                       for t in range(count) if not keep[t]})
+        grid = ([*heights], [cols] * count)
+        a = side[0]
+        cases = [
+            (hstack(row), entries_stack(row, 1)),
+            (vstack(tower), entries_stack(tower, 0)),
+            (hstack(side), entries_stack(side, 1)),
+            (assemble_blocks(QQ, *grid, blocks), entries_blocks(QQ, *grid, blocks)),
+            (a.transpose(), entries_transpose(a)),
+            (-a, qq_entrywise(operator.neg, a)),
+            (vec(a), entries_vec(a)),
+            (unvec(QQ, vec(a), rows, cols), entries_unvec(vec(a), rows, cols)),
+        ]
+        for got, want in cases:
+            assert got.entries == want
+            assert_canonical(got)
+
+
+# Shapes on both sides of the 64 cells up to which elimination runs on
+# lists: 64 and 65 cells in one row or column, 8x8 against 8x9, 5x13 (65),
+# and matrices with no cells.  With one right-hand column, an 8x7 or a 1x63
+# system has 64 cells in [a | b] and an 8x8 one 72.
+ROUTE_SHAPES = [(1, 64), (64, 1), (8, 8), (8, 9), (1, 65), (5, 13), (0, 7), (7, 0), (8, 7), (1, 63)]
+ROUTE_FIELDS = [QQ, GF(2), GF(5), GF(2147483629)]
+
+
+def field_values(field):
+    """Zero-heavy draws: rationals past 2^63 over QQ, residues over F_p."""
+    if field.p is None:
+        return rationals()
+    return st.one_of(st.just(0), st.just(field.p - 1), st.integers(0, field.p - 1))
+
+
+@st.composite
+def route_matrices(draw, field, rows, cols):
+    """A matrix of full random entries, the zero matrix, or a product of
+    rank at most two, so that rows become dependent."""
+    kind = draw(st.sampled_from(["any", "zero", "low"]))
+    if kind == "zero":
+        return zeros(field, rows, cols)
+    values = field_values(field)
+
+    def fill(r, c):
+        return Matrix(field, r, c, tuple(tuple(draw(values) for _ in range(c)) for _ in range(r)))
+
+    if kind == "any":
+        return fill(rows, cols)
+    k = draw(st.integers(1, 2))
+    u, v = fill(rows, k), fill(k, cols)
+    return Matrix(field, rows, cols, qq_product(u, v) if field.p is None else fp_product(u, v))
+
+
+def assert_well_formed(m):
+    if m.field.p is None:
+        assert_canonical(m)
+    else:
+        assert m.den == 1 and python_ints(m) and not m.array.flags.writeable
+
+
+class TestEliminationRoutes:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_both_routes_match_the_oracles(self, data):
+        field = data.draw(st.sampled_from(ROUTE_FIELDS))
+        rows, cols = data.draw(st.sampled_from(ROUTE_SHAPES))
+        a = data.draw(route_matrices(field, rows, cols))
+        reference = (qq_rref, qq_kernel_basis, qq_solve) if field.p is None else (fp_rref, fp_kernel_basis, fp_solve)
+        want_rref, want_kernel, want_solve = reference
+        reduced, pivots = rref(a)
+        assert (reduced.entries, pivots) == want_rref(a)
+        assert rank(a) == len(pivots)
+        kernel = kernel_basis(a)
+        assert kernel.entries == want_kernel(a)
+        for m in (reduced, kernel):
+            assert_well_formed(m)
+        # A right-hand side in the image of a is solvable; a random one is
+        # not when a has dependent rows.
+        k = data.draw(st.integers(0, 2))
+        image = a @ data.draw(route_matrices(field, cols, k))
+        for b in (image, data.draw(route_matrices(field, rows, k))):
+            got, want = solve_linear(a, b), want_solve(a, b)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.entries == want
+                assert_well_formed(got)
+        assert solve_linear(a, image) is not None
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)])
+    def test_lists_run_up_to_64_cells(self, monkeypatch, field):
+        # rref runs the list loop up to 64 cells; solve_linear puts [a | b]
+        # together as lists there, without the hstack of the large route.
+        calls = []
+        for name in ("_rref_rows", "hstack"):
+            real = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+        rng = Random(11)
+
+        def route(run, *shapes):
+            calls.clear()
+            run(*(rand_mat(rng, field, r, c) for r, c in shapes))
+            on_lists = "_rref_rows" in calls if run is rref else "hstack" not in calls
+            return "lists" if on_lists else "numpy"
+
+        assert route(rref, (8, 8)) == route(rref, (64, 1)) == "lists"
+        assert route(rref, (1, 65)) == route(rref, (5, 13)) == "numpy"
+        assert route(solve_linear, (8, 7), (8, 1)) == route(solve_linear, (1, 63), (1, 1)) == "lists"
+        assert route(solve_linear, (8, 8), (8, 1)) == route(solve_linear, (1, 64), (1, 1)) == "numpy"
 
 
 class TestConstructor:
