@@ -18,7 +18,6 @@ from .complexes import (
     cone,
     hom_space_dims,
     tensor_complex,
-    validate,
 )
 from .documents import (
     DocumentError,
@@ -38,7 +37,6 @@ from .periodic import (
     periodic_hom_dims,
     periodize_null_homotopy,
     unrolled_identity_contraction,
-    validate_periodic,
 )
 from .suites import available_suites, report_bytes, run_suite
 
@@ -80,18 +78,13 @@ def _finding(code: int, message: str, **extra) -> int:
 
 def _cmd_cohomology(args) -> int:
     doc = _read_document(args.input)
-    if isinstance(doc, BoundedComplex):
-        bad = validate(doc)
-        if bad is not None:
-            return _finding(1, f"invalid complex: {bad}")
-        rows = [(str(i), str(h)) for i, h in cohomology_dims(doc)]
-    elif isinstance(doc, PeriodicComplex):
-        bad = validate_periodic(doc)
-        if bad is not None:
-            return _finding(1, f"invalid periodic complex: {bad}")
-        rows = [(str(i), str(h)) for i, h in enumerate(periodic_cohomology(doc))]
-    else:
+    if not isinstance(doc, (BoundedComplex, PeriodicComplex)):
         raise DocumentError("/kind", "cohomology expects a complex or periodic document")
+    try:
+        dims = cohomology_dims(doc) if isinstance(doc, BoundedComplex) else enumerate(periodic_cohomology(doc))
+    except ValueError as exc:
+        return _finding(1, str(exc))
+    rows = [(str(i), str(h)) for i, h in dims]
     if args.format == "table":
         _emit(_table(["degree", "dim"], [list(r) for r in rows]).encode())
     else:
@@ -208,10 +201,10 @@ def _cmd_periodize(args) -> int:
     doc = _read_document(args.input)
     if not isinstance(doc, PeriodicComplex):
         raise DocumentError("/kind", "periodize expects a periodic document")
-    bad = validate_periodic(doc)
-    if bad is not None:
-        return _finding(1, f"invalid periodic complex: {bad}")
-    s = unrolled_identity_contraction(doc)
+    try:
+        s = unrolled_identity_contraction(doc)
+    except ValueError as exc:
+        return _finding(1, str(exc))
     if s is None:
         return _finding(1, "no windowed contraction exists; the identity is not null-homotopic")
     sigma = periodize_null_homotopy(doc, s)

@@ -101,6 +101,10 @@ class BoundedComplex:
     def degrees(self) -> range:
         return range(self.lo, self.hi + 1)
 
+    def prev(self, i: int) -> int:
+        """The degree whose differential lands in degree i."""
+        return i - 1
+
     def dim(self, i: int) -> int:
         if self.lo <= i <= self.hi:
             return self.dims[i - self.lo]
@@ -151,15 +155,21 @@ def two_term(field: Field, degree: int, matrix: Matrix) -> BoundedComplex:
     return BoundedComplex(field, degree, (matrix.cols, matrix.rows), (matrix,))
 
 
-def validate(c: BoundedComplex) -> Violation | None:
-    """Check shapes and d after d = 0; returns the first offending degree."""
-    for k, m in enumerate(c.diffs):
-        if m.shape != (c.dims[k + 1], c.dims[k]):
-            return Violation("shape", c.lo + k, f"differential has shape {m.shape}")
+def validate(c) -> Violation | None:
+    """Check shapes and d after d = 0 of a bounded or periodic complex;
+    returns the first offending degree.
+
+    The stored differentials run out of the first len(diffs) degrees: every
+    degree of a periodic complex, all but the top one of a bounded one.  A
+    composite into or out of a zero term is empty, hence zero, and is
+    skipped."""
+    for i, m in zip(c.degrees(), c.diffs):
+        if m.shape != (c.dim(i + 1), c.dim(i)):
+            return Violation("shape", i, f"differential has shape {m.shape}")
         if m.field != c.field:
-            return Violation("field", c.lo + k, "differential over the wrong field")
-    for i in range(c.lo, c.hi - 1):
-        if not (c.diff(i + 1) @ c.diff(i)).is_zero():
+            return Violation("field", i, "differential over the wrong field")
+    for i in c.degrees():
+        if c.dim(i) and c.dim(i + 2) and not (c.diff(i + 1) @ c.diff(i)).is_zero():
             return Violation("square", i, "composite of consecutive differentials is nonzero")
     return None
 
@@ -248,17 +258,15 @@ def compose(g: ChainMap, f: ChainMap) -> ChainMap:
     return chain_map(f.source, g.target, comps)
 
 
-def validate_chain_map(f: ChainMap) -> Violation | None:
+def validate_chain_map(f) -> Violation | None:
+    """Check a bounded or periodic chain map: both complexes, then f d = d f
+    out of every degree of the source."""
     x, y = f.source, f.target
     v = _validate_pair(validate, x, y)
     if v is not None:
         return v
-    lo = min(x.lo, y.lo)
-    hi = max(x.hi, y.hi)
-    for i in range(lo, hi):
-        lhs = f.component(i + 1) @ x.diff(i)
-        rhs = y.diff(i) @ f.component(i)
-        if lhs != rhs:
+    for i in x.degrees():
+        if x.dim(i) and y.dim(i + 1) and f.component(i + 1) @ x.diff(i) != y.diff(i) @ f.component(i):
             return Violation("chain-map", i, "f d != d f")
     return None
 
@@ -274,13 +282,6 @@ class Cone:
     complex: BoundedComplex
     inclusion: ChainMap
     projection: tuple[tuple[int, Matrix], ...]
-
-
-def _union_window(*complexes: BoundedComplex) -> tuple[int, int] | None:
-    windows = [(c.lo, c.hi) for c in complexes if c.dims]
-    if not windows:
-        return None
-    return min(w[0] for w in windows), max(w[1] for w in windows)
 
 
 def _total_diffs(field: Field, degrees, columns, dim, h, v) -> tuple[Matrix, ...]:
@@ -330,11 +331,11 @@ def cone(f: ChainMap) -> Cone:
     _require(validate_chain_map(f), "chain map")
     x, y = f.source, f.target
     field = x.field
-    w = _union_window(degree_shift(x, 1), y)
-    if w is None:
+    live = [c for c in (degree_shift(x, 1), y) if c.dims]
+    if not live:
         c = zero_complex(field)
         return Cone(c, zero_chain_map(y, c), ())
-    lo, hi = w
+    lo, hi = min(c.lo for c in live), max(c.hi for c in live)
     dims = tuple(x.dim(i + 1) + y.dim(i) for i in range(lo, hi + 1))
     c = BoundedComplex(field, lo, dims, _total_diffs(field, range(lo, hi), *_cone_grid(f)))
     incl = {}
@@ -359,20 +360,22 @@ def _echelons(c, degrees) -> dict[int, tuple[Matrix, tuple[int, ...]]]:
     return {r: rref(c.diff(r)) for r in degrees}
 
 
-def _split_ranks(c, echelons, degrees, prev) -> tuple[dict[int, int], dict[int, int]]:
-    """(h, p) with p_i = rank d^i and h_i = dim X^i - p_i - p_prev(i).
+def _split_ranks(c, echelons) -> tuple[dict[int, int], dict[int, int]]:
+    """(h, p) with p_i = rank d^i and h_i = dim X^i - p_i - p_prev(i) for
+    every degree i of c.
 
     Over a field, c is isomorphic to the sum of h_i copies of k in degree i
     and p_i copies of the contractible k -> k in degrees i, i+1.  Degrees
     missing from `echelons` have zero differential.
     """
     p = {r: len(pivots) for r, (_, pivots) in echelons.items()}
-    h = {i: c.dim(i) - p.get(i, 0) - p.get(prev(i), 0) for i in degrees}
+    h = {i: c.dim(i) - p.get(i, 0) - p.get(c.prev(i), 0) for i in c.degrees()}
     return h, p
 
 
-def _splitting(c: BoundedComplex) -> tuple[dict[int, int], dict[int, int]]:
-    return _split_ranks(c, _echelons(c, range(c.lo, c.hi)), c.degrees(), lambda i: i - 1)
+def _splitting(c) -> tuple[dict[int, int], dict[int, int]]:
+    """`_split_ranks` of a bounded or periodic complex."""
+    return _split_ranks(c, _echelons(c, c.degrees()))
 
 
 class _Split(NamedTuple):
@@ -383,12 +386,12 @@ class _Split(NamedTuple):
     s: Matrix
 
 
-def _contraction(c, echelons, r: int, prev) -> _Split:
+def _contraction(c, echelons, r: int) -> _Split:
     """Splitting data (i, p, s) of a bounded or periodic complex c in degree
     r, with d s + s d = 1 - i p and p d = 0, d i = 0.
 
     `echelons` holds the rref R and pivot columns P of the differentials out
-    of r and out of prev(r).  The unit vectors at P_r span a complement of
+    of r and out of c.prev(r).  The unit vectors at P_r span a complement of
     the cycles Z_r; the columns D of d^(r-1) at P_(r-1) are a basis of the
     boundaries B_r; the columns I of a kernel basis of d^r that are pivots
     of [D | kernel] span a complement H_r of B_r in Z_r.  Write a vector of
@@ -404,7 +407,7 @@ def _contraction(c, echelons, r: int, prev) -> _Split:
     field = c.field
     m = c.dim(r)
     reduced, pivots = echelons[r]
-    incoming = echelons[prev(r)][1]
+    incoming = echelons[c.prev(r)][1]
     boundaries = submatrix(c.diff(r - 1), range(m), incoming)
     cycles = zeros(field, m, 0)
     if m - len(pivots) - len(incoming):
@@ -419,23 +422,25 @@ def _contraction(c, echelons, r: int, prev) -> _Split:
     return _Split(cycles, project, s)
 
 
-def _contractions(c, degrees, prev) -> dict[int, _Split]:
+def _contractions(c, degrees) -> dict[int, _Split]:
     """`_contraction` in each of `degrees`, each differential reduced once."""
-    echelons = _echelons(c, set(degrees) | {prev(r) for r in degrees})
-    return {r: _contraction(c, echelons, r, prev) for r in degrees}
+    echelons = _echelons(c, set(degrees) | {c.prev(r) for r in degrees})
+    return {r: _contraction(c, echelons, r) for r in degrees}
 
 
-def _split_null_homotopy(x, y, phi, degrees, prev) -> dict | None:
-    """h with d h + h d = phi on `degrees`, or None when the chain map phi
-    (phi(r) its component in degree r) is not null-homotopic; the criterion
-    and the witness are those of `find_null_homotopy`.
+def _split_null_homotopy(x, y, phi) -> dict | None:
+    """h with d h + h d = phi in every degree of x, or None when the chain
+    map phi (phi(r) its component in degree r) between the bounded or
+    periodic complexes x and y is not null-homotopic; the criterion and
+    the witness are those of `find_null_homotopy`.
 
     Why the witness works: as p_Y d = 0 and d i_Y = 0,
     d h + h d = (1 - i_Y p_Y) phi + i_Y p_Y phi s_X d, and when
     p_Y phi i_X = 0, p_Y phi = p_Y phi (d s_X + s_X d + i_X p_X) = p_Y phi s_X d.
     """
+    degrees, prev = x.degrees(), x.prev
     near = set(degrees) | {prev(r) for r in degrees}
-    sx, sy = _contractions(x, near, prev), _contractions(y, near, prev)
+    sx, sy = _contractions(x, near), _contractions(y, near)
     if any(not (sy[r].p @ phi(r) @ sx[r].i).is_zero() for r in degrees):
         return None
     return {
@@ -468,12 +473,13 @@ class HomReport:
     homotopy_classes: int
 
 
-def _split_hom_report(x_split, y_split, prev) -> HomReport:
-    """Hom dimensions counted over two splittings.
+def _split_hom_report(x_split, y_split, y) -> HomReport:
+    """Hom dimensions counted over the splittings of two complexes x and y
+    of one kind, bounded or periodic.
 
     `x_split` and `y_split` are (h, p) pairs of degree-indexed dicts as
     returned by `_splitting`, where h covers every degree of the complex
-    and missing degrees count as zero; `prev(i)` is the degree before i.
+    and missing degrees count as zero; y.prev(i) is the degree before i.
     Each term counts the chain maps between two kinds of summand, and only
     maps k[-i] -> k[-i] survive up to homotopy.
     """
@@ -481,7 +487,7 @@ def _split_hom_report(x_split, y_split, prev) -> HomReport:
     hy, qy = y_split
     z = classes = 0
     for i, h in hx.items():
-        p, hh, q, q_prev = px.get(i, 0), hy.get(i, 0), qy.get(i, 0), qy.get(prev(i), 0)
+        p, hh, q, q_prev = px.get(i, 0), hy.get(i, 0), qy.get(i, 0), qy.get(y.prev(i), 0)
         classes += h * hh
         z += h * hh + h * q_prev + p * hh + p * q + p * q_prev
     return HomReport(z, z - classes, classes)
@@ -502,7 +508,7 @@ def hom_space_dims(x: BoundedComplex, y: BoundedComplex) -> HomReport:
     if x.field != y.field:
         raise FieldMismatch("hom across fields")
     _require(_validate_pair(validate, x, y), "complex")
-    return _split_hom_report(_splitting(x), _splitting(y), lambda i: i - 1)
+    return _split_hom_report(_splitting(x), _splitting(y), y)
 
 
 @dataclass(frozen=True)
@@ -525,14 +531,13 @@ class Homotopy:
         return zeros(x.field, y.dim(i - 1), x.dim(i))
 
 
-def homotopy_defect(h: Homotopy) -> Violation | None:
-    """First degree where f - g != s d + d s, if any."""
+def homotopy_defect(h) -> Violation | None:
+    """First degree where f - g != s d + d s, if any, for a bounded or
+    periodic homotopy."""
     x, y = h.f.source, h.f.target
-    w = _union_window(x, y)
-    if w is None:
-        return None
-    lo, hi = w
-    for i in range(lo, hi + 1):
+    for i in x.degrees():
+        if not (x.dim(i) and y.dim(i)):
+            continue
         want = h.f.component(i) - h.g.component(i)
         got = h.component(i + 1) @ x.diff(i) + y.diff(i - 1) @ h.component(i)
         if want != got:
@@ -552,9 +557,7 @@ def find_null_homotopy(f: ChainMap) -> Homotopy | None:
     """
     _require(validate_chain_map(f), "chain map")
     x, y = f.source, f.target
-    w = _union_window(x, y)
-    degrees = range(w[0], w[1] + 1) if w is not None else range(0)
-    parts = _split_null_homotopy(x, y, f.component, degrees, lambda i: i - 1)
+    parts = _split_null_homotopy(x, y, f.component)
     if parts is None:
         return None
     comps = tuple((r, m) for r, m in parts.items() if x.dim(r) and y.dim(r - 1))

@@ -2,14 +2,18 @@
 
 Canonical serialization: UTF-8, sorted keys, no insignificant whitespace,
 one trailing newline.  Rational entries are strings "a/b" or "a"; prime
-field entries are integers in [0, p) (integer-valued strings are accepted
-on input).  Floats are rejected everywhere.  Unknown object keys are
-rejected; every error carries a JSON-pointer path.
+field entries are integers in [0, p).  On input a rational string must
+match ``-?[0-9]+(/[0-9]+)?`` and a residue may also be a string matching
+``-?[0-9]+`` (ASCII digits, no spaces, underscores, decimal points or
+exponents), and JSON integers are accepted for both.  Floats are rejected
+everywhere.  Unknown object keys are rejected; every error carries a
+JSON-pointer path.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .complexes import BoundedComplex, ChainMap, chain_map
@@ -27,6 +31,9 @@ __all__ = [
 ]
 
 _KINDS = ("chain-map", "complex", "flag", "graded-module", "periodic")
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RESIDUE = re.compile(r"-?[0-9]+")
 
 
 class DocumentError(ValueError):
@@ -93,15 +100,21 @@ def _parse_entry(field: Field, value, ptr: str):
     if field.p is None:
         if isinstance(value, bool) or not isinstance(value, (str, int)):
             raise DocumentError(ptr, "expected a rational string")
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise DocumentError(ptr, f"not a rational: {value!r}") from None
+        if isinstance(value, int) or _RATIONAL.fullmatch(value):
+            # Fails on a zero denominator or past Python's int digit limit.
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise DocumentError(ptr, f"not a rational: {value!r}")
     if isinstance(value, str):
         try:
-            value = int(value, 10)
-        except ValueError:
-            raise DocumentError(ptr, f"not a residue: {value!r}") from None
+            residue = int(value) if _RESIDUE.fullmatch(value) else None
+        except ValueError:  # past Python's int digit limit
+            residue = None
+        if residue is None:
+            raise DocumentError(ptr, f"not a residue: {value!r}")
+        value = residue
     if isinstance(value, bool) or not isinstance(value, int):
         raise DocumentError(ptr, "expected a residue")
     return value % field.p

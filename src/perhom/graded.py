@@ -248,13 +248,16 @@ class ModuleComplex:
     def module(self, j: int) -> GradedModule:
         return self.modules[j - self.jlo]
 
+    def dim(self, j: int, i: int) -> int:
+        """Dimension of term j in internal degree i; zero outside the terms."""
+        return self.module(j).dim(i) if self.jlo <= j <= self.jhi else 0
+
     def map_at(self, j: int, i: int) -> Matrix:
         """Component of the map out of term j in internal degree i."""
         m = self.module(j)
         if self.jlo <= j < self.jhi and m.lo <= i <= m.hi:
             return self.maps[j - self.jlo][i - m.lo]
-        tgt_dim = self.module(j + 1).dim(i) if self.jlo <= j + 1 <= self.jhi else 0
-        return zeros(m.field, tgt_dim, m.dim(i))
+        return zeros(m.field, self.dim(j + 1, i), m.dim(i))
 
 
 @dataclass(frozen=True)
@@ -271,29 +274,37 @@ class PeriodicModuleComplex:
         if len(self.modules) != self.n or len(self.maps) != self.n:
             raise ShapeError("expected n modules and n maps")
 
+    def homological_degrees(self) -> range:
+        """One term per residue."""
+        return range(self.n)
+
     def module(self, j: int) -> GradedModule:
         return self.modules[j % self.n]
+
+    def dim(self, j: int, i: int) -> int:
+        """Dimension of term j in internal degree i."""
+        return self.module(j).dim(i)
 
     def map_at(self, j: int, i: int) -> Matrix:
         m = self.module(j)
         if m.lo <= i <= m.hi:
             return self.maps[j % self.n][i - m.lo]
-        return zeros(m.field, self.module(j + 1).dim(i), m.dim(i))
+        return zeros(m.field, self.dim(j + 1, i), m.dim(i))
 
 
 def validate_module_complex(mc: ModuleComplex | PeriodicModuleComplex) -> Violation | None:
     """Check a bounded `ModuleComplex` or an n-periodic `PeriodicModuleComplex`.
 
     The terms must share window and algebra and be valid modules.  The maps
-    run out of terms jlo..jhi-1 of a bounded complex, or out of every
-    residue of a periodic one, the last wrapping around to term 0.  They
-    are checked in this order: every map has the right shape, every map is
-    equivariant, consecutive maps compose to zero.  So a mis-shaped map is
-    reported as a shape violation and never reaches a product.
+    run out of every term, the last of a periodic complex wrapping around
+    to term 0 and that of a bounded one landing in zero.  They are checked
+    in this order: every map has the right shape, every map is equivariant,
+    consecutive maps compose to zero.  So a mis-shaped map is reported as a
+    shape violation and never reaches a product.  A composite into or out
+    of a zero piece is empty, hence zero, and is skipped.
     """
     if not mc.modules:
         return None
-    periodic = isinstance(mc, PeriodicModuleComplex)
     first = mc.modules[0]
     for m in mc.modules:
         if (m.field, m.algebra, m.lo, len(m.dims)) != (first.field, first.algebra, first.lo, len(first.dims)):
@@ -301,28 +312,24 @@ def validate_module_complex(mc: ModuleComplex | PeriodicModuleComplex) -> Violat
         v = validate_module(m)
         if v is not None:
             return v
-    terms = range(mc.n) if periodic else range(mc.jlo, mc.jhi)
+    terms, window, step = mc.homological_degrees(), first.degrees(), first.algebra.step
     for j in terms:
-        src, dst = mc.module(j), mc.module(j + 1)
-        for i in src.degrees():
-            if mc.map_at(j, i).shape != (dst.dim(i), src.dim(i)):
+        for i in window:
+            if mc.map_at(j, i).shape != (mc.dim(j + 1, i), mc.dim(j, i)):
                 return Violation("shape", i, f"map out of term {j} has the wrong shape")
     for j in terms:
-        src, dst = mc.module(j), mc.module(j + 1)
         for g in range(first.algebra.generators):
-            for i in src.degrees():
-                step = first.algebra.step
-                if not (src.lo <= i + step <= src.hi):
+            for i in window:
+                if not (mc.dim(j, i) and mc.dim(j + 1, i + step)):
                     continue
-                lhs = mc.map_at(j, i + step) @ src.action(g, i)
-                rhs = dst.action(g, i) @ mc.map_at(j, i)
+                lhs = mc.map_at(j, i + step) @ mc.module(j).action(g, i)
+                rhs = mc.module(j + 1).action(g, i) @ mc.map_at(j, i)
                 if lhs != rhs:
                     return Violation("linearity", i, f"map out of term {j} is not equivariant for generator {g}")
     for j in terms:
-        if periodic or j + 2 <= mc.jhi:
-            for i in first.degrees():
-                if not (mc.map_at(j + 1, i) @ mc.map_at(j, i)).is_zero():
-                    return Violation("square", i, f"composite of maps {j}, {j + 1} is nonzero")
+        for i in window:
+            if mc.dim(j, i) and mc.dim(j + 2, i) and not (mc.map_at(j + 1, i) @ mc.map_at(j, i)).is_zero():
+                return Violation("square", i, f"composite of maps {j}, {j + 1} is nonzero")
     return None
 
 

@@ -145,13 +145,10 @@ class BGGComplex:
 
 def validate_bgg(b: BGGComplex) -> Violation | None:
     """Square-zero plus exterior-linearity of the differential."""
-    v = validate(b.complex)
-    return v if v is not None else _linearity(b)
-
-
-def _linearity(b: BGGComplex) -> Violation | None:
-    """The exterior-linearity half of `validate_bgg`."""
     c = b.complex
+    v = validate(c)
+    if v is not None:
+        return v
     for i in range(c.lo, c.hi):
         for j in range(b.dual.c):
             if c.diff(i) @ b.action(j, i) != b.action(j, i + 1) @ c.diff(i):
@@ -263,25 +260,29 @@ def total_complex(grid: DoubleComplex) -> Totalization:
     return Totalization(cx, summands)
 
 
-def _module_complex_grid(mc: ModuleComplex, dual: LambdaDual) -> DoubleComplex:
-    cells = {}
-    horizontal = {}
-    vertical = {}
-    for j in mc.homological_degrees():
-        m = mc.module(j)
-        for i in m.degrees():
-            cells[(i, j)] = dual.total_dim * m.dim(i)
-            horizontal[(i, j)] = _bgg_differential(dual, m, i)
-            if j < mc.jhi:
-                vertical[(i, j)] = kron(identity(m.field, dual.total_dim), mc.map_at(j, i))
-    return DoubleComplex(mc.modules[0].field, cells, horizontal, vertical)
+def _bgg_grid(mc: ModuleComplex | PeriodicModuleComplex, dual: LambdaDual):
+    """The functor applied to each term of a bounded or periodic module
+    complex, as a double complex for `_total_diffs` over the columns of the
+    internal window: cell (i, j) is the dual (x) the piece of term j in
+    internal degree i, the horizontal map the functor differential and the
+    vertical map 1 (x) the map of mc."""
+    field = mc.modules[0].field
+    size = dual.total_dim
+    return (
+        mc.modules[0].degrees(),
+        lambda i, j: size * mc.dim(j, i),
+        lambda i, j: _bgg_differential(dual, mc.module(j), i),
+        lambda i, j: kron(identity(field, size), mc.map_at(j, i)),
+    )
 
 
 def bgg_complex(mc: ModuleComplex) -> BGGComplex:
-    """Apply the functor columnwise and totalize.
+    """Apply the functor columnwise and totalize by `_total_diffs`.
 
-    The exterior action on a total term is blockwise over the contributing
-    cells; linearity of the total differential is checked.
+    Term l collects the nonzero cells (i, l - i) by increasing i, as
+    `total_complex` orders them, over the total degrees from the lowest to
+    the highest nonzero cell; the exterior action on a total term is
+    blockwise over those cells.  The output is checked by `validate_bgg`.
     """
     _require(validate_module_complex(mc), "module complex")
     if not mc.modules:
@@ -290,23 +291,24 @@ def bgg_complex(mc: ModuleComplex) -> BGGComplex:
     if mc.modules[0].algebra.kind != "poly":
         raise ValueError("input must be a complex of polynomial-algebra modules")
     dual = lambda_dual(mc.modules[0].algebra.generators, field)
-    total = total_complex(_module_complex_grid(mc, dual))
-    cx = total.complex
+    window, dim, _, _ = grid = _bgg_grid(mc, dual)
+    live = [i + j for j in mc.homological_degrees() for i in window if dim(i, j)]
+    if not live:
+        return BGGComplex(dual, zero_complex(field), ())
+    degrees = range(min(live), max(live) + 1)
+    dims = tuple(sum(dim(i, l - i) for i in window) for l in degrees)
+    cx = BoundedComplex(field, degrees[0], dims, _total_diffs(field, degrees[:-1], *grid))
     actions = []
-    for l in range(cx.lo, cx.hi + 1):
-        cells = total.summands.get(l, ())
-        sizes = [dual.total_dim * mc.module(j).dim(i) for (i, j) in cells]
+    for l in degrees:
+        cells = [mc.dim(l - i, i) for i in window if dim(i, l - i)]
+        sizes = [dual.total_dim * d for d in cells]
         per_gen = []
         for g in range(dual.c):
-            blocks = {
-                (t, t): kron(dual.actions[g], identity(field, mc.module(j).dim(i)))
-                for t, (i, j) in enumerate(cells)
-            }
+            blocks = {(t, t): kron(dual.actions[g], identity(field, d)) for t, d in enumerate(cells)}
             per_gen.append(assemble_blocks(field, sizes, sizes, blocks))
         actions.append(tuple(per_gen))
     out = BGGComplex(dual, cx, tuple(actions))
-    # total_complex has checked that cx squares to zero.
-    bad = _linearity(out)
+    bad = validate_bgg(out)
     if bad is not None:
         raise AssertionError(f"construction violated its own invariant: {bad}")
     return out
@@ -324,13 +326,9 @@ def bgg_periodic(pm: PeriodicModuleComplex) -> PeriodicComplex:
     if pm.modules[0].algebra.kind != "poly":
         raise ValueError("input must be periodic over a polynomial algebra")
     dual = lambda_dual(pm.modules[0].algebra.generators, field)
-    size = dual.total_dim
-    window = pm.modules[0].degrees()
-    dim = lambda i, j: size * pm.module(j).dim(i)
-    h = lambda i, j: _bgg_differential(dual, pm.module(j), i)
-    v = lambda i, j: kron(identity(field, size), pm.map_at(j, i))
+    window, dim, _, _ = grid = _bgg_grid(pm, dual)
     dims = tuple(sum(dim(i, r - i) for i in window) for r in range(pm.n))
-    out = PeriodicComplex(field, pm.n, dims, _total_diffs(field, range(pm.n), window, dim, h, v))
+    out = PeriodicComplex(field, pm.n, dims, _total_diffs(field, range(pm.n), *grid))
     bad = validate_periodic(out)
     if bad is not None:
         raise AssertionError(f"construction violated its own invariant: {bad}")
@@ -359,8 +357,7 @@ def verify_bgg_square(mc: ModuleComplex, n: int) -> BGGSquareReport:
     cx = bounded.complex
     other = bgg_periodic(_compress_modules(mc, n))
     size = bounded.dual.total_dim
-    inner = lambda i, j: mc.module(j).dim(i) if mc.jlo <= j <= mc.jhi else 0
-    labels = lambda r: _fold_labels(cx, n, r, mc.modules[0].degrees(), lambda i: size, inner)
+    labels = lambda r: _fold_labels(cx, n, r, mc.modules[0].degrees(), lambda i: size, lambda i, j: mc.dim(j, i))
     # bgg_complex has validated mc and cx.
     mismatch = _square_mismatch(_compress(cx, n), other, labels)
     return BGGSquareReport(n, mismatch is None, mismatch or "exact equality")

@@ -10,7 +10,7 @@ Conventions used by the whole package:
 
 Storage: a matrix over either field is one read-only numpy array of
 integers, ``array``, over one positive int ``den``, and every operation
-but a small row reduction (below) runs on the array.  The fields differ
+but row reduction on lists (below) runs on the array.  The fields differ
 only in the reduction mod p and in the bookkeeping of the denominator:
 
 * over F_p the array is int64 and holds residues in [0, p), and ``den`` is
@@ -42,23 +42,21 @@ bound k (p-1)^2 on the entries of the unreduced product:
 * above: object-dtype `@` on Python ints, the kernel QQ uses.
 
 Row reduction over QQ is fraction-free Gauss-Jordan elimination (Bareiss,
-Math. Comp. 22, 1968) on the numerators; see `rref`.  Over either field
-the one pivot loop runs on one of two representations, chosen by size
-alone:
+Math. Comp. 22, 1968) on the numerators; see `rref`.  QQ has one loop, on
+Python lists of Python ints (`_rref_rows`), at every size.  Over F_p the
+same loop runs on lists up to ``_SMALL_CELLS`` = 64 cells, where numpy's
+per-call cost is most of the time, and on the int64 array above.
 
-* at most ``_SMALL_CELLS`` = 64 cells: Python lists of Python ints.  Most
-  matrices of the verify suites have fewer than ten cells, where numpy's
-  per-call cost is most of the time; `solve_linear` also puts [a | b]
-  together as lists there;
-* above: the numpy array.
-
-Measured with numpy 2.4 and Python 3.11 on one core of a 2-vCPU Xeon VM
-(random entries, best of five), lists win at 64 cells over every field
-(8x8: 0.19 against 0.29 ms over QQ, 0.14 against 0.30 ms over GF(7)).
-Over F_p int64 numpy wins past about 200 cells (10x20 over GF(2147483629):
-0.40 against 0.87 ms) and by far at 40x80 (2.9 against 16 ms at GF(7),
-2.2 against 35 ms at GF(2147483629)); over QQ object-dtype numpy beats
-lists at 40x80 (40 against 49 ms).
+Measured with numpy 2.4 and Python 3.11 on one core of a 2-vCPU Xeon VM.
+Over F_p (best of five) lists win at 64 cells (8x8 over GF(7): 0.14
+against 0.30 ms), and int64 numpy wins past about 200 cells (10x20 over
+GF(2147483629): 0.40 against 0.87 ms) and by far at 40x80 (2.9 against 16
+ms at GF(7), 2.2 against 35 ms at GF(2147483629)).  Over QQ (best of nine,
+two runs) the lists take 0.75-0.83 of the time of the same loop on
+object-dtype numpy arrays on [M | 1] at 8x16, 0.93-0.96 at 12x24,
+0.89-0.91 at 20x40 and 1.23-1.36 at 40x80 (entries of M in [-9, 9]), and
+0.98-1.18 on fractions near 2^20/50, entries near 2^70 and rank-4
+products.  No benchmark workload reduces a QQ matrix larger than 8x14.
 """
 
 from __future__ import annotations
@@ -100,8 +98,8 @@ __all__ = [
 ]
 
 
-# The largest matrix, in cells, that `rref` reduces on lists; see the module
-# docstring for the measured crossover.
+# The largest matrix, in cells, that `rref` reduces on lists over F_p; see
+# the module docstring for the measured crossover.
 _SMALL_CELLS = 64
 
 
@@ -509,20 +507,19 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     The reduced row echelon form is unique, so both fields' routes give the
     same matrix.
 
-    The loop runs on Python lists (`_rref_rows`) for a matrix of at most
-    ``_SMALL_CELLS`` = 64 cells and on the numpy array above; the module
-    docstring gives the measured crossover.  Both make the same steps in
-    the same order.
+    The loop runs on Python lists (`_rref_rows`) over QQ, and over F_p for
+    a matrix of at most ``_SMALL_CELLS`` = 64 cells; above that, F_p runs
+    it on the int64 numpy array, making the same steps in the same order.
+    The module docstring gives the measured times.
     """
     if m.rows == 0 or m.cols == 0:
         return m, ()
-    if m.rows * m.cols <= _SMALL_CELLS:
-        rows, pivots, den = _rref_rows(m.field.p, m.array.tolist(), m.cols)
-        return _from_rows(m.field, rows, m.cols, den), pivots
     p = m.field.p
+    if p is None or m.rows * m.cols <= _SMALL_CELLS:
+        rows, pivots, den = _rref_rows(p, m.array.tolist(), m.cols)
+        return _from_rows(m.field, rows, m.cols, den), pivots
     a = m.array.copy()
     pivots = []
-    d = 1
     r = 0
     for c in range(m.cols):
         if r == m.rows:
@@ -533,22 +530,17 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        if p is None:
-            others = np.arange(m.rows) != r
-            a[others] = (a[r, c] * a[others] - np.outer(a[others, c], a[r])) // d
-            d = a[r, c]
-        else:
-            inv = pow(int(a[r, c]), p - 2, p)
-            if inv != 1:
-                a[r] = (a[r] * inv) % p
-            others = np.nonzero(a[:, c])[0]
-            others = others[others != r]
-            if others.size:
-                a[others] -= np.outer(a[others, c], a[r])
-                a[others] %= p
+        inv = pow(int(a[r, c]), p - 2, p)
+        if inv != 1:
+            a[r] = (a[r] * inv) % p
+        others = np.nonzero(a[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            a[others] -= np.outer(a[others, c], a[r])
+            a[others] %= p
         pivots.append(c)
         r += 1
-    return _wrap(m.field, a if d > 0 else -a, abs(d)), tuple(pivots)
+    return _wrap(m.field, a), tuple(pivots)
 
 
 def _rref_rows(p: int | None, a: list[list[int]], cols: int) -> tuple[list[list[int]], tuple[int, ...], int]:
@@ -636,15 +628,16 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     """Some x with a @ x = b, or None when the system is unsolvable.
 
     Deterministic choice: the reduced-echelon particular solution with all
-    free variables set to zero, read off the rows of rref([a | b]).  When
-    [a | b] has at most ``_SMALL_CELLS`` cells, its rows are put together
-    and reduced as lists (`_rref_rows`), without building the matrix.
+    free variables set to zero, read off the rows of rref([a | b]).  Over
+    QQ, and over F_p when [a | b] has at most ``_SMALL_CELLS`` cells, its
+    rows are put together and reduced as lists (`_rref_rows`), without
+    building the matrix.
     """
     if a.field != b.field:
         raise FieldMismatch(f"{a.field} vs {b.field}")
     if a.rows != b.rows:
         raise ShapeError(f"a has {a.rows} rows, b has {b.rows}")
-    if a.rows * (a.cols + b.cols) <= _SMALL_CELLS:
+    if a.field.p is None or a.rows * (a.cols + b.cols) <= _SMALL_CELLS:
         den = math.lcm(a.den, b.den)
         rows = [x + y for x, y in zip(_over(a, den).tolist(), _over(b, den).tolist())]
         rows, pivots, den = _rref_rows(a.field.p, rows, a.cols + b.cols)

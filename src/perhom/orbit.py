@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import BoundedComplex, _require, _splitting, _validate_pair, validate
+from .complexes import BoundedComplex, _require, _split_hom_report, _splitting, _validate_pair, validate
 from .linalg import FieldMismatch
-from .periodic import _compress, periodic_hom_dims
+from .periodic import _compress, validate_periodic
 
 __all__ = ["EmbeddingReport", "OrbitHomReport", "embedding_certificate", "orbit_hom"]
 
@@ -60,20 +60,28 @@ def orbit_hom(x: BoundedComplex, y: BoundedComplex, n: int) -> OrbitHomReport:
     if n < 1:
         raise ValueError("period must be at least 1")
     _require(_validate_pair(validate, x, y), "complex")
-    return _orbit_hom(x, y, n)
+    fx = _fold_split(x, n)
+    return _pair_report(x, y, n, fx, fx if y is x else _fold_split(y, n))
 
 
-def _orbit_hom(x: BoundedComplex, y: BoundedComplex, n: int) -> OrbitHomReport:
-    """`orbit_hom` of complexes already validated, with n >= 1."""
-    hx = _splitting(x)[0]
-    hy = hx if y is x else _splitting(y)[0]
+def _fold_split(x: BoundedComplex, n: int):
+    """All that `_pair_report` reads of a validated complex x, computed
+    once: its cohomology by degree, its fold mod n (validated) and the
+    fold's splitting."""
+    folded = _compress(x, n)
+    _require(validate_periodic(folded), "periodic complex")
+    return _splitting(x)[0], folded, _splitting(folded)
+
+
+def _pair_report(x: BoundedComplex, y: BoundedComplex, n: int, fx, fy) -> OrbitHomReport:
+    """The orbit Hom report of x and y from their `_fold_split` data."""
+    (hx, _, x_fold_split), (hy, y_fold, y_fold_split) = fx, fy
     summands = []
     for i in _shift_range(x, y, n):
         # Y[n*i] has in degree k the cohomology of Y in degree k + n*i.
         summands.append((i, sum(h * hy.get(k + n * i, 0) for k, h in hx.items())))
     total = sum(d for _, d in summands)
-    px = _compress(x, n)
-    periodic = periodic_hom_dims(px, px if y is x else _compress(y, n)).homotopy_classes
+    periodic = _split_hom_report(x_fold_split, y_fold_split, y_fold).homotopy_classes
     return OrbitHomReport(n, tuple(summands), total, periodic)
 
 
@@ -95,7 +103,7 @@ class EmbeddingReport:
 
 def embedding_certificate(corpus: list[BoundedComplex], n: int) -> EmbeddingReport:
     """Check total == periodic_side on every ordered pair of the corpus;
-    each complex is validated once."""
+    each complex is validated, folded and split once."""
     if corpus:
         field = corpus[0].field
         for c in corpus:
@@ -105,9 +113,10 @@ def embedding_certificate(corpus: list[BoundedComplex], n: int) -> EmbeddingRepo
             raise ValueError("period must be at least 1")
         for c in corpus:
             _require(validate(c), "complex")
+    splits = [_fold_split(c, n) for c in corpus]
     pairs = []
     for xi, x in enumerate(corpus):
         for yi, y in enumerate(corpus):
-            report = _orbit_hom(x, y, n)
+            report = _pair_report(x, y, n, splits[xi], splits[yi])
             pairs.append((xi, yi, report.total, report.periodic_side))
     return EmbeddingReport(n, tuple(pairs))

@@ -10,6 +10,10 @@ complex onto a finite window (`expand_window`) truncates the outgoing
 differential at the top of the window, so statements about the unrolled
 complex are made on window interiors.
 
+A periodic complex states its degrees (the residues) and the degree before
+each (i - 1 mod n), as a bounded one does, so the periodic checks and the
+splitting below share the bounded bodies in `complexes`.
+
 Hom dimensions and homotopy witnesses come from the splitting of each
 complex into cohomology and contractible pieces, read off one rref of each
 differential (`complexes._contraction`).  In particular `periodize`
@@ -35,10 +39,12 @@ from .complexes import (
     _split_hom_report,
     _split_null_homotopy,
     _split_ranks,
+    _splitting,
     _total_diffs,
     _validate_pair,
     chain_map,
     cone,
+    homotopy_defect,
     identity_chain_map,
     shift,
     degree_shift,
@@ -100,6 +106,14 @@ class PeriodicComplex:
         if len(self.dims) != self.n or len(self.diffs) != self.n:
             raise ShapeError("expected exactly n dimensions and n differentials")
 
+    def degrees(self) -> range:
+        """One degree per residue."""
+        return range(self.n)
+
+    def prev(self, i: int) -> int:
+        """The residue whose differential lands in residue i."""
+        return (i - 1) % self.n
+
     def dim(self, i: int) -> int:
         return self.dims[i % self.n]
 
@@ -111,15 +125,8 @@ class PeriodicComplex:
 
 
 def validate_periodic(p: PeriodicComplex) -> Violation | None:
-    for i in range(p.n):
-        if p.diffs[i].shape != (p.dim(i + 1), p.dims[i]):
-            return Violation("shape", i, f"differential has shape {p.diffs[i].shape}")
-        if p.diffs[i].field != p.field:
-            return Violation("field", i, "differential over the wrong field")
-    for i in range(p.n):
-        if not (p.diff(i + 1) @ p.diff(i)).is_zero():
-            return Violation("square", i, "composite of consecutive differentials is nonzero")
-    return None
+    """`complexes.validate`, residue by residue."""
+    return validate(p)
 
 
 @dataclass(frozen=True)
@@ -153,14 +160,8 @@ def identity_periodic_map(p: PeriodicComplex) -> PeriodicChainMap:
 
 
 def validate_periodic_map(f: PeriodicChainMap) -> Violation | None:
-    x, y = f.source, f.target
-    v = _validate_pair(validate_periodic, x, y)
-    if v is not None:
-        return v
-    for i in range(x.n):
-        if f.component(i + 1) @ x.diff(i) != y.diff(i) @ f.component(i):
-            return Violation("chain-map", i, "f d != d f")
-    return None
+    """`complexes.validate_chain_map`, residue by residue."""
+    return validate_chain_map(f)
 
 
 @dataclass(frozen=True)
@@ -176,14 +177,8 @@ class PeriodicHomotopy:
 
 
 def periodic_homotopy_defect(h: PeriodicHomotopy) -> Violation | None:
-    """First residue where f - g != s d + d s, if any."""
-    x, y = h.f.source, h.f.target
-    for i in range(x.n):
-        want = h.f.component(i) - h.g.component(i)
-        got = h.component(i + 1) @ x.diff(i) + y.diff(i - 1) @ h.component(i)
-        if want != got:
-            return Violation("homotopy", i, "f - g != s d + d s")
-    return None
+    """First residue where f - g != s d + d s, if any: `complexes.homotopy_defect`."""
+    return homotopy_defect(h)
 
 
 def residue_degrees(x: BoundedComplex, n: int, r: int) -> list[int]:
@@ -298,19 +293,10 @@ def periodic_cone(f: PeriodicChainMap) -> PeriodicComplex:
     return PeriodicComplex(x.field, n, dims, _total_diffs(x.field, range(n), *_cone_grid(f)))
 
 
-def _prev(n: int):
-    return lambda i: (i - 1) % n
-
-
-def _periodic_splitting(p: PeriodicComplex) -> tuple[dict[int, int], dict[int, int]]:
-    """(h, p) by residue, as `complexes._splitting` with indices mod n."""
-    return _split_ranks(p, _echelons(p, range(p.n)), range(p.n), _prev(p.n))
-
-
 def periodic_cohomology(p: PeriodicComplex) -> tuple[int, ...]:
     """dim H^i = dims_i - rank d^i - rank d^(i-1), cyclically."""
     _require(validate_periodic(p), "periodic complex")
-    return tuple(_periodic_splitting(p)[0].values())
+    return tuple(_splitting(p)[0].values())
 
 
 def is_acyclic_periodic(p: PeriodicComplex) -> bool:
@@ -333,7 +319,7 @@ def periodic_hom_dims(x: PeriodicComplex, y: PeriodicComplex) -> HomReport:
     if x.n != y.n:
         raise ShapeError("hom across different periods")
     _require(_validate_pair(validate_periodic, x, y), "periodic complex")
-    return _split_hom_report(_periodic_splitting(x), _periodic_splitting(y), _prev(x.n))
+    return _split_hom_report(_splitting(x), _splitting(y), y)
 
 
 def find_periodic_homotopy(f: PeriodicChainMap, g: PeriodicChainMap) -> PeriodicHomotopy | None:
@@ -349,12 +335,10 @@ def find_periodic_homotopy(f: PeriodicChainMap, g: PeriodicChainMap) -> Periodic
     _require(validate_periodic_map(f), "periodic chain map")
     _require(validate_periodic_map(g), "periodic chain map")
     x, y = f.source, f.target
-    n = x.n
-    phi = lambda r: f.component(r) - g.component(r)
-    parts = _split_null_homotopy(x, y, phi, range(n), _prev(n))
+    parts = _split_null_homotopy(x, y, lambda r: f.component(r) - g.component(r))
     if parts is None:
         return None
-    h = PeriodicHomotopy(f, g, tuple(parts[r] for r in range(n)))
+    h = PeriodicHomotopy(f, g, tuple(parts.values()))
     if periodic_homotopy_defect(h) is not None:
         raise AssertionError("splitting returned a non-homotopy")
     return h
@@ -379,12 +363,11 @@ def unrolled_identity_contraction(p: PeriodicComplex) -> Homotopy | None:
     """
     _require(validate_periodic(p), "periodic complex")
     n = p.n
-    prev = _prev(n)
-    echelons = _echelons(p, range(n))
-    h, _ = _split_ranks(p, echelons, range(n), prev)
+    echelons = _echelons(p, p.degrees())
+    h, _ = _split_ranks(p, echelons)
     if any(h.values()):
         return None
-    s = {r: _contraction(p, echelons, r, prev).s for r in range(n)}
+    s = {r: _contraction(p, echelons, r).s for r in p.degrees()}
     e = expand_window(p, -1, n)
     comps = tuple((i, s[i % n]) for i in range(n + 1) if p.dim(i) and p.dim(i - 1))
     return Homotopy(identity_chain_map(e), zero_chain_map(e, e), comps)

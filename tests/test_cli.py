@@ -228,6 +228,28 @@ def test_construction_bytes(capsysbinary, tmp_path, case):
 
 
 COMPLEX_DOC = '{"diffs":%s,"dims":%s,"field":%s,"kind":"complex","window":[0,%d]}'
+QQ_FIELD = '{"rationals":true}'
+
+# `cohomology` output on documents that parse but are not complexes,
+# recorded at commit 551cc35, before the command left validation to the
+# functions it calls.
+INVALID_COHOMOLOGY = [
+    (
+        COMPLEX_DOC % ("[[[0]],[[1]],[[1]]]", "[1,1,1,1]", '{"fp":5}', 3),
+        b'{"error":"invalid complex: square at degree 1: composite of consecutive differentials is nonzero","ok":false}\n',
+    ),
+    (
+        '{"diffs":[[[0]],[["1"]],[["2/3"]]],"dims":[1,1,1],"field":{"rationals":true},"kind":"periodic","n":3}',
+        b'{"error":"invalid periodic complex: square at degree 1: composite of consecutive differentials is nonzero","ok":false}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("document, want", INVALID_COHOMOLOGY, ids=["complex", "periodic"])
+def test_cohomology_of_invalid_complex_exits_1(capsysbinary, tmp_path, document, want):
+    path = tmp_path / "invalid.json"
+    path.write_text(document)
+    assert run(capsysbinary, "cohomology", str(path)) == (1, want, b"")
 
 
 @pytest.mark.parametrize(
@@ -237,8 +259,27 @@ COMPLEX_DOC = '{"diffs":%s,"dims":%s,"field":%s,"kind":"complex","window":[0,%d]
         (COMPLEX_DOC % ("[]", "[1]", '{"fp":4}', 0), "/field/fp: 4 is not prime"),
         (COMPLEX_DOC % ("[[[1]]]", "[2,1]", '{"fp":5}', 1), "/diffs/0/0: expected 2 entries, got 1"),
         (COMPLEX_DOC % ('[[[1,"x"]]]', "[2,1]", '{"fp":5}', 1), "/diffs/0/0/1: not a residue: 'x'"),
+        # Only "a" and "a/b" in ASCII digits are numbers, not what Fraction
+        # or int would also read.
+        (COMPLEX_DOC % ('[[["1e3"]]]', "[1,1]", QQ_FIELD, 1), "/diffs/0/0/0: not a rational: '1e3'"),
+        (COMPLEX_DOC % ('[[["0.5"]]]', "[1,1]", QQ_FIELD, 1), "/diffs/0/0/0: not a rational: '0.5'"),
+        (COMPLEX_DOC % ('[[[" 1/2"]]]', "[1,1]", QQ_FIELD, 1), "/diffs/0/0/0: not a rational: ' 1/2'"),
+        (COMPLEX_DOC % ('[[["1_000"]]]', "[1,1]", QQ_FIELD, 1), "/diffs/0/0/0: not a rational: '1_000'"),
+        (COMPLEX_DOC % ('[[[" 7"]]]', "[1,1]", '{"fp":5}', 1), "/diffs/0/0/0: not a residue: ' 7'"),
+        (COMPLEX_DOC % ('[[["1_0"]]]', "[1,1]", '{"fp":5}', 1), "/diffs/0/0/0: not a residue: '1_0'"),
     ],
-    ids=["unknown-field", "non-prime", "ragged-row", "non-residue"],
+    ids=[
+        "unknown-field",
+        "non-prime",
+        "ragged-row",
+        "non-residue",
+        "rational-exponent",
+        "rational-decimal",
+        "rational-space",
+        "rational-underscore",
+        "residue-space",
+        "residue-underscore",
+    ],
 )
 def test_malformed_document_exits_2(capsysbinary, tmp_path, document, error):
     path = tmp_path / "malformed.json"

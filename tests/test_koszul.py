@@ -14,6 +14,7 @@ from oracles import koszul_tor_dims
 from perhom import (
     GF,
     QQ,
+    DoubleComplex,
     PeriodicComplex,
     bgg_complex,
     bgg_module,
@@ -25,8 +26,10 @@ from perhom import (
     cone,
     periodic_cone,
     serialize_document,
+    total_complex,
     verify_bgg_square,
 )
+from perhom.linalg import ShapeError, identity, kron, mat, zeros
 from perhom.complexes import _cone_grid
 from perhom.periodic import _fold_labels, _square_mismatch
 from perhom.samples import random_bounded_complex, random_chain_map, random_graded_module, random_module_complex
@@ -157,3 +160,47 @@ def test_bgg_cohomology_matches_koszul_tor(seed, c, field, width):
     m = random_graded_module(Random(seed), field, c, (0, min(width, 2) if c == 3 else width))
     coh = dict(cohomology_dims(bgg_module(m).complex))
     assert coh == {j: koszul_tor_dims(m, j) for j in m.degrees()}
+
+
+def bgg_double_complex(mc):
+    """The BGG double complex of mc from public constructions: column j is
+    `bgg_module` of term j, the vertical maps are 1 (x) the maps of mc."""
+    field = mc.modules[0].field
+    cells, horizontal, vertical = {}, {}, {}
+    for j in mc.homological_degrees():
+        column = bgg_module(mc.module(j))
+        for i in column.complex.degrees():
+            cells[(i, j)] = column.complex.dim(i)
+            horizontal[(i, j)] = column.complex.diff(i)
+            if j < mc.jhi:
+                vertical[(i, j)] = kron(identity(field, column.dual.total_dim), mc.map_at(j, i))
+    return DoubleComplex(field, cells, horizontal, vertical)
+
+
+class TestTotalComplex:
+    @pytest.mark.parametrize("field", [QQ, F5])
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_totalizes_the_bgg_grid_as_bgg_complex(self, c, field):
+        for seed in range(4):
+            mc = random_module_complex(Random(f"total {c} {field!r} {seed}"), field, c, (0, 2))
+            grid = bgg_double_complex(mc)
+            total = total_complex(grid)
+            assert total.complex == bgg_complex(mc).complex
+            for l, cells in total.summands.items():
+                columns = [i for i, _ in cells]
+                assert columns == sorted(set(columns))
+                assert all(i + j == l and grid.dim(i, j) for i, j in cells)
+                assert sum(grid.dim(*cell) for cell in cells) == total.complex.dim(l)
+
+    def test_mis_shaped_horizontal_map(self):
+        grid = DoubleComplex(F5, {(0, 0): 1, (1, 0): 1}, {(0, 0): zeros(F5, 2, 1)}, {})
+        with pytest.raises(ShapeError) as exc:
+            total_complex(grid)
+        assert str(exc.value) == "horizontal map at (0, 0) has the wrong shape"
+
+    def test_row_that_does_not_square_to_zero(self):
+        one = mat(F5, [[1]])
+        grid = DoubleComplex(F5, {(0, 0): 1, (1, 0): 1, (2, 0): 1}, {(0, 0): one, (1, 0): one}, {})
+        with pytest.raises(ValueError) as exc:
+            total_complex(grid)
+        assert str(exc.value) == "row 0 does not square to zero at (0, 0)"

@@ -568,8 +568,9 @@ class TestEliminationRoutes:
 
     @pytest.mark.parametrize("field", [QQ, GF(7)])
     def test_lists_run_up_to_64_cells(self, monkeypatch, field):
-        # rref runs the list loop up to 64 cells; solve_linear puts [a | b]
-        # together as lists there, without the hstack of the large route.
+        # rref runs the list loop up to 64 cells over F_p and at every size
+        # over QQ; solve_linear puts [a | b] together as lists there,
+        # without the hstack of the large route.
         calls = []
         for name in ("_rref_rows", "hstack"):
             real = getattr(linalg, name)
@@ -582,10 +583,13 @@ class TestEliminationRoutes:
             on_lists = "_rref_rows" in calls if run is rref else "hstack" not in calls
             return "lists" if on_lists else "numpy"
 
+        large = "lists" if field.p is None else "numpy"
         assert route(rref, (8, 8)) == route(rref, (64, 1)) == "lists"
-        assert route(rref, (1, 65)) == route(rref, (5, 13)) == "numpy"
+        assert route(rref, (1, 65)) == route(rref, (5, 13)) == large
         assert route(solve_linear, (8, 7), (8, 1)) == route(solve_linear, (1, 63), (1, 1)) == "lists"
-        assert route(solve_linear, (8, 8), (8, 1)) == route(solve_linear, (1, 64), (1, 1)) == "numpy"
+        assert route(solve_linear, (8, 8), (8, 1)) == route(solve_linear, (1, 64), (1, 1)) == large
+        if field.p is None:
+            assert route(rref, (40, 80)) == route(solve_linear, (20, 20), (20, 20)) == "lists"
 
 
 class TestConstructor:

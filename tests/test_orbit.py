@@ -3,6 +3,7 @@ from random import Random
 import pytest
 
 from perhom import GF, QQ, embedding_certificate, orbit_hom, single, two_term, zeros, mat
+from perhom import orbit
 from perhom.linalg import FieldMismatch
 from perhom.samples import random_bounded_complex
 
@@ -67,3 +68,18 @@ class TestEmbeddingCertificate:
         assert len(report.pairs) == 25
         assert report.all_equal
         assert report.violations == ()
+
+    def test_each_complex_folded_once(self, monkeypatch):
+        # The certificate folds, validates and splits each complex once and
+        # counts all 25 pairs from those; each pair agrees with orbit_hom.
+        rng = Random(43)
+        corpus = [random_bounded_complex(rng, F3, max_dim=3, max_width=4) for _ in range(5)]
+        calls = []
+        real = orbit._compress
+        monkeypatch.setattr(orbit, "_compress", lambda *args: calls.append(args) or real(*args))
+        report = embedding_certificate(corpus, 2)
+        assert len(calls) == 5
+        monkeypatch.undo()
+        for xi, yi, total, periodic in report.pairs:
+            pair = orbit_hom(corpus[xi], corpus[yi], 2)
+            assert (total, periodic) == (pair.total, pair.periodic_side)
