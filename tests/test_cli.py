@@ -6,11 +6,16 @@ output on a golden and two free modules, and the exit codes and error
 pointers of malformed input."""
 
 import hashlib
+import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 from random import Random
 
 import pytest
 
+import perhom
 from perhom import GF, QQ, free_module, orbit_hom, parse_document, polynomial_algebra, serialize_document, single
 from perhom.cli import main
 from perhom.samples import random_bounded_complex, random_chain_map, random_periodic
@@ -358,3 +363,118 @@ def test_bgg_bytes(capsysbinary, tmp_path, case):
         code, out, err = run(capsysbinary, "bgg", path, *argv)
         assert (code, err) == (0, b"")
         assert hashlib.sha256(out).hexdigest() == want
+
+
+# The command surface recorded at commit eb111e9, before the commands
+# shared one read, error and output path in `main`.
+SURFACE = [
+    (
+        ["compress", doc("complex_qq"), "--n", "2"],
+        b'{"diffs":[[["-1"],["-1/2"]],[["0","0"]]],"dims":[1,2],"field":{"rationals":true},"kind":"periodic","n":2}\n',
+    ),
+    (["compress", doc("complex_f5"), "--n", "1"], b'{"diffs":[[]],"dims":[0],"field":{"fp":5},"kind":"periodic","n":1}\n'),
+    (
+        ["expand", doc("periodic_f5"), "--window", "0", "3"],
+        b'{"diffs":[[[0,0,0,0],[0,1,4,3]],[[0,0],[0,0],[4,0],[3,0]],[[0,0,0,0],[0,1,4,3]]],'
+        b'"dims":[4,2,4,2],"field":{"fp":5},"kind":"complex","window":[0,3]}\n',
+    ),
+    (
+        ["expand", doc("minimal_periodic"), "--window", "-1", "1"],
+        b'{"diffs":[[[0]],[[0]]],"dims":[1,1,1],"field":{"fp":5},"kind":"complex","window":[-1,1]}\n',
+    ),
+    (["cohomology", doc("complex_qq")], b'{"cohomology":[[-2,0],[-1,1]],"ok":true}\n'),
+    (["cohomology", doc("complex_qq"), "--format", "table"], b"degree  dim\n------  ---\n-2      0\n-1      1\n"),
+    (["cohomology", doc("periodic_f5")], b'{"cohomology":[[0,2],[1,0]],"ok":true}\n'),
+    (["cohomology", doc("periodic_f5"), "--format", "table"], b"degree  dim\n------  ---\n0       2\n1       0\n"),
+]
+
+
+@pytest.mark.parametrize("argv, want", SURFACE, ids=[" ".join(Path(a).stem for a in argv) for argv, _ in SURFACE])
+def test_command_output(capsysbinary, argv, want):
+    assert run(capsysbinary, *argv) == (0, want, b"")
+
+
+def test_verify_table_bytes(capsysbinary):
+    code, out, err = run(capsysbinary, "verify", "flags", "--seed", "0", "--format", "table")
+    assert (code, err) == (0, b"")
+    assert hashlib.sha256(out).hexdigest() == "a2396291e74007205a72608e2c450f9af6cff0582e5466bbc343c9acf706e55b"
+
+
+# SHA-256 of the help text of `perhom` and of each command at 80 columns.
+HELP_SHA256 = {
+    "": "346819e8116ea9f64ffee54916747c839cdf5e9ea6eacae40256c39f788dee28",
+    "cohomology": "28e313de3375449a19f0bde317f2cb8fe271ec7f9a5efa71f227ff959bba90c3",
+    "compress": "e48960bc9b8d7165ac383778a3fa81e661d7293240f0938e193a51d8d5f2cdaa",
+    "expand": "c0c3fced9c57d10e62b9cfc78385cebac530883c4db21b7c5653362753843b83",
+    "cone": "df91b524a8cde084df319637f31159b55cc2528d7c6b885aab71a58b5b1b8364",
+    "homdim": "540febe91e6872d00f1d55e0677144700f0a28bc06c607b18d3474b83bfbe8b5",
+    "orbit-homdim": "3dee318bcae4b51d578d188331124b06f19a06d7295feeced0810eccf0233e15",
+    "periodize": "cbaedaa91bf0e1c6ee5db0a207f2ca5b3a8b1b411d862aa3da060c0f8d1535ce",
+    "tensor": "56d109e9e0a91e8c8028ed798f62faa84f6bdf8ff50eb064a4359bebce197154",
+    "bgg": "2b4612e9369ee73478553c9784014141559f7fc200af010337e6d04485d18086",
+    "verify": "de9a1e547cfd4bfc63b403fe24b6e58083155323eccea8a75d1a380692a04537",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_SHA256), ids=lambda command: command or "perhom")
+def test_help_bytes(capsysbinary, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"] if command else ["--help"])
+    out, err = capsysbinary.readouterr()
+    assert (exit_.value.code, err) == (0, b"")
+    assert hashlib.sha256(out).hexdigest() == HELP_SHA256[command]
+
+
+WRONG_KIND = [
+    (["cohomology", doc("chain_map_qq")], "cohomology expects a complex or periodic document"),
+    (["compress", doc("periodic_f5"), "--n", "2"], "compress expects a complex document"),
+    (["expand", doc("complex_qq"), "--window", "0", "1"], "expand expects a periodic document"),
+    (["cone", doc("complex_qq")], "cone expects a chain-map document"),
+    (["homdim", doc("chain_map_qq"), doc("complex_qq")], "expected two complex documents or two periodic documents"),
+    (["orbit-homdim", doc("complex_qq"), doc("periodic_f5"), "--n", "2"], "orbit-homdim expects two complex documents"),
+    (["periodize", doc("complex_qq")], "periodize expects a periodic document"),
+    (["tensor", doc("periodic_f5"), doc("complex_f5")], "tensor expects complex (x) complex or complex (x) periodic"),
+    (["bgg", doc("complex_qq")], "bgg expects a graded-module document"),
+]
+
+
+@pytest.mark.parametrize("argv, error", WRONG_KIND, ids=[argv[0] for argv, _ in WRONG_KIND])
+def test_wrong_document_kind_exits_2(capsysbinary, argv, error):
+    assert run(capsysbinary, *argv) == (2, b"", f"error: /kind: {error}\n".encode())
+
+
+def test_expand_empty_window_exits_2(capsysbinary):
+    want = b"error: /window: window lower bound exceeds upper bound\n"
+    assert run(capsysbinary, "expand", doc("periodic_f5"), "--window", "2", "1") == (2, b"", want)
+
+
+def test_missing_file_exits_2(capsysbinary, tmp_path):
+    path = tmp_path / "absent.json"
+    want = f"error: [Errno 2] No such file or directory: {str(path)!r}\n".encode()
+    assert run(capsysbinary, "cohomology", str(path)) == (2, b"", want)
+
+
+def test_stdin_input(capsysbinary, monkeypatch):
+    data = (GOLDEN / "complex_qq.json").read_bytes()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert run(capsysbinary, "cohomology", "-") == (0, b'{"cohomology":[[-2,0],[-1,1]],"ok":true}\n', b"")
+
+
+def _python_m_perhom(*argv: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(Path(perhom.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "perhom", *argv], capture_output=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["cohomology", doc("complex_qq")], 0, b'{"cohomology":[[-2,0],[-1,1]],"ok":true}\n', b""),
+        (["homdim", doc("complex_qq"), doc("complex_f5")], 1, b'{"error":"hom across fields","ok":false}\n', b""),
+        (["periodize", doc("complex_qq")], 2, b"", b"error: /kind: periodize expects a periodic document\n"),
+    ],
+    ids=["exit-0", "exit-1", "exit-2"],
+)
+def test_module_entry_point(argv, code, out, err):
+    done = _python_m_perhom(*argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
