@@ -1,8 +1,17 @@
 """Command-line surface over the document format and the verify suites.
 
-Exit codes: 0 success, 1 invariant or identity violation (the report is
-emitted as machine-readable findings), 2 input error.  All output is
-canonical JSON unless ``--format table`` asks for an aligned text table.
+Each command maps its parsed arguments to ``(body, table)``: the JSON value
+to emit, and the ``(headers, rows)`` of its text table, or None for a
+command without ``--format table``.  ``main`` alone writes output and picks
+the exit code:
+
+- ``DocumentError`` or ``OSError`` (unreadable or malformed input, a wrong
+  document kind, a bad option value): ``error: ...`` on stderr, exit 2;
+- any other ``ValueError`` raised by a command (input that parses but
+  breaks an invariant, or a question with no answer): the finding
+  ``{"error": ..., "ok": false}`` as canonical JSON, exit 1;
+- otherwise the table if ``--format table`` was given, else the body as
+  canonical JSON; exit 1 when the body says ``"ok": false``, else 0.
 """
 
 from __future__ import annotations
@@ -13,7 +22,6 @@ import sys
 from .complexes import (
     BoundedComplex,
     ChainMap,
-    HomReport,
     cohomology_dims,
     cone,
     hom_space_dims,
@@ -38,25 +46,22 @@ from .periodic import (
     periodize_null_homotopy,
     unrolled_identity_contraction,
 )
-from .suites import available_suites, report_bytes, run_suite
+from .suites import available_suites, run_suite
 
 __all__ = ["main"]
 
 
-def _read_document(path: str):
+def _read(path: str, kinds, message: str):
+    """The document at ``path`` (``-`` reads stdin); a document that is not
+    one of ``kinds`` is an input error at ``/kind`` saying ``message``."""
     if path == "-":
-        return parse_document(sys.stdin.buffer.read())
-    with open(path, "rb") as handle:
-        return parse_document(handle.read())
-
-
-def _emit(data: bytes) -> None:
-    sys.stdout.buffer.write(data)
-    sys.stdout.buffer.flush()
-
-
-def _emit_json(obj) -> None:
-    _emit(canonical_json_bytes(obj))
+        value = parse_document(sys.stdin.buffer.read())
+    else:
+        with open(path, "rb") as handle:
+            value = parse_document(handle.read())
+    if not isinstance(value, kinds):
+        raise DocumentError("/kind", message)
+    return value
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -71,114 +76,43 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _finding(code: int, message: str, **extra) -> int:
-    _emit_json({"ok": False, "error": message, **extra})
-    return code
+def _cmd_cohomology(args):
+    doc = _read(args.input, (BoundedComplex, PeriodicComplex), "cohomology expects a complex or periodic document")
+    dims = cohomology_dims(doc) if isinstance(doc, BoundedComplex) else tuple(enumerate(periodic_cohomology(doc)))
+    body = {"cohomology": [[i, h] for i, h in dims], "ok": True}
+    return body, (["degree", "dim"], [[str(i), str(h)] for i, h in dims])
 
 
-def _cmd_cohomology(args) -> int:
-    doc = _read_document(args.input)
-    if not isinstance(doc, (BoundedComplex, PeriodicComplex)):
-        raise DocumentError("/kind", "cohomology expects a complex or periodic document")
-    try:
-        dims = cohomology_dims(doc) if isinstance(doc, BoundedComplex) else enumerate(periodic_cohomology(doc))
-    except ValueError as exc:
-        return _finding(1, str(exc))
-    rows = [(str(i), str(h)) for i, h in dims]
-    if args.format == "table":
-        _emit(_table(["degree", "dim"], [list(r) for r in rows]).encode())
-    else:
-        _emit_json({"cohomology": [[int(a), int(b)] for a, b in rows], "ok": True})
-    return 0
+def _cmd_compress(args):
+    doc = _read(args.input, BoundedComplex, "compress expects a complex document")
+    return document_dict(compress(doc, args.n)), None
 
 
-def _require_period(n: int) -> None:
-    if n < 1:
-        raise DocumentError("/n", "period must be at least 1")
-
-
-def _cmd_compress(args) -> int:
-    _require_period(args.n)
-    doc = _read_document(args.input)
-    if not isinstance(doc, BoundedComplex):
-        raise DocumentError("/kind", "compress expects a complex document")
-    _emit_json(document_dict(compress(doc, args.n)))
-    return 0
-
-
-def _cmd_expand(args) -> int:
-    doc = _read_document(args.input)
-    if not isinstance(doc, PeriodicComplex):
-        raise DocumentError("/kind", "expand expects a periodic document")
+def _cmd_expand(args):
+    doc = _read(args.input, PeriodicComplex, "expand expects a periodic document")
     lo, hi = args.window
     if lo > hi:
         raise DocumentError("/window", "window lower bound exceeds upper bound")
-    _emit_json(document_dict(expand_window(doc, lo, hi)))
-    return 0
+    return document_dict(expand_window(doc, lo, hi)), None
 
 
-def _cmd_cone(args) -> int:
-    doc = _read_document(args.input)
-    if not isinstance(doc, ChainMap):
-        raise DocumentError("/kind", "cone expects a chain-map document")
-    try:
-        triangle = cone(doc)
-    except ValueError as exc:
-        return _finding(1, str(exc))
-    _emit_json(document_dict(triangle.complex))
-    return 0
+def _cmd_cone(args):
+    return document_dict(cone(_read(args.input, ChainMap, "cone expects a chain-map document")).complex), None
 
 
-def hom_report_for(x, y) -> HomReport:
-    """Dispatch Hom dimensions over two bounded or two periodic complexes."""
-    if isinstance(x, BoundedComplex) and isinstance(y, BoundedComplex):
-        return hom_space_dims(x, y)
-    if isinstance(x, PeriodicComplex) and isinstance(y, PeriodicComplex):
-        return periodic_hom_dims(x, y)
-    raise TypeError("expected two complex documents or two periodic documents")
+def _cmd_homdim(args):
+    message = "expected two complex documents or two periodic documents"
+    x = _read(args.x, (BoundedComplex, PeriodicComplex), message)
+    y = _read(args.y, type(x), message)
+    report = hom_space_dims(x, y) if isinstance(x, BoundedComplex) else periodic_hom_dims(x, y)
+    spaces = ("chain_maps", "null_homotopic", "homotopy_classes")
+    body = {**{key: getattr(report, key) for key in spaces}, "ok": True}
+    return body, (["space", "dim"], [[key.replace("_", " "), str(body[key])] for key in spaces])
 
 
-def _cmd_homdim(args) -> int:
-    x = _read_document(args.x)
-    y = _read_document(args.y)
-    try:
-        report = hom_report_for(x, y)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, TypeError):
-            raise DocumentError("/kind", str(exc)) from None
-        return _finding(1, str(exc))
-    body = {
-        "chain_maps": report.chain_maps,
-        "null_homotopic": report.null_homotopic,
-        "homotopy_classes": report.homotopy_classes,
-        "ok": True,
-    }
-    if args.format == "table":
-        _emit(
-            _table(
-                ["space", "dim"],
-                [
-                    ["chain maps", str(report.chain_maps)],
-                    ["null homotopic", str(report.null_homotopic)],
-                    ["homotopy classes", str(report.homotopy_classes)],
-                ],
-            ).encode()
-        )
-    else:
-        _emit_json(body)
-    return 0
-
-
-def _cmd_orbit_homdim(args) -> int:
-    _require_period(args.n)
-    x = _read_document(args.x)
-    y = _read_document(args.y)
-    if not isinstance(x, BoundedComplex) or not isinstance(y, BoundedComplex):
-        raise DocumentError("/kind", "orbit-homdim expects two complex documents")
-    try:
-        report = orbit_hom(x, y, args.n)
-    except ValueError as exc:
-        return _finding(1, str(exc))
+def _cmd_orbit_homdim(args):
+    message = "orbit-homdim expects two complex documents"
+    report = orbit_hom(_read(args.x, BoundedComplex, message), _read(args.y, BoundedComplex, message), args.n)
     body = {
         "n": report.n,
         "summands": [[i, d] for i, d in report.summands],
@@ -187,89 +121,49 @@ def _cmd_orbit_homdim(args) -> int:
         "matches": report.matches,
         "ok": report.matches,
     }
-    if args.format == "table":
-        rows = [[f"shift {i}", str(d)] for i, d in report.summands]
-        rows.append(["total", str(report.total)])
-        rows.append(["periodic", str(report.periodic_side)])
-        _emit(_table(["summand", "dim"], rows).encode())
-    else:
-        _emit_json(body)
-    return 0 if report.matches else 1
+    rows = [[f"shift {i}", str(d)] for i, d in report.summands]
+    rows.append(["total", str(report.total)])
+    rows.append(["periodic", str(report.periodic_side)])
+    return body, (["summand", "dim"], rows)
 
 
-def _cmd_periodize(args) -> int:
-    doc = _read_document(args.input)
-    if not isinstance(doc, PeriodicComplex):
-        raise DocumentError("/kind", "periodize expects a periodic document")
-    try:
-        s = unrolled_identity_contraction(doc)
-    except ValueError as exc:
-        return _finding(1, str(exc))
+def _cmd_periodize(args):
+    doc = _read(args.input, PeriodicComplex, "periodize expects a periodic document")
+    s = unrolled_identity_contraction(doc)
     if s is None:
-        return _finding(1, "no windowed contraction exists; the identity is not null-homotopic")
+        raise ValueError("no windowed contraction exists; the identity is not null-homotopic")
     sigma = periodize_null_homotopy(doc, s)
-    if args.format == "table":
-        rows = [[str(r), f"{m.rows}x{m.cols}"] for r, m in enumerate(sigma.components)]
-        _emit(_table(["residue", "shape"], rows).encode())
-    else:
-        _emit_json(
-            {
-                "components": [matrix_doc(m) for m in sigma.components],
-                "verified": True,
-                "ok": True,
-            }
-        )
-    return 0
+    body = {"components": [matrix_doc(m) for m in sigma.components], "verified": True, "ok": True}
+    return body, (["residue", "shape"], [[str(r), f"{m.rows}x{m.cols}"] for r, m in enumerate(sigma.components)])
 
 
-def _cmd_tensor(args) -> int:
-    x = _read_document(args.x)
-    y = _read_document(args.y)
-    if not isinstance(x, BoundedComplex) or not isinstance(y, (BoundedComplex, PeriodicComplex)):
-        raise DocumentError("/kind", "tensor expects complex (x) complex or complex (x) periodic")
-    try:
-        product = tensor_complex(x, y) if isinstance(y, BoundedComplex) else tensor_periodic(x, y)
-    except ValueError as exc:
-        return _finding(1, str(exc))
-    _emit_json(document_dict(product))
-    return 0
+def _cmd_tensor(args):
+    message = "tensor expects complex (x) complex or complex (x) periodic"
+    x = _read(args.x, BoundedComplex, message)
+    y = _read(args.y, (BoundedComplex, PeriodicComplex), message)
+    return document_dict(tensor_complex(x, y) if isinstance(y, BoundedComplex) else tensor_periodic(x, y)), None
 
 
-def _cmd_bgg(args) -> int:
-    doc = _read_document(args.input)
-    if not isinstance(doc, GradedModule):
-        raise DocumentError("/kind", "bgg expects a graded-module document")
-    try:
-        built = bgg_module(doc)
-    except ValueError as exc:
-        return _finding(1, str(exc))
+def _cmd_bgg(args):
+    built = bgg_module(_read(args.input, GradedModule, "bgg expects a graded-module document"))
     coh = cohomology_dims(built.complex)
-    if args.format == "table":
-        _emit(_table(["degree", "dim h"], [[str(i), str(h)] for i, h in coh]).encode())
-        return 0
-    _emit_json(
-        {
-            "complex": document_dict(built.complex),
-            "actions": [[matrix_doc(m) for m in per_degree] for per_degree in built.actions],
-            "cohomology": [[i, h] for i, h in coh],
-            "ok": True,
-        }
-    )
-    return 0
+    body = {
+        "complex": document_dict(built.complex),
+        "actions": [[matrix_doc(m) for m in per_degree] for per_degree in built.actions],
+        "cohomology": [[i, h] for i, h in coh],
+        "ok": True,
+    }
+    return body, (["degree", "dim h"], [[str(i), str(h)] for i, h in coh])
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     try:
         report = run_suite(args.suite, args.seed)
     except KeyError as exc:
         raise DocumentError("/suite", str(exc.args[0])) from None
-    if args.format == "table":
-        rows = [[c["case"], "pass" if c["ok"] else "FAIL", c["detail"]] for c in report["cases"]]
-        rows.append(["total", f"{report['passed']}/{report['passed'] + report['failed']}", ""])
-        _emit(_table(["case", "status", "detail"], rows).encode())
-    else:
-        _emit(report_bytes(report))
-    return 0 if report["ok"] else 1
+    rows = [[c["case"], "pass" if c["ok"] else "FAIL", c["detail"]] for c in report["cases"]]
+    rows.append(["total", f"{report['passed']}/{report['passed'] + report['failed']}", ""])
+    return report, (["case", "status", "detail"], rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,16 +233,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except DocumentError as exc:
+        if getattr(args, "n", 1) < 1:
+            raise DocumentError("/n", "period must be at least 1")
+        body, table = args.func(args)
+    except (DocumentError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except ValueError as exc:
+        body, table = {"error": str(exc), "ok": False}, None
+    if table is not None and args.format == "table":
+        data = _table(*table).encode()
+    else:
+        data = canonical_json_bytes(body)
+    sys.stdout.buffer.write(data)
+    sys.stdout.buffer.flush()
+    return 0 if body.get("ok", True) else 1
 
 
 if __name__ == "__main__":

@@ -275,11 +275,8 @@ def _parse_graded_module(obj: dict, ptr: str) -> GradedModule:
             raise DocumentError(f"{ptr}/actions/{j}", f"expected {steps} matrices")
         family = []
         for k, m in enumerate(family_doc):
-            if algebra.kind == "poly":
-                rows, cols = dims[k + 1], dims[k]
-            else:
-                rows, cols = dims[k], dims[k + 1]
-            family.append(_parse_matrix(field, m, rows, cols, f"{ptr}/actions/{j}/{k}"))
+            src, dst = algebra.bridge(k)
+            family.append(_parse_matrix(field, m, dims[dst], dims[src], f"{ptr}/actions/{j}/{k}"))
         actions.append(tuple(family))
     return GradedModule(field, algebra, lo, dims, tuple(actions))
 
@@ -331,11 +328,14 @@ def _flag_doc(f: FlagData) -> dict:
 
 def parse_document(data):
     """Parse canonical JSON bytes/text into the corresponding value."""
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
     try:
+        if isinstance(data, (bytes, bytearray)):
+            data = data.decode("utf-8")
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Besides JSONDecodeError: UnicodeDecodeError, the plain ValueError
+        # of an integer past the int-string digit limit, and RecursionError
+        # for nesting deeper than the decoder's stack.
         raise DocumentError("/", f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise DocumentError("/", "expected a JSON object")

@@ -64,6 +64,12 @@ class Algebra:
     def step(self) -> int:
         return 1 if self.kind == "poly" else -1
 
+    def bridge(self, k: int) -> tuple[int, int]:
+        """Offsets from the window's low degree of the source and the target
+        of action matrix k: over 'poly' it maps lo+k up to lo+k+1, over
+        'ext' lo+k+1 down to lo+k."""
+        return (k, k + 1) if self.kind == "poly" else (k + 1, k)
+
 
 def polynomial_algebra(c: int) -> Algebra:
     return Algebra("poly", c)
@@ -77,9 +83,8 @@ def exterior_algebra(c: int) -> Algebra:
 class GradedModule:
     """Finite degree window of graded pieces with generator actions.
 
-    ``actions[j][k]`` bridges the adjacent degrees ``lo+k`` and ``lo+k+1``:
-    for a polynomial algebra it maps degree lo+k up to lo+k+1, for an
-    exterior algebra it maps degree lo+k+1 down to lo+k.
+    ``actions[j][k]`` bridges the adjacent degrees ``lo+k`` and ``lo+k+1``,
+    in the direction ``Algebra.bridge(k)`` gives.
     """
 
     field: Field
@@ -111,13 +116,11 @@ class GradedModule:
     def action(self, j: int, i: int) -> Matrix:
         """Action of generator j on the piece of degree i (padded with zero
         maps outside the window)."""
-        if self.algebra.kind == "poly":
-            if self.lo <= i < self.hi:
-                return self.actions[j][i - self.lo]
-            return zeros(self.field, self.dim(i + 1), self.dim(i))
-        if self.lo < i <= self.hi:
-            return self.actions[j][i - self.lo - 1]
-        return zeros(self.field, self.dim(i - 1), self.dim(i))
+        # Matrix k has its source at offset bridge(k)[0] = k + bridge(0)[0].
+        k = i - self.lo - self.algebra.bridge(0)[0]
+        if 0 <= k < len(self.dims) - 1:
+            return self.actions[j][k]
+        return zeros(self.field, self.dim(i + self.algebra.step), self.dim(i))
 
 
 def validate_module(m: GradedModule) -> Violation | None:
@@ -128,8 +131,8 @@ def validate_module(m: GradedModule) -> Violation | None:
     step = m.algebra.step
     for j, family in enumerate(m.actions):
         for k, mx in enumerate(family):
-            src = m.lo + k if step == 1 else m.lo + k + 1
-            want = (m.dim(src + step), m.dim(src))
+            src, dst = (m.lo + offset for offset in m.algebra.bridge(k))
+            want = (m.dim(dst), m.dim(src))
             if mx.shape != want:
                 return Violation("shape", src, f"action {j} has shape {mx.shape}, expected {want}")
             if mx.field != m.field:
@@ -210,12 +213,9 @@ def direct_sum_modules(mods: list[GradedModule]) -> GradedModule:
     for j in range(first.algebra.generators):
         family = []
         for k in range(max(0, len(dims) - 1)):
-            if first.algebra.kind == "poly":
-                rows = [m.dims[k + 1] for m in mods]
-                cols = [m.dims[k] for m in mods]
-            else:
-                rows = [m.dims[k] for m in mods]
-                cols = [m.dims[k + 1] for m in mods]
+            src, dst = first.algebra.bridge(k)
+            rows = [m.dims[dst] for m in mods]
+            cols = [m.dims[src] for m in mods]
             blocks = {(t, t): m.actions[j][k] for t, m in enumerate(mods)}
             family.append(assemble_blocks(first.field, rows, cols, blocks))
         actions.append(tuple(family))

@@ -221,10 +221,8 @@ def conjugate_module(rng: Random, m: GradedModule) -> tuple[GradedModule, list[t
     for j in range(m.algebra.generators):
         family = []
         for k in range(max(0, len(m.dims) - 1)):
-            if m.algebra.kind == "poly":
-                family.append(changes[k + 1][0] @ m.actions[j][k] @ changes[k][1])
-            else:
-                family.append(changes[k][0] @ m.actions[j][k] @ changes[k + 1][1])
+            src, dst = m.algebra.bridge(k)
+            family.append(changes[dst][0] @ m.actions[j][k] @ changes[src][1])
         actions.append(tuple(family))
     return GradedModule(m.field, m.algebra, m.lo, m.dims, tuple(actions)), changes
 

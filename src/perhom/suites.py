@@ -43,7 +43,7 @@ from .samples import (
     random_module_complex,
 )
 
-__all__ = ["SUITES", "available_suites", "run_suite", "report_bytes"]
+__all__ = ["SUITES", "available_suites", "run_suite"]
 
 F5 = GF(5)
 F7 = GF(7)
@@ -279,8 +279,8 @@ def suite_determinism(seed: int) -> dict:
     for name in sorted(SUITES):
         if name == "determinism":
             continue
-        first = report_bytes(SUITES[name](seed))
-        second = report_bytes(SUITES[name](seed))
+        first = canonical_json_bytes(SUITES[name](seed))
+        second = canonical_json_bytes(SUITES[name](seed))
         cases.append(
             {
                 "case": name,
@@ -314,7 +314,3 @@ def run_suite(name: str, seed: int = 0) -> dict:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {', '.join(available_suites())}")
     return SUITES[name](seed)
-
-
-def report_bytes(report: dict) -> bytes:
-    return canonical_json_bytes(report)

@@ -2,8 +2,9 @@
 documents, the exit codes of the Hom and period commands, the round trip
 of every golden document, the `verify` report bytes of the folding and BGG
 suites, the `cone` and `tensor` output on seeded documents, the `bgg`
-output on a golden and two free modules, and the exit codes and error
-pointers of malformed input."""
+output on a golden and two free modules, the `compress`, `expand` and
+`cohomology` output, the help text, the exit codes and error pointers of
+malformed input, and the exit codes of `python -m perhom`."""
 
 import hashlib
 import io
@@ -461,9 +462,24 @@ def test_stdin_input(capsysbinary, monkeypatch):
     assert run(capsysbinary, "cohomology", "-") == (0, b'{"cohomology":[[-2,0],[-1,1]],"ok":true}\n', b"")
 
 
-def _python_m_perhom(*argv: str) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(Path(perhom.__file__).parents[1])}
-    return subprocess.run([sys.executable, "-m", "perhom", *argv], capture_output=True, env=env, timeout=60)
+def test_compress_of_invalid_complex_exits_1(capsysbinary, tmp_path):
+    path = tmp_path / "square_nonzero.json"
+    path.write_bytes(b'{"diffs":[[[1]],[[1]]],"dims":[1,1,1],"field":{"fp":5},"kind":"complex","window":[0,2]}\n')
+    want = b'{"error":"invalid complex: square at degree 0: composite of consecutive differentials is nonzero","ok":false}\n'
+    assert run(capsysbinary, "compress", str(path), "--n", "2") == (1, want, b"")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b'{"kind":"complex","x":"\xff"}', b'{"kind":"complex","x":' + b"7" * 5000 + b"}", b"[" * 100000 + b"]" * 100000],
+    ids=["non-utf8", "long-integer", "deep-nesting"],
+)
+def test_undecodable_input_exits_2(capsysbinary, tmp_path, data):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(data)
+    code, out, err = run(capsysbinary, "cohomology", str(path))
+    assert (code, out) == (2, b"")
+    assert err.startswith(b"error: /: ")
 
 
 @pytest.mark.parametrize(
@@ -476,5 +492,6 @@ def _python_m_perhom(*argv: str) -> subprocess.CompletedProcess:
     ids=["exit-0", "exit-1", "exit-2"],
 )
 def test_module_entry_point(argv, code, out, err):
-    done = _python_m_perhom(*argv)
+    env = {**os.environ, "PYTHONPATH": str(Path(perhom.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "perhom", *argv], capture_output=True, env=env, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
