@@ -49,13 +49,16 @@ def canonical_json_bytes(value) -> bytes:
     return (json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n").encode("utf-8")
 
 
-def _expect_object(value, ptr: str, allowed: set[str], required: set[str]) -> dict:
+def _expect_object(value, ptr: str, allowed: set[str], required: set[str] | None = None) -> dict:
+    """``value`` as an object with keys from ``allowed`` and every key of
+    ``required`` (by default all of ``allowed``).  Keys are checked in a
+    fixed order, so the error does not depend on the hash seed."""
     if not isinstance(value, dict):
         raise DocumentError(ptr, "expected an object")
     for key in value:
         if key not in allowed:
             raise DocumentError(f"{ptr}/{key}", "unknown field")
-    for key in required:
+    for key in sorted(allowed if required is None else required):
         if key not in value:
             raise DocumentError(ptr, f"missing field {key!r}")
     return value
@@ -165,7 +168,7 @@ def _parse_dims(value, ptr: str, count: int) -> tuple[int, ...]:
 
 
 def _parse_complex(obj: dict, ptr: str) -> BoundedComplex:
-    _expect_object(obj, ptr, {"kind", "field", "window", "dims", "diffs"}, {"kind", "field", "window", "dims", "diffs"})
+    _expect_object(obj, ptr, {"kind", "field", "window", "dims", "diffs"})
     if obj["kind"] != "complex":
         raise DocumentError(f"{ptr}/kind", "expected 'complex'")
     field = _parse_field(obj["field"], f"{ptr}/field")
@@ -191,7 +194,7 @@ def _complex_doc(c: BoundedComplex) -> dict:
 
 
 def _parse_periodic(obj: dict, ptr: str) -> PeriodicComplex:
-    _expect_object(obj, ptr, {"kind", "field", "n", "dims", "diffs"}, {"kind", "field", "n", "dims", "diffs"})
+    _expect_object(obj, ptr, {"kind", "field", "n", "dims", "diffs"})
     field = _parse_field(obj["field"], f"{ptr}/field")
     n = _expect_int(obj["n"], f"{ptr}/n")
     if n < 1:
@@ -217,8 +220,7 @@ def _periodic_doc(p: PeriodicComplex) -> dict:
 
 
 def _parse_chain_map(obj: dict, ptr: str) -> ChainMap:
-    keys = {"kind", "field", "source", "target", "components"}
-    _expect_object(obj, ptr, keys, keys)
+    _expect_object(obj, ptr, {"kind", "field", "source", "target", "components"})
     field = _parse_field(obj["field"], f"{ptr}/field")
     source = _parse_complex(obj["source"], f"{ptr}/source")
     target = _parse_complex(obj["target"], f"{ptr}/target")
@@ -226,7 +228,7 @@ def _parse_chain_map(obj: dict, ptr: str) -> ChainMap:
         raise DocumentError(f"{ptr}/field", "source and target must share the document field")
     comps = {}
     for k, item in enumerate(_expect_list(obj["components"], f"{ptr}/components")):
-        item = _expect_object(item, f"{ptr}/components/{k}", {"degree", "matrix"}, {"degree", "matrix"})
+        item = _expect_object(item, f"{ptr}/components/{k}", {"degree", "matrix"})
         degree = _expect_int(item["degree"], f"{ptr}/components/{k}/degree")
         if degree in comps:
             raise DocumentError(f"{ptr}/components/{k}/degree", "duplicate degree")
@@ -250,8 +252,7 @@ def _chain_map_doc(f: ChainMap) -> dict:
 
 
 def _parse_graded_module(obj: dict, ptr: str) -> GradedModule:
-    keys = {"kind", "field", "algebra", "window", "dims", "actions"}
-    _expect_object(obj, ptr, keys, keys)
+    _expect_object(obj, ptr, {"kind", "field", "algebra", "window", "dims", "actions"})
     field = _parse_field(obj["field"], f"{ptr}/field")
     alg_doc = _expect_object(obj["algebra"], f"{ptr}/algebra", {"poly", "ext"}, set())
     if len(alg_doc) != 1:
@@ -293,15 +294,14 @@ def _graded_module_doc(m: GradedModule) -> dict:
 
 
 def _parse_flag(obj: dict, ptr: str) -> FlagData:
-    keys = {"kind", "field", "parts", "blocks"}
-    _expect_object(obj, ptr, keys, keys)
+    _expect_object(obj, ptr, {"kind", "field", "parts", "blocks"})
     field = _parse_field(obj["field"], f"{ptr}/field")
     parts_doc = _expect_list(obj["parts"], f"{ptr}/parts")
     parts = _parse_dims(obj["parts"], f"{ptr}/parts", len(parts_doc))
     blocks = []
     seen = set()
     for k, item in enumerate(_expect_list(obj["blocks"], f"{ptr}/blocks")):
-        item = _expect_object(item, f"{ptr}/blocks/{k}", {"src", "dst", "matrix"}, {"src", "dst", "matrix"})
+        item = _expect_object(item, f"{ptr}/blocks/{k}", {"src", "dst", "matrix"})
         src = _expect_int(item["src"], f"{ptr}/blocks/{k}/src")
         dst = _expect_int(item["dst"], f"{ptr}/blocks/{k}/dst")
         if not 0 <= dst < src < len(parts):

@@ -462,6 +462,25 @@ def test_stdin_input(capsysbinary, monkeypatch):
     assert run(capsysbinary, "cohomology", "-") == (0, b'{"cohomology":[[-2,0],[-1,1]],"ok":true}\n', b"")
 
 
+def test_missing_field_error_is_independent_of_hash_seed():
+    # Under the hash seeds 1 and 2, set iteration order put a different
+    # missing field first.
+    env = {**os.environ, "PYTHONPATH": str(Path(perhom.__file__).parents[1])}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "perhom", "cohomology", "-"],
+            input=b'{"kind":"complex"}\n',
+            capture_output=True,
+            env={**env, "PYTHONHASHSEED": seed},
+            timeout=60,
+        )
+        for seed in ("1", "2")
+    ]
+    assert [(done.returncode, done.stdout, done.stderr) for done in runs] == [
+        (2, b"", b"error: /: missing field 'diffs'\n")
+    ] * 2
+
+
 def test_compress_of_invalid_complex_exits_1(capsysbinary, tmp_path):
     path = tmp_path / "square_nonzero.json"
     path.write_bytes(b'{"diffs":[[[1]],[[1]]],"dims":[1,1,1],"field":{"fp":5},"kind":"complex","window":[0,2]}\n')
