@@ -138,13 +138,7 @@ def random_bounded_complex(
 
 def random_chain_map(rng: Random, x: BoundedComplex, y: BoundedComplex) -> ChainMap:
     """A uniform-ish random element of the chain-map space."""
-    sys = _chain_map_system(x, y)
-    basis = kernel_basis(sys.matrix())
-    if basis.cols == 0:
-        return chain_map(x, y, {})
-    coeffs = rand_matrix(rng, x.field, basis.cols, 1)
-    parts = sys.split_solution(basis @ coeffs)
-    return chain_map(x, y, parts)
+    return chain_map(x, y, _random_solution(rng, _chain_map_system(x, y)))
 
 
 def random_periodic(
@@ -244,6 +238,15 @@ def random_graded_module(
     return conjugate_module(rng, m)[0]
 
 
+def _random_solution(rng: Random, sys: BlockSystem) -> dict:
+    """The unknown blocks of a random element of the kernel of ``sys``: one
+    random coefficient per kernel basis vector, none when the kernel is 0."""
+    basis = kernel_basis(sys.matrix())
+    if basis.cols == 0:
+        return {}
+    return sys.split_solution(basis @ rand_matrix(rng, sys.field, basis.cols, 1))
+
+
 def _chain_map_system(x: BoundedComplex, y: BoundedComplex) -> BlockSystem:
     sys = BlockSystem(x.field)
     lo = min(x.lo, y.lo) if x.dims and y.dims else 0
@@ -289,12 +292,7 @@ def _module_map_system(src: GradedModule, dst: GradedModule) -> BlockSystem:
 
 def random_module_map(rng: Random, src: GradedModule, dst: GradedModule) -> tuple[Matrix, ...]:
     """Random equivariant degree-0 map, one matrix per window degree."""
-    sys = _module_map_system(src, dst)
-    basis = kernel_basis(sys.matrix())
-    if basis.cols:
-        parts = sys.split_solution(basis @ rand_matrix(rng, src.field, basis.cols, 1))
-    else:
-        parts = {}
+    parts = _random_solution(rng, _module_map_system(src, dst))
     return tuple(
         parts.get(i, zeros(src.field, dst.dim(i), src.dim(i))) for i in src.degrees()
     )
