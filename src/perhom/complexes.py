@@ -116,9 +116,6 @@ class BoundedComplex:
             return self.diffs[i - self.lo]
         return zeros(self.field, self.dim(i + 1), self.dim(i))
 
-    def is_zero_object(self) -> bool:
-        return all(d == 0 for d in self.dims)
-
     def total_dim(self) -> int:
         return sum(self.dims)
 

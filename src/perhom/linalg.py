@@ -84,8 +84,6 @@ __all__ = [
     "kernel_basis",
     "kron",
     "mat",
-    "permute_cols",
-    "permute_rows",
     "place_rows",
     "rank",
     "rref",
@@ -149,10 +147,6 @@ class Field:
                 raise ValueError(f"prime must lie in [2, 2^31), got {self.p}")
             if not _is_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
-
-    @property
-    def is_rationals(self) -> bool:
-        return self.p is None
 
     @property
     def zero(self):
@@ -465,20 +459,6 @@ def unvec(field: Field, column: Matrix, rows: int, cols: int) -> Matrix:
     if column.cols != 1 or column.rows != rows * cols:
         raise ShapeError("column has the wrong length")
     return _wrap(field, column.array.reshape(rows, cols), column.den, canonical=True)
-
-
-def permute_rows(m: Matrix, perm: Sequence[int]) -> Matrix:
-    """Row shuffle: row i of the result is row perm[i] of the input."""
-    if len(perm) != m.rows or sorted(perm) != list(range(m.rows)):
-        raise ShapeError("not a permutation of the rows")
-    return submatrix(m, perm, range(m.cols))
-
-
-def permute_cols(m: Matrix, perm: Sequence[int]) -> Matrix:
-    """Column shuffle: column j of the result is column perm[j] of the input."""
-    if len(perm) != m.cols or sorted(perm) != list(range(m.cols)):
-        raise ShapeError("not a permutation of the columns")
-    return submatrix(m, range(m.rows), perm)
 
 
 def submatrix(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix:

@@ -60,8 +60,7 @@ from .linalg import (
     ShapeError,
     assemble_blocks,
     identity,
-    permute_cols,
-    permute_rows,
+    submatrix,
     zeros,
 )
 
@@ -446,7 +445,7 @@ def _square_mismatch(folded: PeriodicComplex, other: PeriodicComplex, labels) ->
     for r in range(folded.n):
         # Conjugation by the relabeling: entry (i, j) in the reordered basis
         # is entry (perm[i], perm[j]) of the folded differential.
-        if permute_cols(permute_rows(folded.diffs[r], perms[(r + 1) % folded.n]), perms[r]) != other.diffs[r]:
+        if submatrix(folded.diffs[r], perms[(r + 1) % folded.n], perms[r]) != other.diffs[r]:
             return f"differentials disagree at residue {r}"
     return None
 

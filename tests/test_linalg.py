@@ -25,8 +25,6 @@ from perhom.linalg import (
     kernel_basis,
     kron,
     mat,
-    permute_cols,
-    permute_rows,
     rank,
     rref,
     solve_linear,
@@ -200,8 +198,8 @@ class TestStructure:
 
     def test_permutations(self):
         m = mat(QQ, [[1, 2], [3, 4]])
-        assert permute_rows(m, [1, 0]).entries == ((Fraction(3), Fraction(4)), (Fraction(1), Fraction(2)))
-        assert permute_cols(m, [1, 0]).entries == ((Fraction(2), Fraction(1)), (Fraction(4), Fraction(3)))
+        assert submatrix(m, [1, 0], [0, 1]).entries == ((Fraction(3), Fraction(4)), (Fraction(1), Fraction(2)))
+        assert submatrix(m, [0, 1], [1, 0]).entries == ((Fraction(2), Fraction(1)), (Fraction(4), Fraction(3)))
 
     def test_block_system_accumulates(self):
         # One unknown 1x1 block u appearing twice in one equation: 2u = 4.
@@ -280,8 +278,8 @@ class TestFpKernels:
                     (a.transpose(), tuple(tuple(a.entries[i][j] for i in range(rows)) for j in range(cols))),
                     (hstack([a, b]), tuple(r + s for r, s in zip(a.entries, b.entries))),
                     (vstack([a, b]), a.entries + b.entries),
-                    (permute_rows(a, row_perm), tuple(a.entries[i] for i in row_perm)),
-                    (permute_cols(a, col_perm), tuple(tuple(r[j] for j in col_perm) for r in a.entries)),
+                    (submatrix(a, row_perm, range(cols)), tuple(a.entries[i] for i in row_perm)),
+                    (submatrix(a, range(rows), col_perm), tuple(tuple(r[j] for j in col_perm) for r in a.entries)),
                     (
                         assemble_blocks(field, [rows, 2], [cols, 3], {(0, 0): a, (1, 1): c}),
                         tuple(r + (0,) * 3 for r in a.entries) + tuple((0,) * cols + r for r in c.entries),
