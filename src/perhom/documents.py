@@ -30,8 +30,6 @@ __all__ = [
     "serialize_document",
 ]
 
-_KINDS = ("chain-map", "complex", "flag", "graded-module", "periodic")
-
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _RESIDUE = re.compile(r"-?[0-9]+")
 
@@ -326,6 +324,16 @@ def _flag_doc(f: FlagData) -> dict:
     }
 
 
+# Each document kind: the type it parses to, its parser and its serialiser.
+_KINDS = {
+    "complex": (BoundedComplex, _parse_complex, _complex_doc),
+    "periodic": (PeriodicComplex, _parse_periodic, _periodic_doc),
+    "chain-map": (ChainMap, _parse_chain_map, _chain_map_doc),
+    "graded-module": (GradedModule, _parse_graded_module, _graded_module_doc),
+    "flag": (FlagData, _parse_flag, _flag_doc),
+}
+
+
 def parse_document(data):
     """Parse canonical JSON bytes/text into the corresponding value."""
     try:
@@ -340,30 +348,16 @@ def parse_document(data):
     if not isinstance(obj, dict):
         raise DocumentError("/", "expected a JSON object")
     kind = obj.get("kind")
-    if kind not in _KINDS:
+    # A kind that is not a string may be unhashable.
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise DocumentError("/kind", f"unknown document kind {kind!r}")
-    if kind == "complex":
-        return _parse_complex(obj, "")
-    if kind == "periodic":
-        return _parse_periodic(obj, "")
-    if kind == "chain-map":
-        return _parse_chain_map(obj, "")
-    if kind == "graded-module":
-        return _parse_graded_module(obj, "")
-    return _parse_flag(obj, "")
+    return _KINDS[kind][1](obj, "")
 
 
 def document_dict(value) -> dict:
-    if isinstance(value, BoundedComplex):
-        return _complex_doc(value)
-    if isinstance(value, PeriodicComplex):
-        return _periodic_doc(value)
-    if isinstance(value, ChainMap):
-        return _chain_map_doc(value)
-    if isinstance(value, GradedModule):
-        return _graded_module_doc(value)
-    if isinstance(value, FlagData):
-        return _flag_doc(value)
+    for cls, _, serialise in _KINDS.values():
+        if isinstance(value, cls):
+            return serialise(value)
     raise TypeError(f"no document form for {type(value).__name__}")
 
 
