@@ -1,9 +1,12 @@
 """Command-line surface over the document format and the verify suites.
 
-Each command maps its parsed arguments to ``(body, table)``: the JSON value
-to emit, and the ``(headers, rows)`` of its text table, or None for a
-command without ``--format table``.  ``main`` alone writes output and picks
-the exit code:
+Each command is one row of the command table ``_COMMANDS``: its help line,
+its arguments (positionals, then options, each as the name or flag and the
+keywords of ``add_argument``) and its handler.  ``build_parser`` turns the
+table into the parser once per process.  A handler maps the parsed
+arguments to ``(body, table)``: the JSON value to emit, and the
+``(headers, rows)`` of its text table, or None for a command without
+``--format table``.  ``main`` alone writes output and picks the exit code:
 
 - ``DocumentError`` or ``OSError`` (unreadable or malformed input, a wrong
   document kind, a bad option value): ``error: ...`` on stderr, exit 2;
@@ -17,7 +20,9 @@ the exit code:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+from typing import Callable, NamedTuple
 
 from .complexes import (
     BoundedComplex,
@@ -166,69 +171,61 @@ def _cmd_verify(args):
     return report, (["case", "status", "detail"], rows)
 
 
+class _Command(NamedTuple):
+    help: str
+    # (name or flag, add_argument keywords): positionals, then options.
+    arguments: tuple[tuple[str, dict], ...]
+    handler: Callable[[argparse.Namespace], tuple[dict, tuple | None]]
+
+
+_INPUT = ("input", {})
+_X = ("x", {})
+_Y = ("y", {})
+_N = ("--n", {"type": int, "required": True})
+_FORMAT = ("--format", {"choices": ("json", "table"), "default": "json"})
+
+_COMMANDS = {
+    "cohomology": _Command(
+        "cohomology dimensions of a complex or periodic document", (_INPUT, _FORMAT), _cmd_cohomology
+    ),
+    "compress": _Command("fold a complex into an n-periodic one", (_INPUT, _N), _cmd_compress),
+    "expand": _Command(
+        "unroll a periodic complex onto a window",
+        (_INPUT, ("--window", {"type": int, "nargs": 2, "metavar": ("LO", "HI"), "required": True})),
+        _cmd_expand,
+    ),
+    "cone": _Command("mapping cone of a chain-map document", (_INPUT,), _cmd_cone),
+    "homdim": _Command("Hom-space dimensions in the homotopy category", (_X, _Y, _FORMAT), _cmd_homdim),
+    "orbit-homdim": _Command(
+        "orbit Hom dimensions against the periodic side", (_X, _Y, _N, _FORMAT), _cmd_orbit_homdim
+    ),
+    "periodize": _Command("fold a windowed contraction into a periodic one", (_INPUT, _FORMAT), _cmd_periodize),
+    "tensor": _Command("tensor product of documents", (_X, _Y), _cmd_tensor),
+    "bgg": _Command("apply the duality functor to a graded module", (_INPUT, _FORMAT), _cmd_bgg),
+    "verify": _Command(
+        "run a verification suite",
+        (
+            ("suite", {"help": f"one of: {', '.join(available_suites())}"}),
+            ("--seed", {"type": int, "default": 0}),
+            _FORMAT,
+        ),
+        _cmd_verify,
+    ),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command in the table, built once per process."""
     parser = argparse.ArgumentParser(
         prog="perhom",
         description="Exact computations with bounded and n-periodic complexes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("json", "table"), default="json")
-
-    p = sub.add_parser("cohomology", help="cohomology dimensions of a complex or periodic document")
-    p.add_argument("input")
-    add_format(p)
-    p.set_defaults(func=_cmd_cohomology)
-
-    p = sub.add_parser("compress", help="fold a complex into an n-periodic one")
-    p.add_argument("input")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_compress)
-
-    p = sub.add_parser("expand", help="unroll a periodic complex onto a window")
-    p.add_argument("input")
-    p.add_argument("--window", type=int, nargs=2, metavar=("LO", "HI"), required=True)
-    p.set_defaults(func=_cmd_expand)
-
-    p = sub.add_parser("cone", help="mapping cone of a chain-map document")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_cone)
-
-    p = sub.add_parser("homdim", help="Hom-space dimensions in the homotopy category")
-    p.add_argument("x")
-    p.add_argument("y")
-    add_format(p)
-    p.set_defaults(func=_cmd_homdim)
-
-    p = sub.add_parser("orbit-homdim", help="orbit Hom dimensions against the periodic side")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--n", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_orbit_homdim)
-
-    p = sub.add_parser("periodize", help="fold a windowed contraction into a periodic one")
-    p.add_argument("input")
-    add_format(p)
-    p.set_defaults(func=_cmd_periodize)
-
-    p = sub.add_parser("tensor", help="tensor product of documents")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.set_defaults(func=_cmd_tensor)
-
-    p = sub.add_parser("bgg", help="apply the duality functor to a graded module")
-    p.add_argument("input")
-    add_format(p)
-    p.set_defaults(func=_cmd_bgg)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", help=f"one of: {', '.join(available_suites())}")
-    p.add_argument("--seed", type=int, default=0)
-    add_format(p)
-    p.set_defaults(func=_cmd_verify)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for arg, options in command.arguments:
+            p.add_argument(arg, **options)
     return parser
 
 
@@ -237,7 +234,7 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "n", 1) < 1:
             raise DocumentError("/n", "period must be at least 1")
-        body, table = args.func(args)
+        body, table = _COMMANDS[args.command].handler(args)
     except (DocumentError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -4,8 +4,10 @@ of every golden document, the `verify` report bytes of the folding and BGG
 suites, the `cone` and `tensor` output on seeded documents, the `bgg`
 output on a golden and two free modules, the `compress`, `expand` and
 `cohomology` output, the help text, the exit codes and error pointers of
-malformed input, and the exit codes of `python -m perhom`."""
+malformed input (the same under every hash seed), the exit codes of
+`python -m perhom`, and that `main` builds its parser once."""
 
+import argparse
 import hashlib
 import io
 import os
@@ -18,7 +20,7 @@ import pytest
 
 import perhom
 from perhom import GF, QQ, free_module, orbit_hom, parse_document, polynomial_algebra, serialize_document, single
-from perhom.cli import main
+from perhom.cli import build_parser, main
 from perhom.samples import random_bounded_complex, random_chain_map, random_periodic
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -460,6 +462,21 @@ def test_stdin_input(capsysbinary, monkeypatch):
     data = (GOLDEN / "complex_qq.json").read_bytes()
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
     assert run(capsysbinary, "cohomology", "-") == (0, b'{"cohomology":[[-2,0],[-1,1]],"ok":true}\n', b"")
+
+
+def test_parser_is_built_once(capsysbinary, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    for _ in range(2):
+        assert run(capsysbinary, "cohomology", doc("complex_qq"))[0] == 0
+    assert built.count("perhom") == 1
 
 
 def test_missing_field_error_is_independent_of_hash_seed():
