@@ -1,13 +1,19 @@
 """Seed-deterministic verification suites.
 
 Each suite checks one acceptance property on a fixed number of seeded
-random instances and returns a JSON-able report; identical seeds give
-byte-identical reports.  Suite names are the `verify` subcommand surface.
+random instances.  It yields one ``(case, ok, detail)`` triple per
+instance: the case label, whether the property holds, and a detail
+string.  ``SUITES`` maps each suite name to a function from a seed to
+the JSON-able report that ``_report`` builds from those triples;
+identical seeds give byte-identical reports.  Suite names are the
+`verify` subcommand surface.
 """
 
 from __future__ import annotations
 
+import functools
 from random import Random
+from typing import Callable, Iterator
 
 from .complexes import (
     chain_map,
@@ -48,70 +54,63 @@ __all__ = ["SUITES", "available_suites", "run_suite"]
 F5 = GF(5)
 F7 = GF(7)
 
+# One (case label, property holds, detail) triple per checked instance.
+_Cases = Iterator[tuple[str, bool, str]]
 
-def _finish(name: str, seed: int, cases: list[dict]) -> dict:
-    failed = sum(1 for c in cases if not c["ok"])
+
+def _report(name: str, cases: Callable[[int], _Cases], seed: int) -> dict:
+    """The report of suite ``name`` on the ``(case, ok, detail)`` triples
+    that ``cases(seed)`` yields."""
+    rows = [{"case": case, "ok": ok, "detail": detail} for case, ok, detail in cases(seed)]
+    failed = sum(1 for row in rows if not row["ok"])
     return {
         "suite": name,
         "seed": seed,
-        "cases": cases,
-        "passed": len(cases) - failed,
+        "cases": rows,
+        "passed": len(rows) - failed,
         "failed": failed,
         "ok": failed == 0,
     }
 
 
-def suite_embedding(seed: int) -> dict:
+def suite_embedding(seed: int) -> _Cases:
     """Orbit Hom dimensions, summed from the cohomology of each complex,
     agree with the Hom dimension between the folded complexes, counted
     from the ranks of their own differentials: folding preserves
     cohomology summed over residues.  Pairwise over seeded corpora of five
     complexes per period."""
-    cases = []
     for n in (1, 2, 3):
         rng = Random((seed, "embedding", n).__repr__())
         corpus = [random_bounded_complex(rng, F5, max_dim=4, max_width=4) for _ in range(5)]
         cert = embedding_certificate(corpus, n)
         for xi, yi, total, periodic in cert.pairs:
-            cases.append(
-                {
-                    "case": f"n={n} pair=({xi},{yi})",
-                    "ok": total == periodic,
-                    "detail": f"orbit={total} periodic={periodic}",
-                }
-            )
-    return _finish("embedding", seed, cases)
+            yield f"n={n} pair=({xi},{yi})", total == periodic, f"orbit={total} periodic={periodic}"
 
 
-def suite_periodize(seed: int) -> dict:
+def suite_periodize(seed: int) -> _Cases:
     """Folding a windowed contraction yields an exact periodic one on
     contractible complexes over both fields."""
     rng = Random((seed, "periodize").__repr__())
-    cases = []
     for k in range(50):
         n = 1 + k % 3
         field = QQ if k % 2 else F5
         p = random_contractible_periodic(rng, field, n, max_dim=1 if field.p is None else 2)
         s = unrolled_identity_contraction(p)
         if s is None:
-            cases.append({"case": f"k={k} n={n}", "ok": False, "detail": "no windowed contraction"})
+            yield f"k={k} n={n}", False, "no windowed contraction"
             continue
         try:
             # Raises unless its result passes periodic_homotopy_defect.
             periodize_null_homotopy(p, s)
-            ok = True
-            detail = f"dims={list(p.dims)} field={field!r}"
         except (ValueError, AssertionError) as exc:
-            ok = False
-            detail = str(exc)
-        cases.append({"case": f"k={k} n={n}", "ok": ok, "detail": detail})
-    return _finish("periodize", seed, cases)
+            yield f"k={k} n={n}", False, str(exc)
+        else:
+            yield f"k={k} n={n}", True, f"dims={list(p.dims)} field={field!r}"
 
 
-def suite_cone_compress(seed: int) -> dict:
+def suite_cone_compress(seed: int) -> _Cases:
     """Folding commutes with mapping cones up to the documented reordering,
     as an exact matrix identity."""
-    cases = []
     for n in (1, 2, 3):
         rng = Random((seed, "cone-compress", n).__repr__())
         for k in range(25):
@@ -120,15 +119,12 @@ def suite_cone_compress(seed: int) -> dict:
             x = random_bounded_complex(rng, field, max_dim=dim, max_width=3)
             y = random_bounded_complex(rng, field, max_dim=dim, max_width=3)
             f = random_chain_map(rng, x, y)
-            ok = compression_cone_square(f, n)
-            cases.append({"case": f"n={n} k={k}", "ok": ok, "detail": f"field={field!r}"})
-    return _finish("cone-compress", seed, cases)
+            yield f"n={n} k={k}", compression_cone_square(f, n), f"field={field!r}"
 
 
-def suite_unit_splitting(seed: int) -> dict:
+def suite_unit_splitting(seed: int) -> _Cases:
     """The unit into the unrolled fold is a split monomorphism: the
     canonical projection retracts it exactly."""
-    cases = []
     for n in (1, 2, 3):
         rng = Random((seed, "unit-splitting", n).__repr__())
         for k in range(25):
@@ -141,14 +137,12 @@ def suite_unit_splitting(seed: int) -> dict:
                 and validate_chain_map(rho) is None
                 and compose(rho, eta) == identity_chain_map(x)
             )
-            cases.append({"case": f"n={n} k={k}", "ok": ok, "detail": f"window_pad={pad}"})
-    return _finish("unit-splitting", seed, cases)
+            yield f"n={n} k={k}", ok, f"window_pad={pad}"
 
 
-def suite_twist(seed: int) -> dict:
+def suite_twist(seed: int) -> _Cases:
     """The signed-shift to plain-translation comparison map is a chain
     isomorphism with its own components as inverse."""
-    cases = []
     for n in (1, 2, 3):
         rng = Random((seed, "twist", n).__repr__())
         for k in range(25):
@@ -162,14 +156,12 @@ def suite_twist(seed: int) -> dict:
                 and compose(inv, t) == identity_chain_map(t.source)
                 and compose(t, inv) == identity_chain_map(t.target)
             )
-            cases.append({"case": f"n={n} k={k}", "ok": ok, "detail": ""})
-    return _finish("twist", seed, cases)
+            yield f"n={n} k={k}", ok, ""
 
 
-def suite_tensor_square(seed: int) -> dict:
+def suite_tensor_square(seed: int) -> _Cases:
     """Folding commutes with the tensor functor, entrywise after the
     canonical matching of summands, over both fields."""
-    cases = []
     for n in (1, 2, 3):
         rng = Random((seed, "tensor-square", n).__repr__())
         for k in range(25):
@@ -178,16 +170,13 @@ def suite_tensor_square(seed: int) -> dict:
             width = 3
             x = random_bounded_complex(rng, field, max_dim=dim, max_width=width)
             y0 = random_bounded_complex(rng, field, max_dim=dim, max_width=width)
-            ok = tensor_compression_square(x, y0, n)
-            cases.append({"case": f"n={n} k={k}", "ok": ok, "detail": f"field={field!r}"})
-    return _finish("tensor-square", seed, cases)
+            yield f"n={n} k={k}", tensor_compression_square(x, y0, n), f"field={field!r}"
 
 
-def suite_bgg_wellformed(seed: int) -> dict:
+def suite_bgg_wellformed(seed: int) -> _Cases:
     """Every constructed dual-exterior complex squares to zero and its
     differential commutes with the exterior action, exactly."""
     rng = Random((seed, "bgg-wellformed").__repr__())
-    cases = []
     for k in range(50):
         c = 1 + k % 3
         field = F5 if k % 2 else QQ
@@ -203,95 +192,56 @@ def suite_bgg_wellformed(seed: int) -> dict:
             tag = "complex"
         bad = validate_bgg(b)
         dims_ok = all(d % (2**c) == 0 for d in b.complex.dims)
-        cases.append(
-            {
-                "case": f"k={k} c={c} {tag}",
-                "ok": bad is None and dims_ok,
-                "detail": "" if bad is None else str(bad),
-            }
-        )
-    return _finish("bgg-wellformed", seed, cases)
+        yield f"k={k} c={c} {tag}", bad is None and dims_ok, "" if bad is None else str(bad)
 
 
-def suite_bgg_square(seed: int) -> dict:
+def suite_bgg_square(seed: int) -> _Cases:
     """Folding commutes with the duality functor: the relabelled
     differentials agree exactly."""
     rng = Random((seed, "bgg-square").__repr__())
-    cases = []
     for k in range(50):
         c = 1 + k % 2
         n = 1 + k % 3
         field = F5 if k % 2 else QQ
         mc = random_module_complex(rng, field, c, (0, 2 + k % 2))
         rep = verify_bgg_square(mc, n)
-        cases.append(
-            {
-                "case": f"k={k} c={c} n={n}",
-                "ok": rep.ok,
-                "detail": rep.detail,
-            }
-        )
-    return _finish("bgg-square", seed, cases)
+        yield f"k={k} c={c} n={n}", rep.ok, rep.detail
 
 
-def suite_bgg_cohomology(seed: int) -> dict:
+def suite_bgg_cohomology(seed: int) -> _Cases:
     """The free rank-one module has one-dimensional cohomology at the
     bottom of the window and none in the interior."""
-    cases = []
     for field, tag in ((QQ, "QQ"), (F5, "GF(5)")):
         s = free_module(field, polynomial_algebra(1), 0, (0, 6))
         coh = dict(cohomology_dims(bgg_module(s).complex))
         ok = coh.get(0) == 1 and all(coh.get(i) == 0 for i in range(1, 6))
-        cases.append(
-            {
-                "case": f"free module over {tag}, window [0, 6]",
-                "ok": ok,
-                "detail": f"h={[coh.get(i, 0) for i in range(0, 7)]}",
-            }
-        )
-    return _finish("bgg-cohomology", seed, cases)
+        yield f"free module over {tag}, window [0, 6]", ok, f"h={[coh.get(i, 0) for i in range(0, 7)]}"
 
 
-def suite_flags(seed: int) -> dict:
+def suite_flags(seed: int) -> _Cases:
     """Every filtration subquotient of a seeded flag carries the zero
     differential."""
     rng = Random((seed, "flags").__repr__())
-    cases = []
     for k in range(25):
         field = QQ if k % 3 == 0 else F7
         flag = random_flag(rng, field)
         flag_assemble(flag)
         stages = flag_filtration(flag)
         ok = all(stage.subquotient.diffs[0].is_zero() for stage in stages)
-        cases.append(
-            {
-                "case": f"k={k} parts={list(flag.parts)}",
-                "ok": ok,
-                "detail": f"field={field!r}",
-            }
-        )
-    return _finish("flags", seed, cases)
+        yield f"k={k} parts={list(flag.parts)}", ok, f"field={field!r}"
 
 
-def suite_determinism(seed: int) -> dict:
+def suite_determinism(seed: int) -> _Cases:
     """Two runs of every other suite with one seed are byte-identical."""
-    cases = []
     for name in sorted(SUITES):
         if name == "determinism":
             continue
         first = canonical_json_bytes(SUITES[name](seed))
         second = canonical_json_bytes(SUITES[name](seed))
-        cases.append(
-            {
-                "case": name,
-                "ok": first == second,
-                "detail": f"bytes={len(first)}",
-            }
-        )
-    return _finish("determinism", seed, cases)
+        yield name, first == second, f"bytes={len(first)}"
 
 
-SUITES = {
+_CASES = {
     "embedding": suite_embedding,
     "periodize": suite_periodize,
     "cone-compress": suite_cone_compress,
@@ -304,6 +254,8 @@ SUITES = {
     "flags": suite_flags,
     "determinism": suite_determinism,
 }
+# Each suite as a function from a seed to its report.
+SUITES = {name: functools.partial(_report, name, cases) for name, cases in _CASES.items()}
 
 
 def available_suites() -> list[str]:
