@@ -34,9 +34,9 @@ from .complexes import (
 )
 from .documents import (
     DocumentError,
+    MatrixSlot,
     canonical_json_bytes,
     document_dict,
-    matrix_doc,
     parse_document,
 )
 from .graded import GradedModule, tensor_periodic
@@ -138,7 +138,7 @@ def _cmd_periodize(args):
     if s is None:
         raise ValueError("no windowed contraction exists; the identity is not null-homotopic")
     sigma = periodize_null_homotopy(doc, s)
-    body = {"components": [matrix_doc(m) for m in sigma.components], "verified": True, "ok": True}
+    body = {"components": [MatrixSlot(m) for m in sigma.components], "verified": True, "ok": True}
     return body, (["residue", "shape"], [[str(r), f"{m.rows}x{m.cols}"] for r, m in enumerate(sigma.components)])
 
 
@@ -154,7 +154,7 @@ def _cmd_bgg(args):
     coh = cohomology_dims(built.complex)
     body = {
         "complex": document_dict(built.complex),
-        "actions": [[matrix_doc(m) for m in per_degree] for per_degree in built.actions],
+        "actions": [[MatrixSlot(m) for m in per_degree] for per_degree in built.actions],
         "cohomology": [[i, h] for i, h in coh],
         "ok": True,
     }

@@ -8,21 +8,40 @@ match ``-?[0-9]+(/[0-9]+)?`` and a residue may also be a string matching
 exponents), and JSON integers are accepted for both.  Floats are rejected
 everywhere.  Unknown object keys are rejected; every error carries a
 JSON-pointer path.
+
+Matrices go both ways at array speed.  On output the document writers put
+a `MatrixSlot` where a matrix goes, and `canonical_json_bytes` writes it
+from ``Matrix.array`` as ``json.dumps`` writes its `matrix_doc`: a sparse
+matrix as the text of the zero matrix of its shape with the encoded
+nonzero entries spliced in, a dense one through `matrix_doc`, which reads
+the array too.  On input each matrix is checked and converted at once:
+over F_p a type check of every entry and one int64 array; over QQ one
+regex check of the comma-joined entries, then their numerators and
+denominators as ints, brought over one denominator, with no `Fraction`
+per entry.  A matrix that fails that conversion is walked
+entry by entry, which raises the error with its pointer, so a malformed
+document gets the same error either way.  The fields differ only where
+single entries are encoded and decoded.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
+from itertools import chain
+
+import numpy as np
 
 from .complexes import BoundedComplex, ChainMap, chain_map
 from .graded import Algebra, FlagData, GradedModule
-from .linalg import Field, Matrix, ShapeError
+from .linalg import Field, Matrix, ShapeError, _residues, _wrap
 from .periodic import PeriodicComplex
 
 __all__ = [
     "DocumentError",
+    "MatrixSlot",
     "canonical_json_bytes",
     "document_dict",
     "matrix_doc",
@@ -32,6 +51,12 @@ __all__ = [
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _RESIDUE = re.compile(r"-?[0-9]+")
+# Rational strings joined by commas, and the denominator of one.
+_RATIONAL_ROW = re.compile(r"-?[0-9]+(/[0-9]+)?(,-?[0-9]+(/[0-9]+)?)*")
+_DENOMINATOR = re.compile(r"/[0-9]+")
+# What json.dumps writes for the string a `MatrixSlot` stands in for.
+_SLOT = "\0"
+_SLOT_TEXT = json.dumps(_SLOT)
 
 
 class DocumentError(ValueError):
@@ -43,8 +68,62 @@ class DocumentError(ValueError):
         super().__init__(f"{self.pointer}: {message}")
 
 
+class MatrixSlot:
+    """A matrix in a body for `canonical_json_bytes`, which writes the text
+    of ``matrix_doc(matrix)`` in its place straight from ``matrix.array``."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: Matrix):
+        self.matrix = matrix
+
+
+def _dumps(value, default=None) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False, default=default)
+
+
+def _matrix_of(obj) -> Matrix:
+    """The matrix of a `MatrixSlot`; json.dumps can write no other object."""
+    if type(obj) is not MatrixSlot:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return obj.matrix
+
+
 def canonical_json_bytes(value) -> bytes:
-    return (json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n").encode("utf-8")
+    """``json.dumps(value, sort_keys=True, separators=(",", ":"),
+    allow_nan=False)`` and a newline, as UTF-8, with each `MatrixSlot`
+    written as its matrix's `matrix_doc`.
+
+    A value takes one ``json.dumps`` call, which writes a dense matrix from
+    its `matrix_doc` and a sparse one as the placeholder ``"\\u0000"``.
+    The texts of the sparse matrices then replace the placeholders, in
+    output order.  If a string of the value is written the same way, there
+    are more placeholders than sparse matrices, and the value is written
+    again with every matrix from its `matrix_doc`.
+    """
+    sparse = []
+
+    def fill(obj):
+        m = _matrix_of(obj)
+        # Splicing costs about as much per nonzero entry as json.dumps of
+        # matrix_doc per four cells, and as much per matrix as 64 cells
+        # (numpy 2.4, Python 3.11, one core of a 2-vCPU Xeon VM).
+        if 4 * np.count_nonzero(m.array) + 64 >= m.rows * m.cols:
+            return matrix_doc(m)
+        sparse.append(m)
+        return _SLOT
+
+    text = _dumps(value, fill)
+    if sparse:
+        parts = text.split(_SLOT_TEXT)
+        if len(parts) == len(sparse) + 1:
+            pieces = [parts[0]]
+            for m, part in zip(sparse, parts[1:]):
+                pieces += (_sparse_text(m), part)
+            text = "".join(pieces)
+        else:
+            text = _dumps(value, lambda obj: matrix_doc(_matrix_of(obj)))
+    return (text + "\n").encode("utf-8")
 
 
 def _expect_object(value, ptr: str, allowed: set[str], required: set[str] | None = None) -> dict:
@@ -122,6 +201,48 @@ def _parse_entry(field: Field, value, ptr: str):
 
 
 def _parse_matrix(field: Field, value, rows: int, cols: int, ptr: str) -> Matrix:
+    """The rows x cols matrix of ``value``, converted at once if it can be,
+    else walked entry by entry, which raises the error."""
+    m = _convert_matrix(field, value, rows, cols)
+    return _walk_matrix(field, value, rows, cols, ptr) if m is None else m
+
+
+def _convert_matrix(field: Field, value, rows: int, cols: int) -> Matrix | None:
+    """The matrix of a well-formed body, converted at once, or None: over
+    F_p when every entry is an int, over QQ when every entry is a rational
+    string or an int, and the shape and denominators check out."""
+    if type(value) is not list or len(value) != rows or not set(map(type, value)) <= {list}:
+        return None
+    if not set(map(len, value)) <= {cols}:
+        return None
+    flat = list(chain.from_iterable(value))
+    kinds = set(map(type, flat))
+    if field.p is not None:
+        if not kinds <= {int}:
+            return None
+        return _wrap(field, _residues(flat, field.p).reshape(rows, cols))
+    if not kinds <= {str, int}:
+        return None
+    try:  # int() fails past Python's int digit limit
+        text = ",".join(map(str, flat))
+        # A comma inside an entry would split it in two.
+        if flat and not (_RATIONAL_ROW.fullmatch(text) and text.count(",") == len(flat) - 1):
+            return None
+        nums = list(map(int, _DENOMINATOR.sub("", text).split(","))) if flat else []
+        dens = [int(x.partition("/")[2] or 1) for x in text.split(",")] if "/" in text else [1]
+    except ValueError:
+        return None
+    if 0 in dens:
+        return None
+    den = math.lcm(*dens)
+    array = np.array(nums, dtype=object)
+    if den != 1:
+        array *= den // np.array(dens, dtype=object)
+    return _wrap(field, array.reshape(rows, cols), den)
+
+
+def _walk_matrix(field: Field, value, rows: int, cols: int, ptr: str) -> Matrix:
+    """The matrix parsed entry by entry, raising the first error by pointer."""
     body = _expect_list(value, ptr)
     if len(body) != rows:
         raise DocumentError(ptr, f"expected {rows} rows, got {len(body)}")
@@ -134,11 +255,46 @@ def _parse_matrix(field: Field, value, rows: int, cols: int, ptr: str) -> Matrix
     return Matrix(field, rows, cols, tuple(entries))
 
 
-def matrix_doc(m: Matrix):
-    """The JSON form of one matrix (rows of encoded entries)."""
-    if m.field.p is not None:
-        return m.array.tolist()
-    return [[str(x) for x in row] for row in m.entries]
+def _entry_docs(field: Field, values: list, den: int) -> list:
+    """The document entries of the numerators ``values`` over ``den``: the
+    residues themselves over F_p, ``str(Fraction)`` over QQ."""
+    if field.p is not None:
+        return values
+    if den == 1:
+        return list(map(str, values))
+    out = []
+    for x in values:
+        g = math.gcd(x, den)
+        out.append(f"{x // g}/{den // g}" if g != den else str(x // g))
+    return out
+
+
+def matrix_doc(m: Matrix) -> list:
+    """The JSON form of one matrix: rows of encoded entries, taken from
+    ``m.array``.  Document writers put a `MatrixSlot` in its place, which
+    `canonical_json_bytes` writes as the same text, and a sparse matrix
+    without these lists."""
+    return [_entry_docs(m.field, row, m.den) for row in m.array.tolist()]
+
+
+def _sparse_text(m: Matrix) -> str:
+    """The JSON text of ``matrix_doc(m)``: the text of the zero matrix of
+    m's shape with the texts of the nonzero entries spliced in."""
+    rows, cols = m.shape
+    i, j = m.array.nonzero()
+    # No entry text holds a comma, so one dumps of the entries gives them
+    # all; its default separators let json.dumps use its shared encoder.
+    zero, *values = json.dumps(_entry_docs(m.field, [0] + m.array[i, j].tolist(), m.den))[1:-1].split(", ")
+    template = "[" + ",".join(["[" + ",".join([zero] * cols) + "]"] * rows) + "]"
+    # Entry (i, j) starts after "[[", i rows and their "],[", and j entries
+    # and their commas.
+    width = len(zero) + 1
+    pieces, start = [], 0
+    for at, text in zip((2 + i * (cols * width + 2) + j * width).tolist(), values):
+        pieces += (template[start:at], text)
+        start = at + len(zero)
+    pieces.append(template[start:])
+    return "".join(pieces)
 
 
 def _parse_window(value, ptr: str) -> tuple[int, int]:
@@ -152,9 +308,10 @@ def _parse_window(value, ptr: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_dims(value, ptr: str, count: int) -> tuple[int, ...]:
+def _parse_dims(value, ptr: str, count: int | None = None) -> tuple[int, ...]:
+    """Nonnegative dimensions, exactly ``count`` of them unless it is None."""
     body = _expect_list(value, ptr)
-    if len(body) != count:
+    if count is not None and len(body) != count:
         raise DocumentError(ptr, f"expected {count} dimensions, got {len(body)}")
     dims = []
     for k, d in enumerate(body):
@@ -187,7 +344,7 @@ def _complex_doc(c: BoundedComplex) -> dict:
         "field": _field_doc(c.field),
         "window": [c.lo, c.hi],
         "dims": list(c.dims),
-        "diffs": [matrix_doc(m) for m in c.diffs],
+        "diffs": [MatrixSlot(m) for m in c.diffs],
     }
 
 
@@ -213,7 +370,7 @@ def _periodic_doc(p: PeriodicComplex) -> dict:
         "field": _field_doc(p.field),
         "n": p.n,
         "dims": list(p.dims),
-        "diffs": [matrix_doc(m) for m in p.diffs],
+        "diffs": [MatrixSlot(m) for m in p.diffs],
     }
 
 
@@ -245,7 +402,7 @@ def _chain_map_doc(f: ChainMap) -> dict:
         "field": _field_doc(f.source.field),
         "source": _complex_doc(f.source),
         "target": _complex_doc(f.target),
-        "components": [{"degree": d, "matrix": matrix_doc(m)} for d, m in f.components],
+        "components": [{"degree": d, "matrix": MatrixSlot(m)} for d, m in f.components],
     }
 
 
@@ -287,15 +444,14 @@ def _graded_module_doc(m: GradedModule) -> dict:
         "algebra": {m.algebra.kind: m.algebra.generators},
         "window": [m.lo, m.hi],
         "dims": list(m.dims),
-        "actions": [[matrix_doc(mx) for mx in family] for family in m.actions],
+        "actions": [[MatrixSlot(mx) for mx in family] for family in m.actions],
     }
 
 
 def _parse_flag(obj: dict, ptr: str) -> FlagData:
     _expect_object(obj, ptr, {"kind", "field", "parts", "blocks"})
     field = _parse_field(obj["field"], f"{ptr}/field")
-    parts_doc = _expect_list(obj["parts"], f"{ptr}/parts")
-    parts = _parse_dims(obj["parts"], f"{ptr}/parts", len(parts_doc))
+    parts = _parse_dims(obj["parts"], f"{ptr}/parts")
     blocks = []
     seen = set()
     for k, item in enumerate(_expect_list(obj["blocks"], f"{ptr}/blocks")):
@@ -320,7 +476,7 @@ def _flag_doc(f: FlagData) -> dict:
         "kind": "flag",
         "field": _field_doc(f.field),
         "parts": list(f.parts),
-        "blocks": [{"src": s, "dst": d, "matrix": matrix_doc(m)} for s, d, m in blocks],
+        "blocks": [{"src": s, "dst": d, "matrix": MatrixSlot(m)} for s, d, m in blocks],
     }
 
 

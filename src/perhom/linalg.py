@@ -23,7 +23,8 @@ only in the reduction mod p and in the bookkeeping of the denominator:
   needed, so no QQ step has an overflow bound to prove.
 
 `Fraction` values appear only where entries come in (``Field.coerce`` and
-the constructor) and where they go out (``Matrix.entries``).
+the constructor) and where they go out (``Matrix.entries``); documents
+read and write the arrays.
 
 A product over QQ is object-dtype `@` over the product of the two
 denominators.  A product over F_p with inner dimension k is chosen by the
@@ -192,7 +193,8 @@ class Matrix:
     and over QQ of `Fraction`s too; it copies them, reduces ints mod p, and
     raises TypeError on a float, a bool or anything else.  ``entries`` is a
     tuple of row tuples of Python ints (F_p) or of `Fraction`s in lowest
-    terms (QQ), derived on first use for callers outside this module.
+    terms (QQ), derived on first use for `entry`, ``repr`` and callers
+    outside the package; documents read and write ``array`` instead.
     Matrices compare and hash by field, shape, ``den`` and ``array``, which
     the canonical form makes the same as comparing entries.  Python ints
     grow as needed, so QQ arithmetic has no overflow bound; the F_p product
@@ -222,11 +224,7 @@ class Matrix:
             den = math.lcm(*(x.denominator for x in flat))
             array = np.array([x.numerator * (den // x.denominator) for x in flat], dtype=object)
         else:
-            den = 1
-            try:
-                array = np.array(flat, dtype=np.int64) % field.p
-            except OverflowError:  # an int outside int64, reduced on Python ints
-                array = (np.array(flat, dtype=object) % field.p).astype(np.int64)
+            den, array = 1, _residues(flat, field.p)
         self.field, self.rows, self.cols, self.den, self._entries = field, rows, cols, den, None
         self.array = array.reshape(rows, cols)
         self.array.flags.writeable = False
@@ -334,6 +332,14 @@ def _wrap(field: Field, a: np.ndarray, den: int = 1, canonical: bool = False) ->
     m = object.__new__(Matrix)
     m.field, m.rows, m.cols, m.array, m.den, m._entries = field, a.shape[0], a.shape[1], a, den, None
     return m
+
+
+def _residues(ints: list, p: int) -> np.ndarray:
+    """The Python ints ``ints`` mod p, as a flat int64 array."""
+    try:
+        return np.array(ints, dtype=np.int64) % p
+    except OverflowError:  # an int outside int64, reduced on Python ints
+        return (np.array(ints, dtype=object) % p).astype(np.int64)
 
 
 def _mod(field: Field, a: np.ndarray) -> np.ndarray:
@@ -635,11 +641,14 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
 class BlockSystem:
     """Linear systems whose unknowns are families of matrices.
 
-    Each unknown is a matrix block U_k; each equation block is a matrix
-    identity ``sum sign * A @ U_k @ B = rhs``.  Blocks are flattened row
-    major, so a term contributes ``sign * kron(A, B^T)``.  Contributions to
-    the same (equation, unknown) pair accumulate, which is what the cyclic
-    systems with period 1 or 2 need.
+    Each unknown is a matrix block U_k; each equation block is the left
+    side ``sum sign * A @ U_k @ B`` of a matrix identity.  Blocks are
+    flattened row major, so a term contributes ``sign * kron(A, B^T)``.
+    Contributions to the same (equation, unknown) pair accumulate, which is
+    what the cyclic systems with period 1 or 2 need.  `matrix` is the matrix
+    of the left sides, and `split_solution` cuts a solution column into the
+    unknown blocks; a right side is the caller's to stack, in equation
+    order.
     """
 
     def __init__(self, field: Field):
@@ -647,7 +656,6 @@ class BlockSystem:
         self._unknowns: dict = {}
         self._equations: dict = {}
         self._terms: list = []
-        self._rhs: dict = {}
 
     def add_unknown(self, key, rows: int, cols: int) -> None:
         if key in self._unknowns:
@@ -669,13 +677,6 @@ class BlockSystem:
         if unk_key not in self._unknowns:
             raise KeyError(f"unknown block {unk_key!r}")
         self._terms.append((eq_key, unk_key, left, right, sign))
-
-    def set_rhs(self, eq_key, value: Matrix) -> None:
-        if eq_key not in self._equations:
-            raise KeyError(f"unknown equation {eq_key!r}")
-        if value.shape != self._equations[eq_key]:
-            raise ShapeError("rhs shape mismatch")
-        self._rhs[eq_key] = value
 
     @property
     def unknown_dim(self) -> int:
@@ -708,10 +709,6 @@ class BlockSystem:
         rows = [r * c for r, c in self._equations.values()]
         cols = [r * c for r, c in self._unknowns.values()]
         return assemble_blocks(field, rows, cols, blocks)
-
-    def rhs_vector(self) -> Matrix:
-        pieces = [vec(self._rhs.get(k, zeros(self.field, r, c))) for k, (r, c) in self._equations.items()]
-        return vstack([zeros(self.field, 0, 1), *pieces])
 
     def split_solution(self, column: Matrix) -> dict:
         if column.shape != (self.unknown_dim, 1):

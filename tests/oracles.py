@@ -47,7 +47,7 @@ from perhom import (
     zeros,
 )
 from perhom.samples import _chain_map_system
-from perhom.linalg import BlockSystem, assemble_blocks
+from perhom.linalg import BlockSystem, assemble_blocks, vec, vstack
 from perhom.periodic import PeriodicChainMap, PeriodicHomotopy
 
 
@@ -340,10 +340,21 @@ def _cyclic_homotopy_system(x: PeriodicComplex, y: PeriodicComplex) -> BlockSyst
     return sys
 
 
-def _windowed_contraction_system(p: PeriodicComplex) -> BlockSystem:
+def rhs_vector(sys: BlockSystem, rhs: dict) -> Matrix:
+    """The right side of `sys` as one column: the block ``rhs[key]`` of each
+    equation, zero where absent, flattened row major in equation order."""
+    shapes = sys._equations
+    assert rhs.keys() <= shapes.keys(), "right side for an unknown equation"
+    assert all(m.shape == shapes[key] for key, m in rhs.items()), "right side of the wrong shape"
+    pieces = [vec(rhs.get(key, zeros(sys.field, r, c))) for key, (r, c) in shapes.items()]
+    return vstack([zeros(sys.field, 0, 1), *pieces])
+
+
+def _windowed_contraction_system(p: PeriodicComplex) -> tuple[BlockSystem, dict]:
     # Unknowns s^0..s^n on the window [-1, n]; equations
     # s^(i+1) d^i + d^(i-1) s^i = id for 0 <= i <= n-1.
     sys = BlockSystem(p.field)
+    rhs = {}
     n = p.n
     for i in range(0, n + 1):
         if p.dim(i) and p.dim(i - 1):
@@ -351,23 +362,23 @@ def _windowed_contraction_system(p: PeriodicComplex) -> BlockSystem:
     for i in range(0, n):
         if p.dim(i):
             sys.add_equation(i, p.dim(i), p.dim(i))
-            sys.set_rhs(i, identity(p.field, p.dim(i)))
+            rhs[i] = identity(p.field, p.dim(i))
             if p.dim(i + 1):
                 sys.add_term(i, i + 1, right=p.diff(i))
             if p.dim(i - 1):
                 sys.add_term(i, i, left=p.diff(i - 1))
-    return sys
+    return sys, rhs
 
 
-def _solve(sys: BlockSystem) -> dict | None:
-    solution = solve_linear(sys.matrix(), sys.rhs_vector())
+def _solve(sys: BlockSystem, rhs: dict) -> dict | None:
+    solution = solve_linear(sys.matrix(), rhs_vector(sys, rhs))
     return None if solution is None else sys.split_solution(solution)
 
 
 def solver_unrolled_contraction(p: PeriodicComplex) -> Homotopy | None:
     """`unrolled_identity_contraction` as the particular solution of the
     windowed system, or None when it is unsolvable."""
-    parts = _solve(_windowed_contraction_system(p))
+    parts = _solve(*_windowed_contraction_system(p))
     if parts is None:
         return None
     e = expand_window(p, -1, p.n)
@@ -377,10 +388,7 @@ def solver_unrolled_contraction(p: PeriodicComplex) -> Homotopy | None:
 def solver_null_homotopy(f: ChainMap) -> Homotopy | None:
     """`find_null_homotopy` as the particular solution of s -> d s + s d = f."""
     x, y = f.source, f.target
-    sys = _homotopy_system(x, y)
-    for i, m in f.components:
-        sys.set_rhs(i, m)
-    parts = _solve(sys)
+    parts = _solve(_homotopy_system(x, y), dict(f.components))
     if parts is None:
         return None
     return Homotopy(f, zero_chain_map(x, y), tuple(sorted(parts.items())))
@@ -390,11 +398,8 @@ def solver_periodic_homotopy(f: PeriodicChainMap, g: PeriodicChainMap) -> Period
     """`find_periodic_homotopy` as the particular solution of the cyclic
     system s -> d s + s d = f - g."""
     x, y = f.source, f.target
-    sys = _cyclic_homotopy_system(x, y)
-    for r in range(x.n):
-        if x.dims[r] and y.dims[r]:
-            sys.set_rhs(r, f.components[r] - g.components[r])
-    parts = _solve(sys)
+    rhs = {r: f.components[r] - g.components[r] for r in range(x.n) if x.dims[r] and y.dims[r]}
+    parts = _solve(_cyclic_homotopy_system(x, y), rhs)
     if parts is None:
         return None
     comps = tuple(parts.get(r, zeros(x.field, y.dim(r - 1), x.dims[r])) for r in range(x.n))

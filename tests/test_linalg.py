@@ -54,6 +54,7 @@ from oracles import (
     qq_product,
     qq_rref,
     qq_solve,
+    rhs_vector,
     sympy_rank,
 )
 
@@ -208,8 +209,7 @@ class TestStructure:
         sys.add_equation("e", 1, 1)
         sys.add_term("e", "u")
         sys.add_term("e", "u")
-        sys.set_rhs("e", mat(QQ, [[4]]))
-        x = solve_linear(sys.matrix(), sys.rhs_vector())
+        x = solve_linear(sys.matrix(), rhs_vector(sys, {"e": mat(QQ, [[4]])}))
         assert sys.split_solution(x)["u"] == mat(QQ, [[2]])
 
     def test_matmul_big_prime_exact(self):
