@@ -2,7 +2,8 @@
 documents, the exit codes of the Hom and period commands, the round trip
 of every golden document, the `verify` report bytes of the folding and BGG
 suites, the `cone` and `tensor` output on seeded documents, the `bgg`
-output on a golden and two free modules, the `compress`, `expand` and
+output on a golden and two free modules and on an empty window and zero
+end pieces, the `compress`, `expand` and
 `cohomology` output, the help text, the exit codes and error pointers of
 malformed input (the same under every hash seed), the exit codes of
 `python -m perhom`, and that `main` builds its parser once."""
@@ -19,7 +20,17 @@ from random import Random
 import pytest
 
 import perhom
-from perhom import GF, QQ, free_module, orbit_hom, parse_document, polynomial_algebra, serialize_document, single
+from perhom import (
+    GF,
+    QQ,
+    direct_sum_modules,
+    free_module,
+    orbit_hom,
+    parse_document,
+    polynomial_algebra,
+    serialize_document,
+    single,
+)
 from perhom.cli import build_parser, main
 from perhom.samples import random_bounded_complex, random_chain_map, random_periodic
 
@@ -366,6 +377,42 @@ def test_bgg_bytes(capsysbinary, tmp_path, case):
         code, out, err = run(capsysbinary, "bgg", path, *argv)
         assert (code, err) == (0, b"")
         assert hashlib.sha256(out).hexdigest() == want
+
+
+# `perhom bgg` where the module window is empty or has zero pieces at its
+# ends: (module document, SHA-256 of the JSON output, `--format table`
+# output), recorded at commit 75339c1.  The sum of free GF(5) modules with
+# c = 2 generated in degrees 2 and 1 on [0, 3] has dims (0, 1, 3, 5).
+BGG_EDGE = {
+    "empty-window": (
+        b'{"kind":"graded-module","field":{"fp":5},"algebra":{"poly":1},"window":[0,-1],"dims":[],"actions":[[]]}',
+        "750ff753c2f19afd8d43ab1a105aa2de61a3375fe5d451414e8c60b67135f7f3",
+        b"degree  dim h\n------  -----\n",
+    ),
+    "QQ-zero-ends": (
+        b'{"actions":[[[[],[]],[["1","-1/2"]],[]],[[[],[]],[["2/3","0"]],[]]],"algebra":{"poly":2},'
+        b'"dims":[0,2,1,0],"field":{"rationals":true},"kind":"graded-module","window":[-1,2]}',
+        "5f88aa71ccaa0036362aab990330443e6ad21acfbf391ff71899591e942cfd7f",
+        b"degree  dim h\n------  -----\n-1      0\n0       5\n1       1\n2       0\n",
+    ),
+    "free-sum-GF(5)-c2": (
+        serialize_document(
+            direct_sum_modules([free_module(GF(5), polynomial_algebra(2), g, (0, 3)) for g in (2, 1)])
+        ),
+        "616b4afe677d1aa4a4dcbe0a8a0abde0845b78016ec19379a8cee1ee5bd0f033",
+        b"degree  dim h\n------  -----\n0       0\n1       1\n2       1\n3       12\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BGG_EDGE))
+def test_bgg_window_edges(capsysbinary, tmp_path, case):
+    body, json_sha256, table = BGG_EDGE[case]
+    path = tmp_path / "module.json"
+    path.write_bytes(body)
+    code, out, err = run(capsysbinary, "bgg", str(path))
+    assert (code, err, hashlib.sha256(out).hexdigest()) == (0, b"", json_sha256)
+    assert run(capsysbinary, "bgg", str(path), "--format", "table") == (0, table, b"")
 
 
 # The command surface recorded at commit eb111e9, before the commands
