@@ -232,6 +232,8 @@ def chain_map(source: BoundedComplex, target: BoundedComplex, components: dict[i
             raise ShapeError(f"component at degree {i} has shape {m.shape}")
         out.append((i, m))
     for i, m in components.items():
+        if m.field != source.field:
+            raise FieldMismatch(f"component at degree {i} over the wrong field")
         if (source.dim(i) == 0 or target.dim(i) == 0) and not m.is_zero():
             raise ShapeError(f"nonzero component at degree {i} outside both supports")
     return ChainMap(source, target, tuple(out))

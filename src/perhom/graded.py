@@ -22,7 +22,7 @@ from .linalg import (
     submatrix,
     zeros,
 )
-from .periodic import PeriodicComplex, _compress, _fold, _fold_labels, _square_mismatch, compress, validate_periodic
+from .periodic import PeriodicComplex, _fold, _fold_labels, _square_mismatch, compress, validate_periodic
 
 __all__ = [
     "Algebra",
@@ -340,11 +340,6 @@ def compress_modules(mc: ModuleComplex, n: int) -> PeriodicModuleComplex:
     in increasing degree, with the block maps of the original complex.
     """
     _require(validate_module_complex(mc), "module complex")
-    return _compress_modules(mc, n)
-
-
-def _compress_modules(mc: ModuleComplex, n: int) -> PeriodicModuleComplex:
-    """`compress_modules` of a module complex already validated."""
     if n < 1:
         raise ValueError("period must be at least 1")
     if not mc.modules:
@@ -461,11 +456,6 @@ def tensor_periodic(x: BoundedComplex, y: PeriodicComplex) -> PeriodicComplex:
         raise FieldMismatch("tensor across fields")
     _require(validate(x), "complex")
     _require(validate_periodic(y), "periodic complex")
-    return _tensor_periodic(x, y)
-
-
-def _tensor_periodic(x: BoundedComplex, y: PeriodicComplex) -> PeriodicComplex:
-    """`tensor_periodic` of complexes already validated."""
     n = y.n
     dims = tuple(sum(x.dim(j) * y.dim(r - j) for j in x.degrees()) for r in range(n))
     return PeriodicComplex(x.field, n, dims, _total_diffs(x.field, range(n), *_tensor_grid(x, y)))
@@ -475,9 +465,6 @@ def tensor_compression_square(x: BoundedComplex, y0: BoundedComplex, n: int) -> 
     """Exact equality of fold(x tensor y0) and x tensor fold(y0) after the
     canonical matching of summands."""
     t = tensor_complex(x, y0)
-    folded = _compress(y0, n)
-    # x and y0 were validated by tensor_complex; the fold of y0 was not.
-    _require(validate_periodic(folded), "periodic complex")
-    other = _tensor_periodic(x, folded)
+    other = tensor_periodic(x, compress(y0, n))
     labels = lambda r: _fold_labels(t, n, r, x.degrees(), x.dim, lambda i, j: y0.dim(j))
     return _square_mismatch(compress(t, n), other, labels) is None

@@ -29,7 +29,7 @@ from .graded import (
     GradedModule,
     ModuleComplex,
     PeriodicModuleComplex,
-    _compress_modules,
+    compress_modules,
     validate_module,
     validate_module_complex,
 )
@@ -42,7 +42,7 @@ from .linalg import (
     kron,
     zeros,
 )
-from .periodic import PeriodicComplex, _compress, _fold_labels, _square_mismatch, validate_periodic
+from .periodic import PeriodicComplex, _fold_labels, _square_mismatch, compress, validate_periodic
 
 __all__ = [
     "BGGComplex",
@@ -167,27 +167,18 @@ def _bgg_differential(dual: LambdaDual, m: GradedModule, i: int) -> Matrix:
 
 
 def bgg_module(m: GradedModule) -> BGGComplex:
-    """The complex with term dual (x) M_i in degree i.
+    """The complex with term dual (x) M_i in degree i, over the whole
+    window of m: zero pieces give zero terms, at the ends too.
 
-    Output invariants (checked): the differential squares to zero and
-    commutes with the exterior action; term i has dimension 2^c * dim M_i.
+    Built by `_bgg_total`, the totalization of `bgg_complex`, applied to
+    the one-term complex of m.  Output invariants (checked): the
+    differential squares to zero and commutes with the exterior action;
+    term i has dimension 2^c * dim M_i.
     """
     if m.algebra.kind != "poly":
         raise ValueError("input must be a module over a polynomial algebra")
     _require(validate_module(m), "graded module")
-    dual = lambda_dual(m.algebra.generators, m.field)
-    dims = tuple(dual.total_dim * d for d in m.dims)
-    diffs = tuple(_bgg_differential(dual, m, i) for i in range(m.lo, m.hi))
-    cx = BoundedComplex(m.field, m.lo, dims, diffs)
-    actions = tuple(
-        tuple(kron(dual.actions[j], identity(m.field, m.dims[k])) for j in range(dual.c))
-        for k in range(len(m.dims))
-    )
-    out = BGGComplex(dual, cx, actions)
-    bad = validate_bgg(out)
-    if bad is not None:
-        raise AssertionError(f"construction violated its own invariant: {bad}")
-    return out
+    return _bgg_total(ModuleComplex(0, (m,), ()), m.degrees())
 
 
 @dataclass(frozen=True)
@@ -281,23 +272,29 @@ def bgg_complex(mc: ModuleComplex) -> BGGComplex:
 
     Term l collects the nonzero cells (i, l - i) by increasing i, as
     `total_complex` orders them, over the total degrees from the lowest to
-    the highest nonzero cell; the exterior action on a total term is
-    blockwise over those cells.  The output is checked by `validate_bgg`.
+    the highest nonzero cell.  `bgg_module` is the same totalization,
+    `_bgg_total`, over the whole window of its module.
     """
     _require(validate_module_complex(mc), "module complex")
     if not mc.modules:
         raise ValueError("cannot apply the functor to an empty complex")
-    field = mc.modules[0].field
     if mc.modules[0].algebra.kind != "poly":
         raise ValueError("input must be a complex of polynomial-algebra modules")
+    live = [i + j for j in mc.homological_degrees() for i in mc.modules[0].degrees() if mc.dim(j, i)]
+    return _bgg_total(mc, range(min(live), max(live) + 1) if live else range(0))
+
+
+def _bgg_total(mc: ModuleComplex, degrees: range) -> BGGComplex:
+    """The functor applied to each term of mc, totalized by `_total_diffs`
+    over the total degrees `degrees` from degrees.start, so an empty range
+    gives the zero complex.  The exterior action on a total term is
+    blockwise over its nonzero cells.  The output is checked by
+    `validate_bgg`; `bgg_module` and `bgg_complex` guard mc."""
+    field = mc.modules[0].field
     dual = lambda_dual(mc.modules[0].algebra.generators, field)
     window, dim, _, _ = grid = _bgg_grid(mc, dual)
-    live = [i + j for j in mc.homological_degrees() for i in window if dim(i, j)]
-    if not live:
-        return BGGComplex(dual, zero_complex(field), ())
-    degrees = range(min(live), max(live) + 1)
     dims = tuple(sum(dim(i, l - i) for i in window) for l in degrees)
-    cx = BoundedComplex(field, degrees[0], dims, _total_diffs(field, degrees[:-1], *grid))
+    cx = BoundedComplex(field, degrees.start, dims, _total_diffs(field, degrees[:-1], *grid))
     actions = []
     for l in degrees:
         cells = [mc.dim(l - i, i) for i in window if dim(i, l - i)]
@@ -355,9 +352,8 @@ def verify_bgg_square(mc: ModuleComplex, n: int) -> BGGSquareReport:
     """
     bounded = bgg_complex(mc)
     cx = bounded.complex
-    other = bgg_periodic(_compress_modules(mc, n))
+    other = bgg_periodic(compress_modules(mc, n))
     size = bounded.dual.total_dim
     labels = lambda r: _fold_labels(cx, n, r, mc.modules[0].degrees(), lambda i: size, lambda i, j: mc.dim(j, i))
-    # bgg_complex has validated mc and cx.
-    mismatch = _square_mismatch(_compress(cx, n), other, labels)
+    mismatch = _square_mismatch(compress(cx, n), other, labels)
     return BGGSquareReport(n, mismatch is None, mismatch or "exact equality")

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import BoundedComplex, _require, _split_hom_report, _splitting, _validate_pair, validate
+from .complexes import BoundedComplex, _require, _split_hom_report, _splitting
 from .linalg import FieldMismatch
-from .periodic import _compress, validate_periodic
+from .periodic import compress, validate_periodic
 
 __all__ = ["EmbeddingReport", "OrbitHomReport", "embedding_certificate", "orbit_hom"]
 
@@ -59,16 +59,15 @@ def orbit_hom(x: BoundedComplex, y: BoundedComplex, n: int) -> OrbitHomReport:
         raise FieldMismatch("orbit hom across fields")
     if n < 1:
         raise ValueError("period must be at least 1")
-    _require(_validate_pair(validate, x, y), "complex")
     fx = _fold_split(x, n)
     return _pair_report(x, y, n, fx, fx if y is x else _fold_split(y, n))
 
 
 def _fold_split(x: BoundedComplex, n: int):
-    """All that `_pair_report` reads of a validated complex x, computed
-    once: its cohomology by degree, its fold mod n (validated) and the
-    fold's splitting."""
-    folded = _compress(x, n)
+    """All that `_pair_report` reads of a complex x, computed once: its
+    cohomology by degree, its fold mod n (validated) and the fold's
+    splitting.  `compress` guards x."""
+    folded = compress(x, n)
     _require(validate_periodic(folded), "periodic complex")
     return _splitting(x)[0], folded, _splitting(folded)
 
@@ -104,15 +103,10 @@ class EmbeddingReport:
 def embedding_certificate(corpus: list[BoundedComplex], n: int) -> EmbeddingReport:
     """Check total == periodic_side on every ordered pair of the corpus;
     each complex is validated, folded and split once."""
-    if corpus:
-        field = corpus[0].field
-        for c in corpus:
-            if c.field != field:
-                raise FieldMismatch("corpus spans several fields")
-        if n < 1:
-            raise ValueError("period must be at least 1")
-        for c in corpus:
-            _require(validate(c), "complex")
+    if n < 1:
+        raise ValueError("period must be at least 1")
+    if any(c.field != corpus[0].field for c in corpus):
+        raise FieldMismatch("corpus spans several fields")
     splits = [_fold_split(c, n) for c in corpus]
     pairs = []
     for xi, x in enumerate(corpus):

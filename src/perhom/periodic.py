@@ -151,6 +151,8 @@ def periodic_chain_map(source: PeriodicComplex, target: PeriodicComplex, compone
     for i, m in enumerate(comps):
         if m.shape != (target.dims[i], source.dims[i]):
             raise ShapeError(f"component {i} has shape {m.shape}")
+        if m.field != source.field:
+            raise FieldMismatch(f"component {i} over the wrong field")
     return PeriodicChainMap(source, target, comps)
 
 
@@ -212,11 +214,6 @@ def compress(x: BoundedComplex, n: int) -> PeriodicComplex:
     degrees and zero elsewhere.
     """
     _require(validate(x), "complex")
-    return _compress(x, n)
-
-
-def _compress(x: BoundedComplex, n: int) -> PeriodicComplex:
-    """`compress` of a complex already validated."""
     if n < 1:
         raise ValueError("period must be at least 1")
     classes = [residue_degrees(x, n, r) for r in range(n)]
@@ -230,14 +227,9 @@ def _compress(x: BoundedComplex, n: int) -> PeriodicComplex:
 def compress_map(f: ChainMap, n: int) -> PeriodicChainMap:
     """Fold a chain map block-diagonally into residue classes."""
     _require(validate_chain_map(f), "chain map")
-    return _compress_map(f, n)
-
-
-def _compress_map(f: ChainMap, n: int) -> PeriodicChainMap:
-    """`compress_map` of a chain map already validated."""
     x, y = f.source, f.target
-    px = _compress(x, n)
-    py = px if y is x else _compress(y, n)
+    px = compress(x, n)
+    py = px if y is x else compress(y, n)
     comps = [
         _fold(x.field, residue_degrees(x, n, r), residue_degrees(y, n, r), 0, x.dim, y.dim, f.component)
         for r in range(n)
@@ -476,7 +468,7 @@ def compression_cone_square(f: ChainMap, n: int) -> bool:
     """Exact matrix equality of compress(cone(f)) and the periodic cone of
     the compressed map, after the documented reordering of summands."""
     c = cone(f).complex
-    other = periodic_cone(_compress_map(f, n))
+    other = periodic_cone(compress_map(f, n))
     columns, dim, _, _ = _cone_grid(f)
     labels = lambda r: _fold_labels(c, n, r, columns, lambda i: 1, dim)
     return _square_mismatch(compress(c, n), other, labels) is None

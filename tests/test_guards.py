@@ -1,11 +1,15 @@
 """The input guards of the public entry points: each rejects a malformed
 input with ValueError and the exact text ``invalid <what>: <violation>``,
-and the folds of module complexes reject a period below one."""
+the folds of module complexes and the embedding certificate of an empty
+corpus reject a period below one, and the chain-map constructors reject a
+component over another field."""
 
 import pytest
 
 from perhom import (
+    GF,
     QQ,
+    FieldMismatch,
     GradedModule,
     ModuleComplex,
     PeriodicComplex,
@@ -19,6 +23,7 @@ from perhom import (
     compress_map,
     compress_modules,
     cone,
+    embedding_certificate,
     find_null_homotopy,
     find_periodic_homotopy,
     free_module,
@@ -139,6 +144,11 @@ CASES = [
     ("shift_periodic", lambda: shift_periodic(BAD_PERIODIC, 1), f"invalid periodic complex: {SQUARE}"),
     ("hom_space_dims", lambda: hom_space_dims(GOOD_COMPLEX, BAD_COMPLEX), f"invalid complex: {SQUARE}"),
     ("orbit_hom", lambda: orbit_hom(BAD_COMPLEX, GOOD_COMPLEX, 2), f"invalid complex: {SQUARE}"),
+    (
+        "embedding_certificate",
+        lambda: embedding_certificate([GOOD_COMPLEX, BAD_COMPLEX], 2),
+        f"invalid complex: {SQUARE}",
+    ),
     ("cohomology_dims", lambda: cohomology_dims(BAD_COMPLEX), f"invalid complex: {SQUARE}"),
     ("tensor_complex", lambda: tensor_complex(GOOD_COMPLEX, BAD_COMPLEX), f"invalid complex: {SQUARE}"),
     ("find_null_homotopy", lambda: find_null_homotopy(BAD_MAP), f"invalid chain map: {NOT_CHAIN_MAP}"),
@@ -159,10 +169,30 @@ def test_guard_message_is_exact(call, message):
         lambda n: compress_modules(GOOD_MODULE_COMPLEX, n),
         lambda n: verify_bgg_square(GOOD_MODULE_COMPLEX, n),
         lambda n: PeriodicModuleComplex(n, (), ()),
+        lambda n: embedding_certificate([], n),
     ],
-    ids=["compress_modules", "verify_bgg_square", "PeriodicModuleComplex"],
+    ids=["compress_modules", "verify_bgg_square", "PeriodicModuleComplex", "embedding_certificate-empty"],
 )
 def test_module_folds_reject_period_below_one(call, n):
     with pytest.raises(ValueError) as caught:
         call(n)
     assert (type(caught.value), str(caught.value)) == (ValueError, "period must be at least 1")
+
+
+F5, F7 = GF(5), GF(7)
+
+
+@pytest.mark.parametrize("dims", [(1,), (1, 1)], ids=["one-term", "two-term"])
+def test_chain_map_rejects_a_component_over_another_field(dims):
+    x = BoundedComplex(F5, 0, dims, tuple(zeros(F5, 1, 1) for _ in dims[1:]))
+    with pytest.raises(FieldMismatch) as caught:
+        chain_map(x, x, {0: mat(F7, [[1]])})
+    assert str(caught.value) == "component at degree 0 over the wrong field"
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["one-term", "two-term"])
+def test_periodic_chain_map_rejects_a_component_over_another_field(n):
+    p = PeriodicComplex(F5, n, (1,) * n, (zeros(F5, 1, 1),) * n)
+    with pytest.raises(FieldMismatch) as caught:
+        periodic_chain_map(p, p, (mat(F7, [[1]]),) + (zeros(F5, 1, 1),) * (n - 1))
+    assert str(caught.value) == "component 0 over the wrong field"

@@ -75,8 +75,8 @@ class TestEmbeddingCertificate:
         rng = Random(43)
         corpus = [random_bounded_complex(rng, F3, max_dim=3, max_width=4) for _ in range(5)]
         calls = []
-        real = orbit._compress
-        monkeypatch.setattr(orbit, "_compress", lambda *args: calls.append(args) or real(*args))
+        real = orbit.compress
+        monkeypatch.setattr(orbit, "compress", lambda *args: calls.append(args) or real(*args))
         report = embedding_certificate(corpus, 2)
         assert len(calls) == 5
         monkeypatch.undo()
