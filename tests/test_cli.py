@@ -3,10 +3,10 @@ documents, the exit codes of the Hom and period commands, the round trip
 of every golden document, the `verify` report bytes of the folding and BGG
 suites, the `cone` and `tensor` output on seeded documents, the `bgg`
 output on a golden and two free modules and on an empty window and zero
-end pieces, the `compress`, `expand` and
-`cohomology` output, the help text, the exit codes and error pointers of
-malformed input (the same under every hash seed), the exit codes of
-`python -m perhom`, and that `main` builds its parser once."""
+end pieces, the `compress`, `expand` and `cohomology` output, the help
+text, the exit codes and error pointers of malformed input (the same
+under every hash seed), the exit codes of `python -m perhom`, and that
+`main` builds its parser once."""
 
 import argparse
 import hashlib
