@@ -88,6 +88,9 @@ VERIFY_SHA256.update(
         "bgg-cohomology": "30022b180a2a7b4eb7ecf79fc05414fbc7873567078d6a7a0f7ba7d1d33ff214",
     }
 )
+# The determinism suite, which runs every other suite twice in one process,
+# recorded at commit bdfe35a.
+VERIFY_SHA256["determinism"] = "27d4ffdb376ca9f41439725cbe003311d9e07cb43d64f84f85abf172007c46a7"
 
 
 def run(capsysbinary, *argv: str) -> tuple[int, bytes, bytes]:
@@ -492,6 +495,14 @@ WRONG_KIND = [
 @pytest.mark.parametrize("argv, error", WRONG_KIND, ids=[argv[0] for argv, _ in WRONG_KIND])
 def test_wrong_document_kind_exits_2(capsysbinary, argv, error):
     assert run(capsysbinary, *argv) == (2, b"", f"error: /kind: {error}\n".encode())
+
+
+def test_verify_unknown_suite_exits_2(capsysbinary):
+    want = (
+        b"error: /suite: unknown suite 'nosuch'; available: bgg-cohomology, bgg-square, bgg-wellformed, "
+        b"cone-compress, determinism, embedding, flags, periodize, tensor-square, twist, unit-splitting\n"
+    )
+    assert run(capsysbinary, "verify", "nosuch") == (2, b"", want)
 
 
 def test_expand_empty_window_exits_2(capsysbinary):
