@@ -6,10 +6,17 @@ Cohomological conventions: upper indices, degree-raising differentials
 take the union window.  Direct sums order the X part before the Y part,
 and tensor bases are ordered with the left factor major, so equality of
 complexes is a meaningful assertion.
+
+Checks, folds, splittings and contractions are computed once per value
+(`_once`) and kept in its ``__dict__``.  Values are frozen dataclasses over
+read-only matrix arrays, and no code rebinds a `Matrix` attribute (the
+class does not refuse it); a value made by `dataclasses.replace` starts
+empty.  Results are shared, so no caller mutates one.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -152,6 +159,24 @@ def two_term(field: Field, degree: int, matrix: Matrix) -> BoundedComplex:
     return BoundedComplex(field, degree, (matrix.cols, matrix.rows), (matrix,))
 
 
+def _once(fn):
+    """fn(value, *args), computed once per value and arguments (a call that
+    raises keeps nothing) and kept in the value's ``__dict__``."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def once(value, *args):
+        key = (name, *args) if args else name
+        try:
+            return value.__dict__[key]
+        except KeyError:
+            result = value.__dict__[key] = fn(value, *args)
+            return result
+
+    return once
+
+
+@_once
 def validate(c) -> Violation | None:
     """Check shapes and d after d = 0 of a bounded or periodic complex;
     returns the first offending degree.
@@ -169,12 +194,6 @@ def validate(c) -> Violation | None:
         if c.dim(i) and c.dim(i + 2) and not (c.diff(i + 1) @ c.diff(i)).is_zero():
             return Violation("square", i, "composite of consecutive differentials is nonzero")
     return None
-
-
-def _validate_pair(check, x, y) -> Violation | None:
-    """check(x), then check(y) unless y is x: the first violation."""
-    v = check(x)
-    return v if v is not None or y is x else check(y)
 
 
 def _require(violation: Violation | None, what: str) -> None:
@@ -257,11 +276,12 @@ def compose(g: ChainMap, f: ChainMap) -> ChainMap:
     return chain_map(f.source, g.target, comps)
 
 
+@_once
 def validate_chain_map(f) -> Violation | None:
     """Check a bounded or periodic chain map: both complexes, then f d = d f
     out of every degree of the source."""
     x, y = f.source, f.target
-    v = _validate_pair(validate, x, y)
+    v = validate(x) or validate(y)
     if v is not None:
         return v
     for i in x.degrees():
@@ -353,28 +373,24 @@ def cone(f: ChainMap) -> Cone:
     return Cone(c, inclusion, tuple(projection))
 
 
-def _echelons(c, degrees) -> dict[int, tuple[Matrix, tuple[int, ...]]]:
-    """rref and pivot columns of the differential out of each degree of a
-    bounded or periodic complex; each differential is reduced once."""
-    return {r: rref(c.diff(r)) for r in degrees}
+@_once
+def _echelon(c, r: int) -> tuple[Matrix, tuple[int, ...]]:
+    """rref and pivot columns of the differential out of degree r of c."""
+    return rref(c.diff(r))
 
 
-def _split_ranks(c, echelons) -> tuple[dict[int, int], dict[int, int]]:
+@_once
+def _splitting(c) -> tuple[dict[int, int], dict[int, int]]:
     """(h, p) with p_i = rank d^i and h_i = dim X^i - p_i - p_prev(i) for
-    every degree i of c.
+    every degree i of a bounded or periodic complex c.
 
     Over a field, c is isomorphic to the sum of h_i copies of k in degree i
     and p_i copies of the contractible k -> k in degrees i, i+1.  Degrees
-    missing from `echelons` have zero differential.
+    outside the window of a bounded c have zero differential.
     """
-    p = {r: len(pivots) for r, (_, pivots) in echelons.items()}
-    h = {i: c.dim(i) - p.get(i, 0) - p.get(c.prev(i), 0) for i in c.degrees()}
+    p = {r: len(_echelon(c, r)[1]) for r in c.degrees()}
+    h = {i: c.dim(i) - p[i] - p.get(c.prev(i), 0) for i in c.degrees()}
     return h, p
-
-
-def _splitting(c) -> tuple[dict[int, int], dict[int, int]]:
-    """`_split_ranks` of a bounded or periodic complex."""
-    return _split_ranks(c, _echelons(c, c.degrees()))
 
 
 class _Split(NamedTuple):
@@ -385,11 +401,12 @@ class _Split(NamedTuple):
     s: Matrix
 
 
-def _contraction(c, echelons, r: int) -> _Split:
+@_once
+def _contraction(c, r: int) -> _Split:
     """Splitting data (i, p, s) of a bounded or periodic complex c in degree
     r, with d s + s d = 1 - i p and p d = 0, d i = 0.
 
-    `echelons` holds the rref R and pivot columns P of the differentials out
+    `_echelon` gives the rref R and pivot columns P of the differentials out
     of r and out of c.prev(r).  The unit vectors at P_r span a complement of
     the cycles Z_r; the columns D of d^(r-1) at P_(r-1) are a basis of the
     boundaries B_r; the columns I of a kernel basis of d^r that are pivots
@@ -400,13 +417,13 @@ def _contraction(c, echelons, r: int) -> _Split:
     s v = E_(P_(r-1)) b.  As d^r v = d^r E_P a has boundary coordinates a
     in degree r + 1, s d v = E_P a, while d s v = D b.
 
-    Only the rank data is needed for Hom counts (`_split_ranks`); this
+    Only the rank data is needed for Hom counts (`_splitting`); this
     solve is paid for by the homotopy witnesses alone.
     """
     field = c.field
     m = c.dim(r)
-    reduced, pivots = echelons[r]
-    incoming = echelons[c.prev(r)][1]
+    reduced, pivots = _echelon(c, r)
+    incoming = _echelon(c, c.prev(r))[1]
     boundaries = submatrix(c.diff(r - 1), range(m), incoming)
     cycles = zeros(field, m, 0)
     if m - len(pivots) - len(incoming):
@@ -421,12 +438,6 @@ def _contraction(c, echelons, r: int) -> _Split:
     return _Split(cycles, project, s)
 
 
-def _contractions(c, degrees) -> dict[int, _Split]:
-    """`_contraction` in each of `degrees`, each differential reduced once."""
-    echelons = _echelons(c, set(degrees) | {c.prev(r) for r in degrees})
-    return {r: _contraction(c, echelons, r) for r in degrees}
-
-
 def _split_null_homotopy(x, y, phi) -> dict | None:
     """h with d h + h d = phi in every degree of x, or None when the chain
     map phi (phi(r) its component in degree r) between the bounded or
@@ -438,12 +449,11 @@ def _split_null_homotopy(x, y, phi) -> dict | None:
     p_Y phi i_X = 0, p_Y phi = p_Y phi (d s_X + s_X d + i_X p_X) = p_Y phi s_X d.
     """
     degrees, prev = x.degrees(), x.prev
-    near = set(degrees) | {prev(r) for r in degrees}
-    sx, sy = _contractions(x, near), _contractions(y, near)
-    if any(not (sy[r].p @ phi(r) @ sx[r].i).is_zero() for r in degrees):
+    sx, sy = functools.partial(_contraction, x), functools.partial(_contraction, y)
+    if any(not (sy(r).p @ phi(r) @ sx(r).i).is_zero() for r in degrees):
         return None
     return {
-        r: sy[r].s @ phi(r) + sy[prev(r)].i @ sy[prev(r)].p @ phi(prev(r)) @ sx[r].s
+        r: sy(r).s @ phi(r) + sy(prev(r)).i @ sy(prev(r)).p @ phi(prev(r)) @ sx(r).s
         for r in degrees
     }
 
@@ -472,18 +482,14 @@ class HomReport:
     homotopy_classes: int
 
 
-def _split_hom_report(x_split, y_split, y) -> HomReport:
-    """Hom dimensions counted over the splittings of two complexes x and y
-    of one kind, bounded or periodic.
-
-    `x_split` and `y_split` are (h, p) pairs of degree-indexed dicts as
-    returned by `_splitting`, where h covers every degree of the complex
-    and missing degrees count as zero; y.prev(i) is the degree before i.
-    Each term counts the chain maps between two kinds of summand, and only
-    maps k[-i] -> k[-i] survive up to homotopy.
+def _split_hom_report(x, y) -> HomReport:
+    """Hom dimensions counted over the splittings (`_splitting`) of two
+    complexes x and y of one kind, bounded or periodic; y.prev(i) is the
+    degree before i.  Each term counts the chain maps between two kinds of
+    summand, and only maps k[-i] -> k[-i] survive up to homotopy.
     """
-    hx, px = x_split
-    hy, qy = y_split
+    hx, px = _splitting(x)
+    hy, qy = _splitting(y)
     z = classes = 0
     for i, h in hx.items():
         p, hh, q, q_prev = px.get(i, 0), hy.get(i, 0), qy.get(i, 0), qy.get(y.prev(i), 0)
@@ -506,8 +512,8 @@ def hom_space_dims(x: BoundedComplex, y: BoundedComplex) -> HomReport:
     """
     if x.field != y.field:
         raise FieldMismatch("hom across fields")
-    _require(_validate_pair(validate, x, y), "complex")
-    return _split_hom_report(_splitting(x), _splitting(y), y)
+    _require(validate(x) or validate(y), "complex")
+    return _split_hom_report(x, y)
 
 
 @dataclass(frozen=True)
@@ -588,7 +594,7 @@ def tensor_complex(x: BoundedComplex, y: BoundedComplex) -> BoundedComplex:
     """
     if x.field != y.field:
         raise FieldMismatch("tensor across fields")
-    _require(_validate_pair(validate, x, y), "complex")
+    _require(validate(x) or validate(y), "complex")
     field = x.field
     if not x.dims or not y.dims:
         return zero_complex(field)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import BoundedComplex, Violation, _require, _tensor_grid, _total_diffs, tensor_complex, validate
+from .complexes import BoundedComplex, Violation, _once, _require, _tensor_grid, _total_diffs, tensor_complex, validate
 from .linalg import (
     Field,
     FieldMismatch,
@@ -123,6 +123,7 @@ class GradedModule:
         return zeros(self.field, self.dim(i + self.algebra.step), self.dim(i))
 
 
+@_once
 def validate_module(m: GradedModule) -> Violation | None:
     """Shape checks plus the commutation laws of the ambient algebra.
 
@@ -292,6 +293,7 @@ class PeriodicModuleComplex:
         return zeros(m.field, self.dim(j + 1, i), m.dim(i))
 
 
+@_once
 def validate_module_complex(mc: ModuleComplex | PeriodicModuleComplex) -> Violation | None:
     """Check a bounded `ModuleComplex` or an n-periodic `PeriodicModuleComplex`.
 

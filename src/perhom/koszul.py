@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .complexes import BoundedComplex, Violation, _require, _total_diffs, validate, zero_complex
+from .complexes import BoundedComplex, Violation, _once, _require, _total_diffs, validate, zero_complex
 from .graded import (
     GradedModule,
     ModuleComplex,
@@ -143,6 +143,7 @@ class BGGComplex:
         return zeros(self.complex.field, 0, 0)
 
 
+@_once
 def validate_bgg(b: BGGComplex) -> Violation | None:
     """Square-zero plus exterior-linearity of the differential."""
     c = b.complex

@@ -34,14 +34,12 @@ from .complexes import (
     Violation,
     _cone_grid,
     _contraction,
-    _echelons,
+    _once,
     _require,
     _split_hom_report,
     _split_null_homotopy,
-    _split_ranks,
     _splitting,
     _total_diffs,
-    _validate_pair,
     chain_map,
     cone,
     homotopy_defect,
@@ -206,6 +204,7 @@ def _fold(field: Field, src, dst, step: int, src_dim, dst_dim, block) -> Matrix:
     return assemble_blocks(field, [dst_dim(j) for j in dst], [src_dim(j) for j in src], blocks)
 
 
+@_once
 def compress(x: BoundedComplex, n: int) -> PeriodicComplex:
     """Fold a bounded complex into residue classes mod n.
 
@@ -228,13 +227,11 @@ def compress_map(f: ChainMap, n: int) -> PeriodicChainMap:
     """Fold a chain map block-diagonally into residue classes."""
     _require(validate_chain_map(f), "chain map")
     x, y = f.source, f.target
-    px = compress(x, n)
-    py = px if y is x else compress(y, n)
     comps = [
         _fold(x.field, residue_degrees(x, n, r), residue_degrees(y, n, r), 0, x.dim, y.dim, f.component)
         for r in range(n)
     ]
-    return periodic_chain_map(px, py, comps)
+    return periodic_chain_map(compress(x, n), compress(y, n), comps)
 
 
 def expand_window(p: PeriodicComplex, lo: int, hi: int) -> BoundedComplex:
@@ -309,8 +306,8 @@ def periodic_hom_dims(x: PeriodicComplex, y: PeriodicComplex) -> HomReport:
         raise FieldMismatch("hom across fields")
     if x.n != y.n:
         raise ShapeError("hom across different periods")
-    _require(_validate_pair(validate_periodic, x, y), "periodic complex")
-    return _split_hom_report(_splitting(x), _splitting(y), y)
+    _require(validate_periodic(x) or validate_periodic(y), "periodic complex")
+    return _split_hom_report(x, y)
 
 
 def find_periodic_homotopy(f: PeriodicChainMap, g: PeriodicChainMap) -> PeriodicHomotopy | None:
@@ -323,8 +320,7 @@ def find_periodic_homotopy(f: PeriodicChainMap, g: PeriodicChainMap) -> Periodic
     """
     if f.source != g.source or f.target != g.target:
         raise ShapeError("homotopy endpoints must share source and target")
-    _require(validate_periodic_map(f), "periodic chain map")
-    _require(validate_periodic_map(g), "periodic chain map")
+    _require(validate_periodic_map(f) or validate_periodic_map(g), "periodic chain map")
     x, y = f.source, f.target
     parts = _split_null_homotopy(x, y, lambda r: f.component(r) - g.component(r))
     if parts is None:
@@ -353,14 +349,11 @@ def unrolled_identity_contraction(p: PeriodicComplex) -> Homotopy | None:
     differential is reduced once.
     """
     _require(validate_periodic(p), "periodic complex")
-    n = p.n
-    echelons = _echelons(p, p.degrees())
-    h, _ = _split_ranks(p, echelons)
-    if any(h.values()):
+    if any(_splitting(p)[0].values()):
         return None
-    s = {r: _contraction(p, echelons, r).s for r in p.degrees()}
+    n = p.n
     e = expand_window(p, -1, n)
-    comps = tuple((i, s[i % n]) for i in range(n + 1) if p.dim(i) and p.dim(i - 1))
+    comps = tuple((i, _contraction(p, i % n).s) for i in range(n + 1) if p.dim(i) and p.dim(i - 1))
     return Homotopy(identity_chain_map(e), zero_chain_map(e, e), comps)
 
 

@@ -1,16 +1,21 @@
 """The input guards of the public entry points: each rejects a malformed
 input with ValueError and the exact text ``invalid <what>: <violation>``,
 the folds of module complexes and the embedding certificate of an empty
-corpus reject a period below one, and the chain-map constructors reject a
-component over another field."""
+corpus reject a period below one, the chain-map constructors reject a
+component over another field, and every violation branch of the checks
+fires (each check runs once per value, so these inputs are what show it
+still does)."""
 
 import pytest
 
 from perhom import (
     GF,
     QQ,
+    BGGComplex,
+    DoubleComplex,
     FieldMismatch,
     GradedModule,
+    Homotopy,
     ModuleComplex,
     PeriodicComplex,
     PeriodicModuleComplex,
@@ -24,10 +29,14 @@ from perhom import (
     compress_modules,
     cone,
     embedding_certificate,
+    exterior_algebra,
     find_null_homotopy,
     find_periodic_homotopy,
     free_module,
     hom_space_dims,
+    homotopy_defect,
+    identity_chain_map,
+    lambda_dual,
     mat,
     orbit_hom,
     periodic_cohomology,
@@ -39,13 +48,19 @@ from perhom import (
     single,
     tensor_complex,
     tensor_periodic,
+    total_complex,
     twist_iso,
     two_term,
     unrolled_identity_contraction,
+    validate,
+    validate_bgg,
+    validate_module,
+    validate_module_complex,
     verify_bgg_square,
+    zero_chain_map,
     zeros,
 )
-from perhom.complexes import BoundedComplex
+from perhom.complexes import BoundedComplex, Violation
 from perhom.periodic import periodic_chain_map
 
 ONE, ZERO = mat(QQ, [[1]]), zeros(QQ, 1, 1)
@@ -162,6 +177,16 @@ def test_guard_message_is_exact(call, message):
     assert (type(caught.value), str(caught.value)) == (ValueError, message)
 
 
+@pytest.mark.parametrize("call, message", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+def test_guard_message_is_the_same_on_a_second_call(call, message):
+    # The inputs are module constants, so the first call may already have
+    # kept the violation on them.
+    for _ in range(2):
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("n", [0, -1])
 @pytest.mark.parametrize(
     "call",
@@ -196,3 +221,69 @@ def test_periodic_chain_map_rejects_a_component_over_another_field(n):
     with pytest.raises(FieldMismatch) as caught:
         periodic_chain_map(p, p, (mat(F7, [[1]]),) + (zeros(F5, 1, 1),) * (n - 1))
     assert str(caught.value) == "component 0 over the wrong field"
+
+
+F3 = GF(3)
+_POLY1 = polynomial_algebra(1)
+_POINT = GradedModule(QQ, _POLY1, 0, (1,), ((),))
+_DUAL = lambda_dual(1, QQ)
+# d = diag(1, 0) against the action e_12: d a = e_12, a d = 0.
+_BGG_D, _BGG_A = mat(QQ, [[1, 0], [0, 0]]), mat(QQ, [[0, 1], [0, 0]])
+_PT = single(QQ, 0)
+
+VIOLATIONS = [
+    (
+        "validate-field",
+        lambda: validate(BoundedComplex(QQ, 0, (1, 1), (mat(F3, [[1]]),))),
+        Violation("field", 0, "differential over the wrong field"),
+    ),
+    (
+        "homotopy_defect",
+        lambda: homotopy_defect(Homotopy(identity_chain_map(_PT), zero_chain_map(_PT, _PT), ())),
+        Violation("homotopy", 0, "f - g != s d + d s"),
+    ),
+    (
+        "validate_module-shape",
+        lambda: validate_module(GradedModule(QQ, _POLY1, 0, (1, 2), ((ONE,),))),
+        Violation("shape", 0, "action 0 has shape (1, 1), expected (2, 1)"),
+    ),
+    (
+        "validate_module-field",
+        lambda: validate_module(GradedModule(QQ, _POLY1, 0, (1, 1), ((mat(F3, [[1]]),),))),
+        Violation("field", 0, "action 0 over the wrong field"),
+    ),
+    (
+        "validate_module-exterior-square",
+        lambda: validate_module(GradedModule(QQ, exterior_algebra(1), 0, (1, 1, 1), ((ONE, ONE),))),
+        Violation("square", 2, "generator 0 does not square to zero"),
+    ),
+    (
+        "validate_module_complex-window",
+        lambda: validate_module_complex(
+            ModuleComplex(0, (_POINT, GradedModule(QQ, _POLY1, 1, (1,), ((),))), ((ZERO,),))
+        ),
+        Violation("window", 1, "terms must share window and algebra"),
+    ),
+    (
+        "validate_module_complex-square",
+        lambda: validate_module_complex(ModuleComplex(0, (_POINT,) * 3, ((ONE,), (ONE,)))),
+        Violation("square", 0, "composite of maps 0, 1 is nonzero"),
+    ),
+    (
+        "validate_bgg-linearity",
+        lambda: validate_bgg(BGGComplex(_DUAL, two_term(QQ, 0, _BGG_D), ((_BGG_A,), (_BGG_A,)))),
+        Violation("linearity", 0, "differential does not commute with generator 0"),
+    ),
+]
+
+
+@pytest.mark.parametrize("check, want", [case[1:] for case in VIOLATIONS], ids=[case[0] for case in VIOLATIONS])
+def test_check_reports_its_violation(check, want):
+    assert check() == want
+
+
+def test_total_complex_rejects_a_column_that_does_not_square_to_zero():
+    grid = DoubleComplex(QQ, {(0, 0): 1, (0, 1): 1, (0, 2): 1}, {}, {(0, 0): ONE, (0, 1): ONE})
+    with pytest.raises(ValueError) as caught:
+        total_complex(grid)
+    assert (type(caught.value), str(caught.value)) == (ValueError, "column 0 does not square to zero at (0, 0)")
