@@ -8,10 +8,9 @@ and tensor bases are ordered with the left factor major, so equality of
 complexes is a meaningful assertion.
 
 Checks, folds, splittings and contractions are computed once per value
-(`_once`) and kept in its ``__dict__``.  Values are frozen dataclasses over
-read-only matrix arrays, and no code rebinds a `Matrix` attribute (the
-class does not refuse it); a value made by `dataclasses.replace` starts
-empty.  Results are shared, so no caller mutates one.
+(`_once`) and kept on it.  That is sound as values are frozen dataclasses
+over read-only matrix arrays and no code rebinds a `Matrix` attribute (the
+class does not refuse it).  Results are shared: no caller mutates one.
 """
 
 from __future__ import annotations
@@ -160,18 +159,21 @@ def two_term(field: Field, degree: int, matrix: Matrix) -> BoundedComplex:
 
 
 def _once(fn):
-    """fn(value, *args), computed once per value and arguments (a call that
-    raises keeps nothing) and kept in the value's ``__dict__``."""
-    name = fn.__name__
+    """fn(value, *args) once per value and arguments (a raise keeps nothing),
+    kept in ``value._derived``, set by `object.__setattr__`: reading
+    ``value.__dict__`` slows every later attribute read (CPython 3.11)."""
 
     @functools.wraps(fn)
     def once(value, *args):
-        key = (name, *args) if args else name
+        key = (fn.__name__, *args) if args else fn.__name__
         try:
-            return value.__dict__[key]
+            return value._derived[key]
+        except AttributeError:
+            object.__setattr__(value, "_derived", {})
         except KeyError:
-            result = value.__dict__[key] = fn(value, *args)
-            return result
+            pass
+        result = value._derived[key] = fn(value, *args)
+        return result
 
     return once
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import BoundedComplex, _require, _split_hom_report, _splitting
+from .complexes import BoundedComplex, _splitting
 from .linalg import FieldMismatch
-from .periodic import compress, validate_periodic
+from .periodic import compress, periodic_hom_dims
 
 __all__ = ["EmbeddingReport", "OrbitHomReport", "embedding_certificate", "orbit_hom"]
 
@@ -61,15 +61,14 @@ def orbit_hom(x: BoundedComplex, y: BoundedComplex, n: int) -> OrbitHomReport:
         raise FieldMismatch("orbit hom across fields")
     if n < 1:
         raise ValueError("period must be at least 1")
-    x_fold, y_fold = compress(x, n), compress(y, n)
-    _require(validate_periodic(x_fold) or validate_periodic(y_fold), "periodic complex")
+    # compress guards x and y.
+    periodic = periodic_hom_dims(compress(x, n), compress(y, n)).homotopy_classes
     hx, hy = _splitting(x)[0], _splitting(y)[0]
     summands = []
     for i in _shift_range(x, y, n):
         # Y[n*i] has in degree k the cohomology of Y in degree k + n*i.
         summands.append((i, sum(h * hy.get(k + n * i, 0) for k, h in hx.items())))
     total = sum(d for _, d in summands)
-    periodic = _split_hom_report(x_fold, y_fold).homotopy_classes
     return OrbitHomReport(n, tuple(summands), total, periodic)
 
 

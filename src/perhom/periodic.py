@@ -321,8 +321,7 @@ def find_periodic_homotopy(f: PeriodicChainMap, g: PeriodicChainMap) -> Periodic
     if f.source != g.source or f.target != g.target:
         raise ShapeError("homotopy endpoints must share source and target")
     _require(validate_periodic_map(f) or validate_periodic_map(g), "periodic chain map")
-    x, y = f.source, f.target
-    parts = _split_null_homotopy(x, y, lambda r: f.component(r) - g.component(r))
+    parts = _split_null_homotopy(f.source, f.target, lambda r: f.component(r) - g.component(r))
     if parts is None:
         return None
     h = PeriodicHomotopy(f, g, tuple(parts.values()))
