@@ -159,20 +159,20 @@ def two_term(field: Field, degree: int, matrix: Matrix) -> BoundedComplex:
 
 
 def _once(fn):
-    """fn(value, *args) once per value and arguments (a raise keeps nothing),
-    kept in ``value._derived``, set by `object.__setattr__`: reading
-    ``value.__dict__`` slows every later attribute read (CPython 3.11)."""
+    """fn(value, *args), once per value and arguments, kept in the dict
+    ``value._derived``; a raise keeps nothing and ``once`` marks a miss.
+    Reading ``__dict__`` instead would slow attribute reads (CPython 3.11)."""
 
     @functools.wraps(fn)
     def once(value, *args):
         key = (fn.__name__, *args) if args else fn.__name__
-        try:
-            return value._derived[key]
-        except AttributeError:
-            object.__setattr__(value, "_derived", {})
-        except KeyError:
-            pass
-        result = value._derived[key] = fn(value, *args)
+        derived = getattr(value, "_derived", None)
+        if derived is None:
+            derived = {}
+            object.__setattr__(value, "_derived", derived)
+        result = derived.get(key, once)
+        if result is once:
+            result = derived[key] = fn(value, *args)
         return result
 
     return once
