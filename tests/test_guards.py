@@ -2,9 +2,9 @@
 input with ValueError and the exact text ``invalid <what>: <violation>``,
 the folds of module complexes and the embedding certificate of an empty
 corpus reject a period below one, the chain-map constructors reject a
-component over another field, and every violation branch of the checks
-fires (each check runs once per value, so these inputs are what show it
-still does)."""
+component over another field, each guard fails the same way on a second
+call, and the violation branches of the checks that no other test reaches
+fire (each check runs once per value, so these inputs show it still does)."""
 
 import pytest
 
