@@ -18,6 +18,7 @@ from .linalg import (
     FieldMismatch,
     Matrix,
     ShapeError,
+    _from_rows,
     assemble_blocks,
     submatrix,
     zeros,
@@ -192,11 +193,11 @@ def free_module(field: Field, algebra: Algebra, generator_degree: int, window: t
         for i in range(lo, hi):
             src = basis[i]
             dst = {mono: t for t, mono in enumerate(basis[i + 1])}
-            mx = [[field.zero] * len(src) for _ in range(len(dst))]
+            mx = [[0] * len(src) for _ in range(len(dst))]
             for s, mono in enumerate(src):
                 bumped = tuple(e + (1 if t == j else 0) for t, e in enumerate(mono))
-                mx[dst[bumped]][s] = field.one
-            family.append(Matrix(field, len(dst), len(src), tuple(tuple(r) for r in mx)))
+                mx[dst[bumped]][s] = 1
+            family.append(_from_rows(field, mx, len(src)))
         actions.append(tuple(family))
     return GradedModule(field, algebra, lo, dims, tuple(actions))
 

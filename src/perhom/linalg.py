@@ -3,8 +3,10 @@
 Conventions used by the whole package:
 
 * matrices act on column vectors, so "g after f" is the product ``G @ F``;
-* rational entries are `fractions.Fraction` values (lowest terms, positive
-  denominator), prime-field entries are ints in ``[0, p)``;
+* a matrix is stored as integers over one denominator (see Storage below):
+  residues in ``[0, p)`` over F_p, numerators over QQ; only ``entries``
+  reads rational entries out as `fractions.Fraction` values in lowest
+  terms;
 * pivoting is deterministic (first nonzero row in column order), so echelon
   forms, kernel bases and particular solutions are reproducible bit for bit.
 
@@ -47,6 +49,8 @@ Math. Comp. 22, 1968) on the numerators; see `rref`.  QQ has one loop, on
 Python lists of Python ints (`_rref_rows`), at every size.  Over F_p the
 same loop runs on lists up to ``_SMALL_CELLS`` = 64 cells, where numpy's
 per-call cost is most of the time, and on the int64 array above.
+`solve_linear` and the inversion `_invert_rows` pick the route by the
+same rule on the cells of the augmented matrix they reduce.
 
 Measured with numpy 2.4 and Python 3.11 on one core of a 2-vCPU Xeon VM.
 Over F_p (best of five) lists win at 64 cells (8x8 over GF(7): 0.14
@@ -227,7 +231,7 @@ class Matrix:
             den, array = 1, _residues(flat, field.p)
         self.field, self.rows, self.cols, self.den, self._entries = field, rows, cols, den, None
         self.array = array.reshape(rows, cols)
-        self.array.flags.writeable = False
+        self.array.setflags(write=False)
 
     @property
     def entries(self) -> tuple:
@@ -328,7 +332,7 @@ def _wrap(field: Field, a: np.ndarray, den: int = 1, canonical: bool = False) ->
         g = math.gcd(den, *a.flat)
         if g != 1:
             a, den = a // g, den // g
-    a.flags.writeable = False
+    a.setflags(write=False)
     m = object.__new__(Matrix)
     m.field, m.rows, m.cols, m.array, m.den, m._entries = field, a.shape[0], a.shape[1], a, den, None
     return m
@@ -636,6 +640,30 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     for r, c in enumerate(pivots):
         x[c] = rows[r][a.cols :]
     return _from_rows(a.field, x, b.cols, den)
+
+
+def _invert_rows(field: Field, rows: list[list[int]], den: int = 1) -> Matrix | None:
+    """The inverse of the square matrix ``rows / den``, or None when it is
+    singular; `rows` are Python ints (residues over F_p), left unchanged.
+
+    One elimination of [rows | den 1] decides both: the matrix is
+    invertible exactly when every pivot lies left of the identity block,
+    and then the rows of the reduced form end in the inverse.  The
+    elimination takes the route `solve_linear` would take on the same
+    cells: lists (`_rref_rows`) over QQ, and over F_p up to
+    ``_SMALL_CELLS`` cells; `rref` on the int64 array above that.
+    """
+    n = len(rows)
+    p = field.p
+    augmented = [row + [0] * i + [den] + [0] * (n - 1 - i) for i, row in enumerate(rows)]
+    if p is None or 2 * n * n <= _SMALL_CELLS:
+        augmented, pivots, den = _rref_rows(p, augmented, 2 * n)
+    else:
+        reduced, pivots = rref(_from_rows(field, augmented, 2 * n))
+        augmented, den = reduced.array.tolist(), reduced.den
+    if pivots and pivots[-1] >= n:
+        return None
+    return _from_rows(field, [row[n:] for row in augmented], n, den)
 
 
 class BlockSystem:

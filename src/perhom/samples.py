@@ -6,6 +6,12 @@ homology pieces, then conjugated by random basis changes, so the square
 of every differential vanishes exactly.  Random graded modules are sums
 of shifted truncated free modules, conjugated degreewise, which preserves
 the commutation laws on the nose.
+
+Matrices are built from rows of the Python ints drawn (residues over F_p,
+integers over QQ) and wrapped once, without coercing each entry.  A basis
+change takes its invertibility test and its inverse from one elimination
+of [M | 1] (`linalg._invert_rows`).  The draws, and the order in which
+they consume the generator, are pinned by ``tests/test_sampler_pins.py``.
 """
 
 from __future__ import annotations
@@ -29,11 +35,11 @@ from .linalg import (
     BlockSystem,
     Field,
     Matrix,
+    _from_rows,
+    _invert_rows,
     assemble_blocks,
     identity,
     kernel_basis,
-    mat,
-    solve_linear,
     submatrix,
     zeros,
 )
@@ -54,9 +60,15 @@ __all__ = [
 
 
 def rand_matrix(rng: Random, field: Field, rows: int, cols: int, bound: int = 2) -> Matrix:
+    return _from_rows(field, _draw_rows(rng, field, rows, cols, bound), cols)
+
+
+def _draw_rows(rng: Random, field: Field, rows: int, cols: int, bound: int = 2) -> list[list[int]]:
+    """The rows of a random matrix as Python ints: residues in [0, p) over
+    F_p, integers in [-bound, bound] over QQ."""
     if field.p is not None:
-        return mat(field, [[rng.randrange(field.p) for _ in range(cols)] for _ in range(rows)], rows=rows, cols=cols)
-    return mat(field, [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)], rows=rows, cols=cols)
+        return [[rng.randrange(field.p) for _ in range(cols)] for _ in range(rows)]
+    return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 
 
 def rand_invertible(rng: Random, field: Field, n: int) -> Matrix:
@@ -67,27 +79,25 @@ def _basis_change(rng: Random, field: Field, n: int) -> tuple[Matrix, Matrix]:
     """A random invertible n x n matrix and its inverse.
 
     Up to 30 random candidates are tried in turn; one elimination of
-    [M | 1] decides whether a candidate M is invertible and gives its
-    inverse.
+    [M | 1] on the drawn rows decides whether a candidate M is invertible
+    and gives its inverse.
     """
-    if n == 0:
-        return identity(field, 0), identity(field, 0)
     for _ in range(30):
-        cand = rand_matrix(rng, field, n, n)
-        inv = solve_linear(cand, identity(field, n))
+        rows = _draw_rows(rng, field, n, n)
+        inv = _invert_rows(field, rows)
         if inv is not None:
-            return cand, inv
-    # Unit upper-triangular fallback, invertible by construction.
-    body = [
-        [field.one if i == j else (field.coerce(rng.randint(-2, 2)) if j > i else field.zero) for j in range(n)]
-        for i in range(n)
-    ]
-    m = Matrix(field, n, n, tuple(tuple(r) for r in body))
+            return _from_rows(field, rows, n), inv
+    # Unit upper-triangular fallback, invertible by construction; over F_p
+    # its negative draws are reduced mod p.
+    body = [[1 if i == j else rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)]
+    if field.p is not None:
+        body = [[x % field.p for x in row] for row in body]
+    m = _from_rows(field, body, n)
     return m, _inverse(m)
 
 
 def _inverse(m: Matrix) -> Matrix:
-    inv = solve_linear(m, identity(m.field, m.rows))
+    inv = _invert_rows(m.field, m.array.tolist(), m.den)
     if inv is None:
         raise ValueError("matrix is not invertible")
     return inv
@@ -125,10 +135,10 @@ def random_bounded_complex(
         # Degree-i basis order: tails of pieces from i-1, heads of pieces at
         # i, then the one-term summands; the identity block links heads at i
         # to tails at i+1.
-        block = [[field.zero] * cols for _ in range(rows)]
+        block = [[0] * cols for _ in range(rows)]
         for t in range(heads.get(i, 0)):
-            block[t][heads.get(i - 1, 0) + t] = field.one
-        diffs.append(Matrix(field, rows, cols, tuple(tuple(r) for r in block)))
+            block[t][heads.get(i - 1, 0) + t] = 1
+        diffs.append(_from_rows(field, block, cols))
     basis = {i: _basis_change(rng, field, dims[i - lo]) for i in degs}
     conjugated = []
     for k, i in enumerate(degs[:-1]):

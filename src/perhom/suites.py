@@ -174,7 +174,13 @@ def suite_tensor_square(seed: int) -> _Cases:
 
 def suite_bgg_wellformed(seed: int) -> _Cases:
     """Every constructed dual-exterior complex squares to zero and its
-    differential commutes with the exterior action, exactly."""
+    differential commutes with the exterior action, exactly, and term i
+    has dimension 2^c times that of its module pieces.
+
+    `bgg_module` and `bgg_complex` check the first two with `validate_bgg`
+    and raise on a violation, which fails the case with its message; the
+    case's own `validate_bgg` call reads that result back.  The case then
+    checks that every term dimension is a multiple of 2^c."""
     rng = Random((seed, "bgg-wellformed").__repr__())
     for k in range(50):
         c = 1 + k % 3
@@ -182,29 +188,40 @@ def suite_bgg_wellformed(seed: int) -> _Cases:
         width = 4 if c <= 2 else 2
         window = (0, width)
         if k % 3 == 0 or c == 3:
-            m = random_graded_module(rng, field, c, window)
-            b = bgg_module(m)
-            tag = "module"
+            tag, build, source = "module", bgg_module, random_graded_module(rng, field, c, window)
         else:
-            mc = random_module_complex(rng, field, c, window, length=1 + k % 2)
-            b = bgg_complex(mc)
-            tag = "complex"
+            tag, build, source = "complex", bgg_complex, random_module_complex(rng, field, c, window, length=1 + k % 2)
+        case = f"k={k} c={c} {tag}"
+        try:
+            b = build(source)
+        except (ValueError, AssertionError) as exc:
+            yield case, False, str(exc)
+            continue
         bad = validate_bgg(b)
         dims_ok = all(d % (2**c) == 0 for d in b.complex.dims)
-        yield f"k={k} c={c} {tag}", bad is None and dims_ok, "" if bad is None else str(bad)
+        yield case, bad is None and dims_ok, "" if bad is None else str(bad)
 
 
 def suite_bgg_square(seed: int) -> _Cases:
     """Folding commutes with the duality functor: the relabelled
-    differentials agree exactly."""
+    differentials agree exactly.
+
+    Each case compares `bgg_periodic` of the folded module complex with
+    the fold of `bgg_complex`; a construction that breaks its own checked
+    invariant fails the case with its message."""
     rng = Random((seed, "bgg-square").__repr__())
     for k in range(50):
         c = 1 + k % 2
         n = 1 + k % 3
         field = F5 if k % 2 else QQ
         mc = random_module_complex(rng, field, c, (0, 2 + k % 2))
-        rep = verify_bgg_square(mc, n)
-        yield f"k={k} c={c} n={n}", rep.ok, rep.detail
+        case = f"k={k} c={c} n={n}"
+        try:
+            rep = verify_bgg_square(mc, n)
+        except (ValueError, AssertionError) as exc:
+            yield case, False, str(exc)
+        else:
+            yield case, rep.ok, rep.detail
 
 
 def suite_bgg_cohomology(seed: int) -> _Cases:

@@ -24,7 +24,10 @@ on the `Fraction` rows of `entries`, down to row reduction, kernel bases
 and particular solutions by Gauss-Jordan elimination on fractions, and
 the F_p row-reduction oracles by the same elimination on residues; the
 structural oracles (transpose, stacks, blocks, submatrices, vec) rearrange
-the `entries` of either field.
+the `entries` of either field.  The sampler oracles draw random matrices
+and basis changes by the samplers' earlier route: every entry through
+`mat` and `Field.coerce`, and each inverse from `solve_linear(cand,
+identity)`, sharing only the generator calls with `perhom.samples`.
 """
 
 from fractions import Fraction
@@ -41,6 +44,7 @@ from perhom import (
     expand_window,
     identity,
     identity_chain_map,
+    mat,
     rank,
     solve_linear,
     zero_chain_map,
@@ -658,3 +662,32 @@ def entrywise_unit_and_retraction(x: BoundedComplex, n: int) -> tuple[dict, dict
         unit[i] = _labelled_matrix(field, own, folded, lambda s: [(s, field.one)])
         retraction[i] = _labelled_matrix(field, folded, own, lambda s: [(s, field.one)] if s[0] == i else [])
     return unit, retraction
+
+
+def drawn_matrix(rng, field, rows: int, cols: int, bound: int = 2) -> Matrix:
+    """`samples.rand_matrix` by the route through `mat`: the same draws in
+    the same order, each entry coerced into the field."""
+    if field.p is not None:
+        body = [[rng.randrange(field.p) for _ in range(cols)] for _ in range(rows)]
+    else:
+        body = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+    return mat(field, body, rows=rows, cols=cols)
+
+
+def drawn_basis_change(rng, field, n: int) -> tuple[Matrix, Matrix]:
+    """`samples._basis_change` by the route through `solve_linear`: up to
+    30 candidates from `drawn_matrix`, each inverse solved against the
+    identity, then the unit upper-triangular fallback of field scalars."""
+    if n == 0:
+        return identity(field, 0), identity(field, 0)
+    for _ in range(30):
+        cand = drawn_matrix(rng, field, n, n)
+        inv = solve_linear(cand, identity(field, n))
+        if inv is not None:
+            return cand, inv
+    body = [
+        [field.one if i == j else (field.coerce(rng.randint(-2, 2)) if j > i else field.zero) for j in range(n)]
+        for i in range(n)
+    ]
+    m = mat(field, body, rows=n, cols=n)
+    return m, solve_linear(m, identity(field, n))

@@ -5,8 +5,9 @@ suites, the `cone` and `tensor` output on seeded documents, the `bgg`
 output on a golden and two free modules and on an empty window and zero
 end pieces, the `compress`, `expand` and `cohomology` output, the help
 text, the exit codes and error pointers of malformed input (the same
-under every hash seed), the exit codes of `python -m perhom`, and that
-`main` builds its parser once."""
+under every hash seed), the exit codes of `python -m perhom`, that
+`main` builds its parser once, and that a BGG construction failing its own
+check fails its verify case instead of raising."""
 
 import argparse
 import hashlib
@@ -31,7 +32,11 @@ from perhom import (
     serialize_document,
     single,
 )
+from perhom import koszul
 from perhom.cli import build_parser, main
+from perhom.complexes import Violation
+from perhom.documents import canonical_json_bytes
+from perhom.suites import run_suite
 from perhom.samples import random_bounded_complex, random_chain_map, random_periodic
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -201,6 +206,19 @@ def test_verify_report_bytes(capsysbinary, suite):
     code, out, err = run(capsysbinary, "verify", suite, "--seed", "0")
     assert (code, err) == (0, b"")
     assert hashlib.sha256(out).hexdigest() == VERIFY_SHA256[suite]
+
+
+@pytest.mark.parametrize("suite", ["bgg-wellformed", "bgg-square"])
+def test_bgg_construction_failure_fails_its_case(capsysbinary, monkeypatch, suite):
+    """A BGG construction that breaks its own checked invariant fails its
+    verify case with the message; `main` exits 1 with the report."""
+    monkeypatch.setattr(koszul, "validate_bgg", lambda b: Violation("linearity", 0, "injected"))
+    report = run_suite(suite, 0)
+    assert (report["failed"], report["ok"]) == (len(report["cases"]), False) and report["failed"] > 0
+    want = "construction violated its own invariant: linearity at degree 0: injected"
+    assert {case["detail"] for case in report["cases"]} == {want}
+    code, out, err = run(capsysbinary, "verify", suite, "--seed", "0")
+    assert (code, out, err) == (1, canonical_json_bytes(report), b"")
 
 
 # SHA-256 of the stdout of `perhom cone` and `perhom tensor` on the seeded
