@@ -7,8 +7,9 @@ of every differential vanishes exactly.  Random graded modules are sums
 of shifted truncated free modules, conjugated degreewise, which preserves
 the commutation laws on the nose.
 
-Matrices are built from rows of the Python ints drawn (residues over F_p,
-integers over QQ) and wrapped once, without coercing each entry.  A basis
+Random matrices, basis changes and split blocks are built from rows of
+Python ints (residues over F_p, integers over QQ) and wrapped once,
+without coercing each entry.  A basis
 change takes its invertibility test and its inverse from one elimination
 of [M | 1] (`linalg._invert_rows`).  The draws, and the order in which
 they consume the generator, are pinned by ``tests/test_sampler_pins.py``.
