@@ -100,10 +100,6 @@ class BoundedComplex:
     def hi(self) -> int:
         return self.lo + len(self.dims) - 1
 
-    @property
-    def window(self) -> tuple[int, int]:
-        return (self.lo, self.hi)
-
     def degrees(self) -> range:
         return range(self.lo, self.hi + 1)
 

@@ -9,9 +9,9 @@ exponents), and JSON integers are accepted for both.  Floats are rejected
 everywhere.  Unknown object keys are rejected; every error carries a
 JSON-pointer path.
 
-Matrices go both ways at array speed.  On output the document writers put
-a `MatrixSlot` where a matrix goes, and `canonical_json_bytes` writes it
-from ``Matrix.array`` as ``json.dumps`` writes its `matrix_doc`: a sparse
+Matrices go both ways at array speed.  On output a `Matrix` stands where
+it goes in a document body, and `canonical_json_bytes` writes it from
+``Matrix.array`` as ``json.dumps`` writes its `matrix_doc`: a sparse
 matrix as the text of the zero matrix of its shape with the encoded
 nonzero entries spliced in, a dense one through `matrix_doc`, which reads
 the array too.  On input each matrix is checked and converted at once:
@@ -41,7 +41,6 @@ from .periodic import PeriodicComplex
 
 __all__ = [
     "DocumentError",
-    "MatrixSlot",
     "canonical_json_bytes",
     "document_dict",
     "matrix_doc",
@@ -54,7 +53,7 @@ _RESIDUE = re.compile(r"-?[0-9]+")
 # Rational strings joined by commas, and the denominator of one.
 _RATIONAL_ROW = re.compile(r"-?[0-9]+(/[0-9]+)?(,-?[0-9]+(/[0-9]+)?)*")
 _DENOMINATOR = re.compile(r"/[0-9]+")
-# What json.dumps writes for the string a `MatrixSlot` stands in for.
+# What json.dumps writes for the placeholder string of a sparse matrix.
 _SLOT = "\0"
 _SLOT_TEXT = json.dumps(_SLOT)
 
@@ -68,31 +67,21 @@ class DocumentError(ValueError):
         super().__init__(f"{self.pointer}: {message}")
 
 
-class MatrixSlot:
-    """A matrix in a body for `canonical_json_bytes`, which writes the text
-    of ``matrix_doc(matrix)`` in its place straight from ``matrix.array``."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: Matrix):
-        self.matrix = matrix
-
-
 def _dumps(value, default=None) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False, default=default)
 
 
 def _matrix_of(obj) -> Matrix:
-    """The matrix of a `MatrixSlot`; json.dumps can write no other object."""
-    if type(obj) is not MatrixSlot:
+    """``obj`` if it is a `Matrix`, else the TypeError of json.dumps."""
+    if type(obj) is not Matrix:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return obj.matrix
+    return obj
 
 
 def canonical_json_bytes(value) -> bytes:
     """``json.dumps(value, sort_keys=True, separators=(",", ":"),
-    allow_nan=False)`` and a newline, as UTF-8, with each `MatrixSlot`
-    written as its matrix's `matrix_doc`.
+    allow_nan=False)`` and a newline, as UTF-8, with each `Matrix` in
+    ``value`` written as its `matrix_doc`.
 
     A value takes one ``json.dumps`` call, which writes a dense matrix from
     its `matrix_doc` and a sparse one as the placeholder ``"\\u0000"``.
@@ -271,9 +260,9 @@ def _entry_docs(field: Field, values: list, den: int) -> list:
 
 def matrix_doc(m: Matrix) -> list:
     """The JSON form of one matrix: rows of encoded entries, taken from
-    ``m.array``.  Document writers put a `MatrixSlot` in its place, which
-    `canonical_json_bytes` writes as the same text, and a sparse matrix
-    without these lists."""
+    ``m.array``.  Document writers put the matrix itself in its place,
+    which `canonical_json_bytes` writes as the same text, and a sparse
+    matrix without these lists."""
     return [_entry_docs(m.field, row, m.den) for row in m.array.tolist()]
 
 
@@ -344,7 +333,7 @@ def _complex_doc(c: BoundedComplex) -> dict:
         "field": _field_doc(c.field),
         "window": [c.lo, c.hi],
         "dims": list(c.dims),
-        "diffs": [MatrixSlot(m) for m in c.diffs],
+        "diffs": list(c.diffs),
     }
 
 
@@ -370,7 +359,7 @@ def _periodic_doc(p: PeriodicComplex) -> dict:
         "field": _field_doc(p.field),
         "n": p.n,
         "dims": list(p.dims),
-        "diffs": [MatrixSlot(m) for m in p.diffs],
+        "diffs": list(p.diffs),
     }
 
 
@@ -402,7 +391,7 @@ def _chain_map_doc(f: ChainMap) -> dict:
         "field": _field_doc(f.source.field),
         "source": _complex_doc(f.source),
         "target": _complex_doc(f.target),
-        "components": [{"degree": d, "matrix": MatrixSlot(m)} for d, m in f.components],
+        "components": [{"degree": d, "matrix": m} for d, m in f.components],
     }
 
 
@@ -444,7 +433,7 @@ def _graded_module_doc(m: GradedModule) -> dict:
         "algebra": {m.algebra.kind: m.algebra.generators},
         "window": [m.lo, m.hi],
         "dims": list(m.dims),
-        "actions": [[MatrixSlot(mx) for mx in family] for family in m.actions],
+        "actions": [list(family) for family in m.actions],
     }
 
 
@@ -476,7 +465,7 @@ def _flag_doc(f: FlagData) -> dict:
         "kind": "flag",
         "field": _field_doc(f.field),
         "parts": list(f.parts),
-        "blocks": [{"src": s, "dst": d, "matrix": MatrixSlot(m)} for s, d, m in blocks],
+        "blocks": [{"src": s, "dst": d, "matrix": m} for s, d, m in blocks],
     }
 
 

@@ -248,6 +248,8 @@ class ModuleComplex:
         return range(self.jlo, self.jhi + 1)
 
     def module(self, j: int) -> GradedModule:
+        if not self.jlo <= j <= self.jhi:
+            raise IndexError(f"no term in homological degree {j}; the terms run {self.jlo}..{self.jhi}")
         return self.modules[j - self.jlo]
 
     def dim(self, j: int, i: int) -> int:
@@ -255,11 +257,13 @@ class ModuleComplex:
         return self.module(j).dim(i) if self.jlo <= j <= self.jhi else 0
 
     def map_at(self, j: int, i: int) -> Matrix:
-        """Component of the map out of term j in internal degree i."""
-        m = self.module(j)
-        if self.jlo <= j < self.jhi and m.lo <= i <= m.hi:
-            return self.maps[j - self.jlo][i - m.lo]
-        return zeros(m.field, self.dim(j + 1, i), m.dim(i))
+        """Component of the map out of term j in internal degree i; zero
+        outside the terms and the internal window."""
+        if self.jlo <= j < self.jhi:
+            m = self.modules[j - self.jlo]
+            if m.lo <= i <= m.hi:
+                return self.maps[j - self.jlo][i - m.lo]
+        return zeros(self.modules[0].field, self.dim(j + 1, i), self.dim(j, i))
 
 
 @dataclass(frozen=True)
@@ -392,12 +396,6 @@ class FlagData:
                 raise ShapeError(f"block ({src}, {dst}) is not strictly upper triangular")
             if m.shape != (self.parts[dst], self.parts[src]):
                 raise ShapeError(f"block ({src}, {dst}) has shape {m.shape}")
-
-    def block(self, src: int, dst: int) -> Matrix:
-        for s, d, m in self.blocks:
-            if (s, d) == (src, dst):
-                return m
-        return zeros(self.field, self.parts[dst], self.parts[src])
 
 
 class FlagError(ValueError):

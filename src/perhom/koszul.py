@@ -73,7 +73,6 @@ class LambdaDual:
     field: Field
     c: int
     monomials: tuple[tuple[int, ...], ...]
-    degree_dims: tuple[int, ...]
     actions: tuple[Matrix, ...]
     signed_actions: tuple[Matrix, ...]
 
@@ -95,26 +94,23 @@ def lambda_dual(c: int, field: Field) -> LambdaDual:
     for l in range(c + 1):
         monomials.extend(sorted(combinations(range(1, c + 1), l)))
     index = {mono: k for k, mono in enumerate(monomials)}
-    degree_dims = tuple(sum(1 for m in monomials if len(m) == l) for l in range(c + 1))
     n = len(monomials)
     actions = []
     signed = []
     for j in range(1, c + 1):
-        body = [[field.zero] * n for _ in range(n)]
-        sbody = [[field.zero] * n for _ in range(n)]
+        body = [[0] * n for _ in range(n)]
+        sbody = [[0] * n for _ in range(n)]
         for col, mono in enumerate(monomials):
             if j not in mono:
                 continue
             rest = tuple(t for t in mono if t != j)
             swaps = sum(1 for t in rest if t < j)
-            sign = 1 if (len(mono) + swaps) % 2 == 0 else -1
-            value = field.coerce(sign)
-            body[index[rest]][col] = value
-            col_sign = 1 if len(mono) % 2 == 0 else -1
-            sbody[index[rest]][col] = field.coerce(sign * col_sign)
-        actions.append(Matrix(field, n, n, tuple(tuple(r) for r in body)))
-        signed.append(Matrix(field, n, n, tuple(tuple(r) for r in sbody)))
-    dual = LambdaDual(field, c, tuple(monomials), degree_dims, tuple(actions), tuple(signed))
+            sign = (-1) ** (len(mono) + swaps)
+            body[index[rest]][col] = sign
+            sbody[index[rest]][col] = sign * (-1) ** len(mono)
+        actions.append(Matrix(field, n, n, body))
+        signed.append(Matrix(field, n, n, sbody))
+    dual = LambdaDual(field, c, tuple(monomials), tuple(actions), tuple(signed))
     for j in range(c):
         if not (dual.actions[j] @ dual.actions[j]).is_zero():
             raise AssertionError("generator action does not square to zero")

@@ -49,8 +49,9 @@ Math. Comp. 22, 1968) on the numerators; see `rref`.  QQ has one loop, on
 Python lists of Python ints (`_rref_rows`), at every size.  Over F_p the
 same loop runs on lists up to ``_SMALL_CELLS`` = 64 cells, where numpy's
 per-call cost is most of the time, and on the int64 array above.
-`solve_linear` and the inversion `_invert_rows` pick the route by the
-same rule on the cells of the augmented matrix they reduce.
+`rref` alone states this rule, except that `_invert_rows` applies it to
+[M | den 1] itself: the samplers call it 34628 times in a pass of the
+seed-0 ``verify`` benchmark, and each call reduces the rows they drew.
 
 Measured with numpy 2.4 and Python 3.11 on one core of a 2-vCPU Xeon VM.
 Over F_p (best of five) lists win at 64 cells (8x8 over GF(7): 0.14
@@ -618,28 +619,23 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     """Some x with a @ x = b, or None when the system is unsolvable.
 
     Deterministic choice: the reduced-echelon particular solution with all
-    free variables set to zero, read off the rows of rref([a | b]).  Over
-    QQ, and over F_p when [a | b] has at most ``_SMALL_CELLS`` cells, its
-    rows are put together and reduced as lists (`_rref_rows`), without
-    building the matrix.
+    free variables set to zero, read off the rows of `rref` of [a | b].
+    The seed-0 benchmark calls it only from `complexes._contraction` (1202
+    times in ``verify``, 12 in ``homotopy-qq``, 28 in ``homotopy-fp``); a
+    list route of its own saved 5-15 us on each small system.
     """
     if a.field != b.field:
         raise FieldMismatch(f"{a.field} vs {b.field}")
     if a.rows != b.rows:
         raise ShapeError(f"a has {a.rows} rows, b has {b.rows}")
-    if a.field.p is None or a.rows * (a.cols + b.cols) <= _SMALL_CELLS:
-        den = math.lcm(a.den, b.den)
-        rows = [x + y for x, y in zip(_over(a, den).tolist(), _over(b, den).tolist())]
-        rows, pivots, den = _rref_rows(a.field.p, rows, a.cols + b.cols)
-    else:
-        reduced, pivots = rref(hstack([a, b]))
-        rows, den = reduced.array.tolist(), reduced.den
+    reduced, pivots = rref(hstack([a, b]))
     if pivots and pivots[-1] >= a.cols:
         return None
+    rows = reduced.array.tolist()
     x = [[0] * b.cols] * a.cols
     for r, c in enumerate(pivots):
         x[c] = rows[r][a.cols :]
-    return _from_rows(a.field, x, b.cols, den)
+    return _from_rows(a.field, x, b.cols, reduced.den)
 
 
 def _invert_rows(field: Field, rows: list[list[int]], den: int = 1) -> Matrix | None:
@@ -649,9 +645,9 @@ def _invert_rows(field: Field, rows: list[list[int]], den: int = 1) -> Matrix | 
     One elimination of [rows | den 1] decides both: the matrix is
     invertible exactly when every pivot lies left of the identity block,
     and then the rows of the reduced form end in the inverse.  The
-    elimination takes the route `solve_linear` would take on the same
-    cells: lists (`_rref_rows`) over QQ, and over F_p up to
-    ``_SMALL_CELLS`` cells; `rref` on the int64 array above that.
+    elimination takes the route `rref` would take on the same cells:
+    lists (`_rref_rows`) over QQ, and over F_p up to ``_SMALL_CELLS``
+    cells; `rref` on the int64 array above that.
     """
     n = len(rows)
     p = field.p

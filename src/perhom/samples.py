@@ -8,11 +8,13 @@ of shifted truncated free modules, conjugated degreewise, which preserves
 the commutation laws on the nose.
 
 Random matrices, basis changes and split blocks are built from rows of
-Python ints (residues over F_p, integers over QQ) and wrapped once,
-without coercing each entry.  A basis
+Python ints (residues over F_p, integers in [-``_BOUND``, ``_BOUND``] =
+[-2, 2] over QQ) and wrapped once, without coercing each entry.  A basis
 change takes its invertibility test and its inverse from one elimination
-of [M | 1] (`linalg._invert_rows`).  The draws, and the order in which
-they consume the generator, are pinned by ``tests/test_sampler_pins.py``.
+of [M | 1] (`linalg._invert_rows`).  A random flag has at most
+``_FLAG_PARTS`` = 3 parts of dimension at most ``_FLAG_PART_DIM`` = 3.
+The draws, and the order in which they consume the generator, are pinned
+by ``tests/test_sampler_pins.py``.
 """
 
 from __future__ import annotations
@@ -60,16 +62,21 @@ __all__ = [
 ]
 
 
-def rand_matrix(rng: Random, field: Field, rows: int, cols: int, bound: int = 2) -> Matrix:
-    return _from_rows(field, _draw_rows(rng, field, rows, cols, bound), cols)
+_BOUND = 2
+_FLAG_PARTS = 3
+_FLAG_PART_DIM = 3
 
 
-def _draw_rows(rng: Random, field: Field, rows: int, cols: int, bound: int = 2) -> list[list[int]]:
+def rand_matrix(rng: Random, field: Field, rows: int, cols: int) -> Matrix:
+    return _from_rows(field, _draw_rows(rng, field, rows, cols), cols)
+
+
+def _draw_rows(rng: Random, field: Field, rows: int, cols: int) -> list[list[int]]:
     """The rows of a random matrix as Python ints: residues in [0, p) over
-    F_p, integers in [-bound, bound] over QQ."""
+    F_p, integers in [-_BOUND, _BOUND] over QQ."""
     if field.p is not None:
         return [[rng.randrange(field.p) for _ in range(cols)] for _ in range(rows)]
-    return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+    return [[rng.randint(-_BOUND, _BOUND) for _ in range(cols)] for _ in range(rows)]
 
 
 def rand_invertible(rng: Random, field: Field, n: int) -> Matrix:
@@ -181,7 +188,7 @@ def random_contractible_periodic(rng: Random, field: Field, n: int, max_dim: int
     return conjugate_periodic(rng, periodic_cone(identity_periodic_map(q)))
 
 
-def random_flag(rng: Random, field: Field, max_parts: int = 3, max_part_dim: int = 3) -> FlagData:
+def random_flag(rng: Random, field: Field) -> FlagData:
     """Strictly upper-triangular square-zero data with full off-diagonal.
 
     Adjacent blocks come from a random complex read backwards, so their
@@ -189,7 +196,7 @@ def random_flag(rng: Random, field: Field, max_parts: int = 3, max_part_dim: int
     fills the rest of the upper triangle without breaking square-zero, and
     block-diagonal changes scramble the part bases.
     """
-    x = random_bounded_complex(rng, field, max_dim=max_part_dim, max_width=max_parts, lo_range=(0, 0))
+    x = random_bounded_complex(rng, field, max_dim=_FLAG_PART_DIM, max_width=_FLAG_PARTS, lo_range=(0, 0))
     count = len(x.dims)
     parts = tuple(reversed(x.dims))
     adjacent = {j: x.diffs[count - 1 - j] for j in range(1, count)}
@@ -258,47 +265,41 @@ def _random_solution(rng: Random, sys: BlockSystem) -> dict:
     return sys.split_solution(basis @ rand_matrix(rng, sys.field, basis.cols, 1))
 
 
-def _chain_map_system(x: BoundedComplex, y: BoundedComplex) -> BlockSystem:
-    sys = BlockSystem(x.field)
-    lo = min(x.lo, y.lo) if x.dims and y.dims else 0
-    hi = max(x.hi, y.hi) if x.dims and y.dims else -1
-    for i in range(lo, hi + 1):
-        if x.dim(i) and y.dim(i):
-            sys.add_unknown(i, y.dim(i), x.dim(i))
-    for i in range(lo, hi + 1):
-        if x.dim(i) and y.dim(i + 1):
-            sys.add_equation(i, y.dim(i + 1), x.dim(i))
-    for i in range(lo, hi + 1):
-        if not (x.dim(i) and y.dim(i + 1)):
-            continue
-        if x.dim(i + 1) and y.dim(i + 1):
-            sys.add_term(i, i + 1, right=x.diff(i))
-        if x.dim(i) and y.dim(i):
-            sys.add_term(i, i, left=y.diff(i), sign=-1)
+def _map_system(src, dst, degrees, relations) -> BlockSystem:
+    """The maps U_k from src_k to dst_k over ``degrees`` with U_t a = b U_k
+    for each (key, k, t, a, b) of ``relations``; zero blocks are left out.
+    Unknowns come in degree order and equations in relation order, which
+    fixes the kernel basis and so every draw."""
+    sys = BlockSystem(src.field)
+    unknowns = [k for k in degrees if src.dim(k) and dst.dim(k)]
+    for k in unknowns:
+        sys.add_unknown(k, dst.dim(k), src.dim(k))
+    for key, k, t, a, b in relations:
+        if src.dim(k) and dst.dim(t):
+            sys.add_equation(key, dst.dim(t), src.dim(k))
+            if t in unknowns:
+                sys.add_term(key, t, right=a)
+            if k in unknowns:
+                sys.add_term(key, k, left=b, sign=-1)
     return sys
+
+
+def _chain_map_system(x: BoundedComplex, y: BoundedComplex) -> BlockSystem:
+    """The chain maps f from x to y: f_(i+1) d_x = d_y f_i."""
+    degrees = range(min(x.lo, y.lo), max(x.hi, y.hi) + 1) if x.dims and y.dims else range(0)
+    return _map_system(x, y, degrees, ((i, i, i + 1, x.diff(i), y.diff(i)) for i in degrees))
 
 
 def _module_map_system(src: GradedModule, dst: GradedModule) -> BlockSystem:
-    sys = BlockSystem(src.field)
-    for i in src.degrees():
-        if src.dim(i) and dst.dim(i):
-            sys.add_unknown(i, dst.dim(i), src.dim(i))
+    """The degree-0 module maps f from src to dst: f_(i+step) x_g = x_g f_i."""
     step = src.algebra.step
-    for g in range(src.algebra.generators):
-        for i in src.degrees():
-            if not (src.lo <= i + step <= src.hi):
-                continue
-            if src.dim(i) and dst.dim(i + step):
-                sys.add_equation((g, i), dst.dim(i + step), src.dim(i))
-    for g in range(src.algebra.generators):
-        for i in src.degrees():
-            if ((g, i)) not in sys._equations:
-                continue
-            if src.dim(i + step) and dst.dim(i + step):
-                sys.add_term((g, i), i + step, right=src.action(g, i))
-            if src.dim(i) and dst.dim(i):
-                sys.add_term((g, i), i, left=dst.action(g, i), sign=-1)
-    return sys
+    relations = (
+        ((g, i), i, i + step, src.action(g, i), dst.action(g, i))
+        for g in range(src.algebra.generators)
+        for i in src.degrees()
+        if src.lo <= i + step <= src.hi
+    )
+    return _map_system(src, dst, src.degrees(), relations)
 
 
 def random_module_map(rng: Random, src: GradedModule, dst: GradedModule) -> tuple[Matrix, ...]:

@@ -10,7 +10,8 @@ zero).  They share `rank`, `solve_linear` and the system assembly with the
 library, but not the splitting of each complex into cohomology and
 contractible pieces that the library counts and builds witnesses from.
 The Tor oracle counts BGG cohomology from the Koszul complex of the module,
-sharing only `rank` and `assemble_blocks` with the functor it checks.  The
+sharing only `rank` and `assemble_blocks` with the functor it checks, and
+the dual exterior algebra is written entry by entry from field scalars.  The
 entrywise oracles write the cone and tensor differentials one entry at a
 time from the input differentials on basis labels, sharing only `Matrix`
 with the totalization they check.  The entrywise fold oracles do the same
@@ -471,6 +472,31 @@ def koszul_tor_dims(m: GradedModule, j: int) -> int:
         into = rank(_koszul_differential(m, l + 1, j - 1)) if l < c else 0
         total += comb(c, l) * m.dim(j) - out - into
     return total
+
+
+def scalar_lambda_dual(c: int, field) -> tuple:
+    """The monomials, generator actions and signed actions of
+    `koszul.lambda_dual`, written entry by entry as field scalars
+    (`Field.zero` and `Field.coerce`, so `Fraction`s over QQ)."""
+    monomials = [mono for l in range(c + 1) for mono in sorted(combinations(range(1, c + 1), l))]
+    index = {mono: k for k, mono in enumerate(monomials)}
+    n = len(monomials)
+    actions, signed = [], []
+    for j in range(1, c + 1):
+        body = [[field.zero] * n for _ in range(n)]
+        sbody = [[field.zero] * n for _ in range(n)]
+        for col, mono in enumerate(monomials):
+            if j not in mono:
+                continue
+            rest = tuple(t for t in mono if t != j)
+            swaps = sum(1 for t in rest if t < j)
+            sign = 1 if (len(mono) + swaps) % 2 == 0 else -1
+            body[index[rest]][col] = field.coerce(sign)
+            col_sign = 1 if len(mono) % 2 == 0 else -1
+            sbody[index[rest]][col] = field.coerce(sign * col_sign)
+        actions.append(Matrix(field, n, n, tuple(tuple(r) for r in body)))
+        signed.append(Matrix(field, n, n, tuple(tuple(r) for r in sbody)))
+    return tuple(monomials), tuple(actions), tuple(signed)
 
 
 def _dim(c, i: int) -> int:

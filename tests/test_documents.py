@@ -22,9 +22,9 @@ from perhom import GF, QQ, Algebra, BoundedComplex, FlagData, GradedModule, Matr
 from perhom import documents
 from perhom.documents import (
     DocumentError,
-    MatrixSlot,
     canonical_json_bytes,
     document_dict,
+    matrix_doc,
     parse_document,
     serialize_document,
 )
@@ -194,12 +194,12 @@ def entry_rows(m: Matrix) -> list:
 
 
 def expand(body):
-    """``body`` with every matrix slot replaced by its `entry_rows`."""
+    """``body`` with every matrix replaced by its `entry_rows`."""
     if isinstance(body, dict):
         return {key: expand(value) for key, value in body.items()}
     if isinstance(body, list):
         return [expand(value) for value in body]
-    return entry_rows(body.matrix) if isinstance(body, MatrixSlot) else body
+    return entry_rows(body) if isinstance(body, Matrix) else body
 
 
 def reference_bytes(value) -> bytes:
@@ -227,7 +227,7 @@ def test_bgg_bodies_are_written_as_json_dumps_writes_the_entries(drawn):
     cx, actions = drawn
     body = {
         "complex": document_dict(cx),
-        "actions": [[MatrixSlot(m) for m in family] for family in actions],
+        "actions": [list(family) for family in actions],
         "cohomology": [[cx.lo, 1]],
         "ok": True,
     }
@@ -239,7 +239,7 @@ def test_strings_written_like_the_slot_placeholder(note):
     rows = [[0] * 10 for _ in range(9)]
     rows[0][0], rows[8][9] = Fraction(1, 2), -3
     m = mat(QQ, rows)  # sparse enough to be spliced
-    for body in ({"note": note, "m": MatrixSlot(m)}, {note: [MatrixSlot(m), note]}):
+    for body in ({"note": note, "m": m}, {note: [m, note]}):
         assert canonical_json_bytes(body) == reference_bytes(expand(body))
 
 
@@ -253,9 +253,25 @@ def test_a_value_without_matrices_takes_one_dumps_call(monkeypatch):
     assert len(calls) == 1
 
 
-def test_only_matrix_slots_are_written_from_arrays():
-    with pytest.raises(TypeError, match=r"^Object of type Matrix is not JSON serializable$"):
-        canonical_json_bytes({"m": mat(QQ, [[1]])})
+SPARSE = mat(QQ, [[Fraction(1, 2)] + [0] * 9] + [[0] * 10] * 7 + [[0] * 9 + [-3]])
+
+
+@pytest.mark.parametrize(
+    "m",
+    [SPARSE, mat(GF(7), [[0] * 10] * 10), mat(QQ, [[1, Fraction(-2, 3)], [4, 5]]), mat(GF(5), [[1, 2, 3]])],
+    ids=["sparse", "zero", "dense-qq", "dense-fp"],
+)
+def test_a_matrix_in_a_body_is_written_as_its_matrix_doc(m):
+    body = {"m": m, "ms": [m, 1]}
+    assert canonical_json_bytes(body) == reference_bytes({"m": matrix_doc(m), "ms": [matrix_doc(m), 1]})
+
+
+@pytest.mark.parametrize("obj", [Fraction(1, 2), {1}], ids=["Fraction", "set"])
+@pytest.mark.parametrize("beside", [None, SPARSE], ids=["alone", "beside-a-matrix"])
+def test_any_other_object_is_not_serializable(obj, beside):
+    name = type(obj).__name__
+    with pytest.raises(TypeError, match=rf"^Object of type {name} is not JSON serializable$"):
+        canonical_json_bytes({"m": beside, "x": obj})
 
 
 def parsed(parse, field, body, rows, cols):

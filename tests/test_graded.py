@@ -195,6 +195,18 @@ class TestModuleComplexes:
                 pm = compress_modules(mc, n)
                 assert validate_module_complex(pm) is None
 
+    def test_maps_and_terms_outside_the_terms(self):
+        small = free_module(QQ, polynomial_algebra(1), 0, (0, 2))
+        mc = ModuleComplex(0, (small, direct_sum_modules([small, small])), ((mat(QQ, [[1], [0]]),) * 3,))
+        assert validate_module_complex(mc) is None
+        # The map into the first term, out of the last, and past both.
+        assert mc.map_at(-1, 1) == zeros(QQ, 1, 0)
+        assert mc.map_at(1, 1) == zeros(QQ, 0, 2)
+        assert mc.map_at(2, 1) == mc.map_at(-2, 1) == zeros(QQ, 0, 0)
+        for j in (-1, 2):
+            with pytest.raises(IndexError, match=rf"^no term in homological degree {j};"):
+                mc.module(j)
+
     def test_equivariance_violation_detected(self):
         field = QQ
         s = free_module(field, polynomial_algebra(1), 0, (0, 2))

@@ -1,6 +1,7 @@
 """The BGG folding square, the one comparison helper and the one label rule
 (`_square_mismatch`, `_fold_labels`) behind the three folding squares
-(cone, tensor, BGG), the BGG construction bytes, and the BGG cohomology
+(cone, tensor, BGG), the BGG construction bytes, the dual exterior algebra
+against its construction from field scalars, and the BGG cohomology
 against the Koszul-complex Tor oracle."""
 
 import hashlib
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import koszul_tor_dims
+from oracles import koszul_tor_dims, scalar_lambda_dual
 from perhom import (
     GF,
     QQ,
@@ -24,6 +25,7 @@ from perhom import (
     compress_map,
     compress_modules,
     cone,
+    lambda_dual,
     periodic_cone,
     serialize_document,
     total_complex,
@@ -98,6 +100,13 @@ def test_bgg_construction_bytes(c, n):
             digest.update(serialize_document(bgg_complex(mc).complex))
             digest.update(serialize_document(bgg_periodic(compress_modules(mc, n))))
     assert digest.hexdigest() == BGG_SHA256[(c, n)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), F5], ids=repr)
+@pytest.mark.parametrize("c", range(1, 7))
+def test_lambda_dual_matches_the_scalar_construction(c, field):
+    dual = lambda_dual(c, field)
+    assert (dual.monomials, dual.actions, dual.signed_actions) == scalar_lambda_dual(c, field)
 
 
 class TestSquareMismatch:

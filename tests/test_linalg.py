@@ -567,19 +567,16 @@ class TestEliminationRoutes:
     @pytest.mark.parametrize("field", [QQ, GF(7)])
     def test_lists_run_up_to_64_cells(self, monkeypatch, field):
         # rref runs the list loop up to 64 cells over F_p and at every size
-        # over QQ; solve_linear puts [a | b] together as lists there,
-        # without the hstack of the large route.
+        # over QQ; solve_linear takes the route of rref on [a | b].
         calls = []
-        for name in ("_rref_rows", "hstack"):
-            real = getattr(linalg, name)
-            monkeypatch.setattr(linalg, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+        real = linalg._rref_rows
+        monkeypatch.setattr(linalg, "_rref_rows", lambda *args: calls.append(1) or real(*args))
         rng = Random(11)
 
         def route(run, *shapes):
             calls.clear()
             run(*(rand_mat(rng, field, r, c) for r, c in shapes))
-            on_lists = "_rref_rows" in calls if run is rref else "hstack" not in calls
-            return "lists" if on_lists else "numpy"
+            return "lists" if calls else "numpy"
 
         large = "lists" if field.p is None else "numpy"
         assert route(rref, (8, 8)) == route(rref, (64, 1)) == "lists"
