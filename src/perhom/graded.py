@@ -254,7 +254,7 @@ class ModuleComplex:
 
     def dim(self, j: int, i: int) -> int:
         """Dimension of term j in internal degree i; zero outside the terms."""
-        return self.module(j).dim(i) if self.jlo <= j <= self.jhi else 0
+        return self.modules[j - self.jlo].dim(i) if self.jlo <= j <= self.jhi else 0
 
     def map_at(self, j: int, i: int) -> Matrix:
         """Component of the map out of term j in internal degree i; zero
