@@ -144,9 +144,9 @@ def zero_complex(field: Field, lo: int = 0) -> BoundedComplex:
     return BoundedComplex(field, lo, (), ())
 
 
-def single(field: Field, degree: int = 0, dim: int = 1) -> BoundedComplex:
-    """The complex with one term of the given dimension."""
-    return BoundedComplex(field, degree, (dim,), ())
+def single(field: Field, degree: int = 0) -> BoundedComplex:
+    """The complex with one term, of dimension one, in the given degree."""
+    return BoundedComplex(field, degree, (1,), ())
 
 
 def two_term(field: Field, degree: int, matrix: Matrix) -> BoundedComplex:

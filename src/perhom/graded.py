@@ -258,11 +258,14 @@ class ModuleComplex:
 
     def map_at(self, j: int, i: int) -> Matrix:
         """Component of the map out of term j in internal degree i; zero
-        outside the terms and the internal window."""
+        outside the terms and the internal window.  Raises IndexError when
+        the complex has no terms, as `module` does."""
         if self.jlo <= j < self.jhi:
             m = self.modules[j - self.jlo]
             if m.lo <= i <= m.hi:
                 return self.maps[j - self.jlo][i - m.lo]
+        if not self.modules:
+            raise IndexError(f"no map out of term {j}: the complex has no terms")
         return zeros(self.modules[0].field, self.dim(j + 1, i), self.dim(j, i))
 
 

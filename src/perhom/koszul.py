@@ -16,13 +16,29 @@ With these choices every constructed differential squares to zero, commutes
 with the exterior action on the nose, and folding commutes with the functor
 up to the canonical relabeling of summands, all of which is asserted rather
 than assumed.
+
+Index form: each generator action on the dual has at most one nonzero
+entry, +-1, in each row and each column (the action removes one index from
+a monomial), and so has every block-diagonal sum of kron(action, 1_d).  So
+an exterior action is kept as its index form, three int64 arrays (rows,
+cols, signs) with entry signs[t] at (rows[t], cols[t]) and zeros elsewhere.
+`lambda_dual` builds its dense actions from that form; `_bgg_total` builds
+the actions of every total term from it, and `_bgg_differential` places
+the functor differential of bounded and periodic complexes by it; and
+`validate_bgg` takes d A and A d as signed gathers of the columns and rows
+of d (`_signed_gather`).  The dense products run only for a `BGGComplex`
+built without the index form.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+
+import numpy as np
 
 from .complexes import BoundedComplex, Violation, _once, _require, _total_diffs, validate, zero_complex
 from .graded import (
@@ -33,15 +49,7 @@ from .graded import (
     validate_module,
     validate_module_complex,
 )
-from .linalg import (
-    Field,
-    Matrix,
-    ShapeError,
-    assemble_blocks,
-    identity,
-    kron,
-    zeros,
-)
+from .linalg import Field, Matrix, ShapeError, _dtype, _mod, _over, _wrap, identity, kron, zeros
 from .periodic import PeriodicComplex, _fold_labels, _square_mismatch, compress, validate_periodic
 
 __all__ = [
@@ -68,6 +76,12 @@ class LambdaDual:
     lexicographic within each degree; ``actions[j]`` is the matrix of the
     generator action on the whole dual, ``signed_actions[j]`` the same with
     each column scaled by (-1)^(degree of its monomial).
+
+    ``index`` and ``signed_index`` are the index forms (module docstring)
+    of ``actions`` and ``signed_actions``: three read-only c x 2^(c-1)
+    int64 arrays (rows, cols, signs), whose row j lists the nonzero
+    entries of action j.  The two share rows and cols, and the dense
+    matrices are built from them.
     """
 
     field: Field
@@ -75,6 +89,8 @@ class LambdaDual:
     monomials: tuple[tuple[int, ...], ...]
     actions: tuple[Matrix, ...]
     signed_actions: tuple[Matrix, ...]
+    index: tuple[np.ndarray, np.ndarray, np.ndarray] = dataclasses.field(compare=False, repr=False)
+    signed_index: tuple[np.ndarray, np.ndarray, np.ndarray] = dataclasses.field(compare=False, repr=False)
 
     @property
     def total_dim(self) -> int:
@@ -86,31 +102,29 @@ def lambda_dual(c: int, field: Field) -> LambdaDual:
     """Construct the dual exterior algebra; 1 <= c <= 6.
 
     Cached per (c, field), so the construction and its self-check run once
-    per key; sharing the result is safe because matrices are immutable.
+    per key; sharing the result is safe because matrices are immutable
+    and the index arrays read-only.
     """
     if not 1 <= c <= 6:
         raise ValueError(f"generator count out of range: {c}")
     monomials: list[tuple[int, ...]] = []
     for l in range(c + 1):
         monomials.extend(sorted(combinations(range(1, c + 1), l)))
-    index = {mono: k for k, mono in enumerate(monomials)}
-    n = len(monomials)
-    actions = []
-    signed = []
+    position = {mono: k for k, mono in enumerate(monomials)}
+    entries = []
     for j in range(1, c + 1):
-        body = [[0] * n for _ in range(n)]
-        sbody = [[0] * n for _ in range(n)]
         for col, mono in enumerate(monomials):
-            if j not in mono:
-                continue
-            rest = tuple(t for t in mono if t != j)
-            swaps = sum(1 for t in rest if t < j)
-            sign = (-1) ** (len(mono) + swaps)
-            body[index[rest]][col] = sign
-            sbody[index[rest]][col] = sign * (-1) ** len(mono)
-        actions.append(Matrix(field, n, n, body))
-        signed.append(Matrix(field, n, n, sbody))
-    dual = LambdaDual(field, c, tuple(monomials), tuple(actions), tuple(signed))
+            if j in mono:
+                rest = tuple(t for t in mono if t != j)
+                swaps = sum(1 for t in rest if t < j)
+                entries.append((position[rest], col, (-1) ** (len(mono) + swaps)))
+    rows, cols, signs = np.array(entries, dtype=np.int64).reshape(c, 2 ** (c - 1), 3).transpose(2, 0, 1)
+    parity = np.array([len(mono) % 2 for mono in monomials], dtype=np.int64)
+    index, signed = (rows, cols, signs), (rows, cols, signs * (1 - 2 * parity[cols]))
+    for a in (rows, cols, signs, signed[2]):
+        a.setflags(write=False)
+    n = len(monomials)
+    dual = LambdaDual(field, c, tuple(monomials), _placed(field, n, index), _placed(field, n, signed), index, signed)
     for j in range(c):
         if not (dual.actions[j] @ dual.actions[j]).is_zero():
             raise AssertionError("generator action does not square to zero")
@@ -121,17 +135,58 @@ def lambda_dual(c: int, field: Field) -> LambdaDual:
     return dual
 
 
+def _placed(field: Field, size: int, index) -> tuple[Matrix, ...]:
+    """The size x size matrices of the index form (rows, cols, signs), one
+    per row of the arrays.
+
+    Each matrix gets an array of its own.  Placing all of them in one
+    (c, size, size) block raised the peak RSS of the ``bgg-fp`` benchmark
+    by about 2 MB (66.3 against 64.2 MB at seed 71, on a 2-vCPU Xeon VM
+    with numpy 2.4), since at c = 5 one block is several MB."""
+    out = []
+    for rows, cols, signs in zip(*index):
+        a = np.zeros((size, size), dtype=_dtype(field))
+        a[rows, cols] = _mod(field, signs)
+        out.append(_wrap(field, a))
+    return tuple(out)
+
+
+def _signed_gather(m: Matrix, perm, left: bool) -> Matrix:
+    """perm @ m if `left`, else m @ perm, for the square signed partial
+    permutation perm in index form (rows, cols, signs): one-dimensional
+    arrays, no row and no column twice.
+
+    m @ perm has column cols[t] equal to signs[t] times column rows[t] of
+    m and its other columns zero; perm @ m has row rows[t] equal to
+    signs[t] times row cols[t] of m and its other rows zero.
+    """
+    rows, cols, signs = perm
+    out = np.zeros(m.shape, dtype=m.array.dtype)
+    if left:
+        out[rows] = _mod(m.field, m.array[cols] * signs[:, None])
+    else:
+        out[:, cols] = _mod(m.field, m.array[:, rows] * signs)
+    return _wrap(m.field, out, m.den)
+
+
 @dataclass(frozen=True)
 class BGGComplex:
     """A bounded complex whose terms carry the dual exterior action.
 
     ``actions[k][j]`` is the generator-j action on the term in degree
     ``complex.lo + k``; the differential commutes with every action.
+
+    ``_index``, which only `_bgg_total` sets, holds the index form of the
+    actions: ``_index[k]`` is the (rows, cols, signs) arrays of term k, row
+    j for generator j, from which ``actions[k]`` was built.  `validate_bgg`
+    checks a complex that carries it by signed gathers, and one built
+    without it (``_index`` None) by dense products.
     """
 
     dual: LambdaDual
     complex: BoundedComplex
     actions: tuple[tuple[Matrix, ...], ...]
+    _index: tuple | None = dataclasses.field(default=None, compare=False, repr=False)
 
     def action(self, j: int, degree: int) -> Matrix:
         if self.complex.lo <= degree <= self.complex.hi:
@@ -141,26 +196,43 @@ class BGGComplex:
 
 @_once
 def validate_bgg(b: BGGComplex) -> Violation | None:
-    """Square-zero plus exterior-linearity of the differential."""
+    """Square-zero plus exterior-linearity of the differential: d A = A d
+    for every generator action A, compared as matrices.  Both sides are
+    signed gathers of d when b carries the index form of its actions, and
+    dense products when it does not."""
     c = b.complex
     v = validate(c)
     if v is not None:
         return v
     for i in range(c.lo, c.hi):
+        d = c.diff(i)
         for j in range(b.dual.c):
-            if c.diff(i) @ b.action(j, i) != b.action(j, i + 1) @ c.diff(i):
+            if b._index is None:
+                left, right = d @ b.action(j, i), b.action(j, i + 1) @ d
+            else:
+                left = _signed_gather(d, [a[j] for a in b._index[i - c.lo]], left=False)
+                right = _signed_gather(d, [a[j] for a in b._index[i + 1 - c.lo]], left=True)
+            if left != right:
                 return Violation("linearity", i, f"differential does not commute with generator {j}")
     return None
 
 
 def _bgg_differential(dual: LambdaDual, m: GradedModule, i: int) -> Matrix:
-    """Differential block out of internal degree i: the signed generator
-    actions tensored with the module actions, scaled by (-1)^i."""
-    field = m.field
-    out = zeros(field, dual.total_dim * m.dim(i + 1), dual.total_dim * m.dim(i))
-    for j in range(dual.c):
-        out = out + kron(dual.signed_actions[j], m.action(j, i))
-    return out if i % 2 == 0 else -out
+    """Differential block out of internal degree i: (-1)^i sum_j
+    kron(S_j, X_j) for the signed generator actions S_j and the module
+    actions X_j, placed by index.  In the 2^c x 2^c grid of dim M_(i+1) x
+    dim M_i blocks, block (rows[j, t], cols[j, t]) of ``signed_index`` is
+    signs[j, t] X_j.  No two of these blocks share a place, since the
+    monomial of the column is that of the row with index j added."""
+    field, n, a, b = m.field, dual.total_dim, m.dim(i + 1), m.dim(i)
+    blocks = [m.action(j, i) for j in range(dual.c)]
+    den = math.lcm(*(x.den for x in blocks))
+    rows, cols, signs = dual.signed_index
+    signs = signs if i % 2 == 0 else -signs
+    grid = np.zeros((n, a, n, b), dtype=_dtype(field))
+    stacked = np.stack([_over(x, den) for x in blocks])
+    grid[rows, :, cols, :] = signs[:, :, None, None] * stacked[:, None]
+    return _wrap(field, _mod(field, grid.reshape(n * a, n * b)), den)
 
 
 def bgg_module(m: GradedModule) -> BGGComplex:
@@ -292,20 +364,34 @@ def _bgg_total(mc: ModuleComplex, degrees: range) -> BGGComplex:
     window, dim, _, _ = grid = _bgg_grid(mc, dual)
     dims = tuple(sum(dim(i, l - i) for i in window) for l in degrees)
     cx = BoundedComplex(field, degrees.start, dims, _total_diffs(field, degrees[:-1], *grid))
-    actions = []
-    for l in degrees:
-        cells = [mc.dim(l - i, i) for i in window if dim(i, l - i)]
-        sizes = [dual.total_dim * d for d in cells]
-        per_gen = []
-        for g in range(dual.c):
-            blocks = {(t, t): kron(dual.actions[g], identity(field, d)) for t, d in enumerate(cells)}
-            per_gen.append(assemble_blocks(field, sizes, sizes, blocks))
-        actions.append(tuple(per_gen))
-    out = BGGComplex(dual, cx, tuple(actions))
+    index = tuple(_term_index(dual, [mc.dim(l - i, i) for i in window]) for l in degrees)
+    actions = tuple(_placed(field, size, term) for size, term in zip(dims, index))
+    out = BGGComplex(dual, cx, actions, index)
     bad = validate_bgg(out)
     if bad is not None:
         raise AssertionError(f"construction violated its own invariant: {bad}")
     return out
+
+
+@_once
+def _kron_index(dual: LambdaDual, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index form of kron(actions[j], 1_d), row j for generator j:
+    entry (r, c) of an action gives the d entries (r d + s, c d + s)."""
+    rows, cols, signs = dual.index
+    rows, cols = ((k[:, :, None] * d + np.arange(d)).reshape(dual.c, -1) for k in (rows, cols))
+    return rows, cols, np.repeat(signs, d, axis=1)
+
+
+def _term_index(dual: LambdaDual, cells: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index form of the exterior action on a total term whose cells
+    are dual (x) M_t with dim M_t = cells[t], in order: block t of action j
+    is kron(actions[j], 1_(cells[t])), shifted to the offset of its cell."""
+    parts, offset = [], 0
+    for d in cells:
+        rows, cols, signs = _kron_index(dual, d)
+        parts.append((rows + offset, cols + offset, signs))
+        offset += dual.total_dim * d
+    return tuple(np.concatenate(arrays, axis=1) for arrays in zip(*parts))
 
 
 def bgg_periodic(pm: PeriodicModuleComplex) -> PeriodicComplex:

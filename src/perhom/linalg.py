@@ -176,6 +176,15 @@ class Field:
             raise TypeError(f"cannot coerce {value!r} into GF({self.p})")
         return value % self.p
 
+    def __eq__(self, other) -> bool:
+        # Identity first: each GF(p) call builds a new Field, but most
+        # comparisons are between the one field of a computation and itself.
+        if self is other:
+            return True
+        if other.__class__ is not Field:
+            return NotImplemented
+        return self.p == other.p
+
     def __repr__(self) -> str:
         return "QQ" if self.p is None else f"GF({self.p})"
 

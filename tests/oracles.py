@@ -11,7 +11,9 @@ library, but not the splitting of each complex into cohomology and
 contractible pieces that the library counts and builds witnesses from.
 The Tor oracle counts BGG cohomology from the Koszul complex of the module,
 sharing only `rank` and `assemble_blocks` with the functor it checks, and
-the dual exterior algebra is written entry by entry from field scalars.  The
+the dual exterior algebra is written entry by entry from field scalars, as
+is the matrix of each index form of an exterior action; the BGG actions are
+also built by the dense route, kron(action, 1_d) assembled blockwise.  The
 entrywise oracles write the cone and tensor differentials one entry at a
 time from the input differentials on basis labels, sharing only `Matrix`
 with the totalization they check.  The entrywise fold oracles do the same
@@ -52,7 +54,7 @@ from perhom import (
     zeros,
 )
 from perhom.samples import _chain_map_system
-from perhom.linalg import BlockSystem, assemble_blocks, vec, vstack
+from perhom.linalg import BlockSystem, assemble_blocks, kron, vec, vstack
 from perhom.periodic import PeriodicChainMap, PeriodicHomotopy
 
 
@@ -497,6 +499,38 @@ def scalar_lambda_dual(c: int, field) -> tuple:
         actions.append(Matrix(field, n, n, tuple(tuple(r) for r in body)))
         signed.append(Matrix(field, n, n, tuple(tuple(r) for r in sbody)))
     return tuple(monomials), tuple(actions), tuple(signed)
+
+
+def index_matrices(field, size: int, index) -> tuple:
+    """The size x size matrices of the index form (rows, cols, signs) of
+    exterior actions, one per row of the arrays, written entry by entry as
+    field scalars; an entry placed twice raises."""
+    out = []
+    for rows, cols, signs in zip(*index):
+        body = [[field.zero] * size for _ in range(size)]
+        for r, c, s in zip(rows.tolist(), cols.tolist(), signs.tolist()):
+            if body[r][c] != field.zero:
+                raise AssertionError(f"entry ({r}, {c}) placed twice")
+            body[r][c] = field.coerce(s)
+        out.append(Matrix(field, size, size, tuple(tuple(r) for r in body)))
+    return tuple(out)
+
+
+def kron_bgg_actions(b, mc) -> tuple:
+    """The exterior actions of the BGG complex b of the module complex mc by
+    the dense route: on each total term l, block-diagonal over the nonzero
+    cells (i, l - i) by increasing internal degree i, each block
+    kron(actions[j], 1_d) for the cell's piece of dimension d."""
+    field, dual = b.complex.field, b.dual
+    out = []
+    for l in b.complex.degrees():
+        cells = [mc.dim(l - i, i) for i in mc.modules[0].degrees() if mc.dim(l - i, i)]
+        sizes = [dual.total_dim * d for d in cells]
+        out.append(tuple(
+            assemble_blocks(field, sizes, sizes, {(t, t): kron(a, identity(field, d)) for t, d in enumerate(cells)})
+            for a in dual.actions
+        ))
+    return tuple(out)
 
 
 def _dim(c, i: int) -> int:

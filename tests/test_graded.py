@@ -207,6 +207,12 @@ class TestModuleComplexes:
             with pytest.raises(IndexError, match=rf"^no term in homological degree {j};"):
                 mc.module(j)
 
+    def test_complex_without_terms_has_no_maps(self):
+        empty = ModuleComplex(0, (), ())
+        assert validate_module_complex(empty) is None
+        with pytest.raises(IndexError, match=r"^no map out of term 0: the complex has no terms$"):
+            empty.map_at(0, 0)
+
     def test_equivariance_violation_detected(self):
         field = QQ
         s = free_module(field, polynomial_algebra(1), 0, (0, 2))

@@ -83,6 +83,14 @@ class TestField:
             assert QQ.coerce(str(x)) == x
             assert x.denominator > 0
 
+    def test_equality_and_hash(self):
+        a, b = GF(7), GF(7)
+        assert a is not b
+        assert a == b and hash(a) == hash(b) and not a != b
+        assert QQ == Field() and hash(QQ) == hash(Field())
+        assert QQ != GF(7) and GF(5) != GF(7)
+        assert a.__eq__(7) is NotImplemented and a != 7
+
     def test_exact_rational_sum(self):
         a = Fraction(1, 3) + Fraction(1, 6)
         assert a == Fraction(1, 2)
