@@ -156,12 +156,13 @@ def two_term(field: Field, degree: int, matrix: Matrix) -> BoundedComplex:
 
 def _once(fn):
     """fn(value, *args), once per value and arguments, kept in the dict
-    ``value._derived``; a raise keeps nothing and ``once`` marks a miss.
-    Reading ``__dict__`` instead would slow attribute reads (CPython 3.11)."""
+    ``value._derived`` under fn itself, so two functions of one name keep
+    apart; a raise keeps nothing and ``once`` marks a miss.  Reading
+    ``__dict__`` instead would slow attribute reads (CPython 3.11)."""
 
     @functools.wraps(fn)
     def once(value, *args):
-        key = (fn.__name__, *args) if args else fn.__name__
+        key = (fn, *args) if args else fn
         derived = getattr(value, "_derived", None)
         if derived is None:
             derived = {}

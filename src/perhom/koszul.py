@@ -22,12 +22,13 @@ entry, +-1, in each row and each column (the action removes one index from
 a monomial), and so has every block-diagonal sum of kron(action, 1_d).  So
 an exterior action is kept as its index form, three int64 arrays (rows,
 cols, signs) with entry signs[t] at (rows[t], cols[t]) and zeros elsewhere.
-`lambda_dual` builds its dense actions from that form; `_bgg_total` builds
-the actions of every total term from it, and `_bgg_differential` places
-the functor differential of bounded and periodic complexes by it; and
-`validate_bgg` takes d A and A d as signed gathers of the columns and rows
-of d (`_signed_gather`).  The dense products run only for a `BGGComplex`
-built without the index form.
+A `BGGComplex` stores only its cell sizes, the dimensions of the module
+pieces that make up each term, and derives the index form of every term
+from them once (`_term_index`).  `lambda_dual` builds its dense actions
+from the form, `_bgg_differential` places the functor differential by it,
+and `validate_bgg` compares d A with A d as signed gathers of the columns
+and rows of d, for bounded and periodic complexes alike (`_linearity`).
+Only `BGGComplex.actions` builds the dense matrices of a complex.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .graded import (
     validate_module_complex,
 )
 from .linalg import Field, Matrix, ShapeError, _dtype, _mod, _over, _wrap, identity, kron, zeros
-from .periodic import PeriodicComplex, _fold_labels, _square_mismatch, compress, validate_periodic
+from .periodic import PeriodicComplex, _fold_labels, _square_mismatch, compress
 
 __all__ = [
     "BGGComplex",
@@ -74,21 +75,19 @@ class LambdaDual:
 
     ``monomials`` lists the 2^c index sets, grouped by exterior degree and
     lexicographic within each degree; ``actions[j]`` is the matrix of the
-    generator action on the whole dual, ``signed_actions[j]`` the same with
-    each column scaled by (-1)^(degree of its monomial).
+    generator action on the whole dual, built from ``index``.
 
-    ``index`` and ``signed_index`` are the index forms (module docstring)
-    of ``actions`` and ``signed_actions``: three read-only c x 2^(c-1)
-    int64 arrays (rows, cols, signs), whose row j lists the nonzero
-    entries of action j.  The two share rows and cols, and the dense
-    matrices are built from them.
+    ``index`` is the index form (module docstring) of ``actions``, and
+    ``signed_index`` that of the signed actions, each column of action j
+    scaled by (-1)^(degree of its monomial): three read-only c x 2^(c-1)
+    int64 arrays (rows, cols, signs) each, whose row j lists the nonzero
+    entries of action j.  The two share rows and cols.
     """
 
     field: Field
     c: int
     monomials: tuple[tuple[int, ...], ...]
     actions: tuple[Matrix, ...]
-    signed_actions: tuple[Matrix, ...]
     index: tuple[np.ndarray, np.ndarray, np.ndarray] = dataclasses.field(compare=False, repr=False)
     signed_index: tuple[np.ndarray, np.ndarray, np.ndarray] = dataclasses.field(compare=False, repr=False)
 
@@ -123,8 +122,7 @@ def lambda_dual(c: int, field: Field) -> LambdaDual:
     index, signed = (rows, cols, signs), (rows, cols, signs * (1 - 2 * parity[cols]))
     for a in (rows, cols, signs, signed[2]):
         a.setflags(write=False)
-    n = len(monomials)
-    dual = LambdaDual(field, c, tuple(monomials), _placed(field, n, index), _placed(field, n, signed), index, signed)
+    dual = LambdaDual(field, c, tuple(monomials), _placed(field, len(monomials), index), index, signed)
     for j in range(c):
         if not (dual.actions[j] @ dual.actions[j]).is_zero():
             raise AssertionError("generator action does not square to zero")
@@ -151,68 +149,62 @@ def _placed(field: Field, size: int, index) -> tuple[Matrix, ...]:
     return tuple(out)
 
 
-def _signed_gather(m: Matrix, perm, left: bool) -> Matrix:
-    """perm @ m if `left`, else m @ perm, for the square signed partial
-    permutation perm in index form (rows, cols, signs): one-dimensional
-    arrays, no row and no column twice.
-
-    m @ perm has column cols[t] equal to signs[t] times column rows[t] of
-    m and its other columns zero; perm @ m has row rows[t] equal to
-    signs[t] times row cols[t] of m and its other rows zero.
-    """
-    rows, cols, signs = perm
-    out = np.zeros(m.shape, dtype=m.array.dtype)
-    if left:
-        out[rows] = _mod(m.field, m.array[cols] * signs[:, None])
-    else:
-        out[:, cols] = _mod(m.field, m.array[:, rows] * signs)
-    return _wrap(m.field, out, m.den)
-
-
 @dataclass(frozen=True)
 class BGGComplex:
-    """A bounded complex whose terms carry the dual exterior action.
+    """A bounded or periodic complex whose terms carry the dual exterior
+    action.
 
-    ``actions[k][j]`` is the generator-j action on the term in degree
-    ``complex.lo + k``; the differential commutes with every action.
-
-    ``_index``, which only `_bgg_total` sets, holds the index form of the
-    actions: ``_index[k]`` is the (rows, cols, signs) arrays of term k, row
-    j for generator j, from which ``actions[k]`` was built.  `validate_bgg`
-    checks a complex that carries it by signed gathers, and one built
-    without it (``_index`` None) by dense products.
+    ``cells[k]`` lists the sizes d of the module pieces whose dual (x)
+    piece make up term k, in the order of `_total_diffs`: the action of
+    generator j on term k is block diagonal, kron(dual.actions[j], 1_d)
+    for each d in turn.  The constructor raises `ShapeError` unless every
+    size is positive and term k has dimension 2^c * sum(cells[k]).
     """
 
     dual: LambdaDual
-    complex: BoundedComplex
-    actions: tuple[tuple[Matrix, ...], ...]
-    _index: tuple | None = dataclasses.field(default=None, compare=False, repr=False)
+    complex: BoundedComplex | PeriodicComplex
+    cells: tuple[tuple[int, ...], ...]
 
-    def action(self, j: int, degree: int) -> Matrix:
-        if self.complex.lo <= degree <= self.complex.hi:
-            return self.actions[degree - self.complex.lo][j]
-        return zeros(self.complex.field, 0, 0)
+    def __post_init__(self) -> None:
+        dims = self.complex.dims
+        sizes = [self.dual.total_dim * sum(t) if min(t, default=1) > 0 else None for t in self.cells]
+        if sizes != list(dims):
+            raise ShapeError(f"cells {self.cells} do not make up terms of dimensions {dims}")
+
+    @property
+    def actions(self) -> tuple[tuple[Matrix, ...], ...]:
+        """``actions[k][j]``, the matrix of the generator-j action on term
+        k: the term in degree ``complex.lo + k`` of a bounded complex, in
+        residue k of a periodic one."""
+        return tuple(_placed(self.complex.field, n, form) for n, form in zip(self.complex.dims, _term_index(self)))
 
 
 @_once
 def validate_bgg(b: BGGComplex) -> Violation | None:
-    """Square-zero plus exterior-linearity of the differential: d A = A d
-    for every generator action A, compared as matrices.  Both sides are
-    signed gathers of d when b carries the index form of its actions, and
-    dense products when it does not."""
-    c = b.complex
-    v = validate(c)
-    if v is not None:
-        return v
-    for i in range(c.lo, c.hi):
-        d = c.diff(i)
-        for j in range(b.dual.c):
-            if b._index is None:
-                left, right = d @ b.action(j, i), b.action(j, i + 1) @ d
-            else:
-                left = _signed_gather(d, [a[j] for a in b._index[i - c.lo]], left=False)
-                right = _signed_gather(d, [a[j] for a in b._index[i + 1 - c.lo]], left=True)
-            if left != right:
+    """`complexes.validate` of the complex of b, bounded or periodic, then
+    the exterior linearity of its differentials (`_linearity`)."""
+    return validate(b.complex) or _linearity(b.complex, _term_index(b))
+
+
+def _linearity(c, index) -> Violation | None:
+    """The first stored differential d of c and generator j with d A != A d
+    for the generator-j action A, whose index form on term k is row j of
+    ``index[k]``; d runs out of term k into term k + 1, mod the term count.
+
+    Both sides are signed gathers of ``d.array``: d A has column cols[t]
+    equal to signs[t] times column rows[t] of d, for the form on the
+    source, and A d has row rows[t] equal to signs[t] times row cols[t] of
+    d, for the form on the target; the other columns and rows are zero.
+    The two share the denominator of d."""
+    for k, (i, d) in enumerate(zip(c.degrees(), c.diffs)):
+        source, target = index[k], index[(k + 1) % len(index)]
+        for j in range(len(source[0])):
+            rows, cols, signs = (a[j] for a in source)
+            diff = np.zeros_like(d.array)
+            diff[:, cols] = d.array[:, rows] * signs
+            rows, cols, signs = (a[j] for a in target)
+            diff[rows] -= d.array[cols] * signs[:, None]
+            if _mod(c.field, diff).any():
                 return Violation("linearity", i, f"differential does not commute with generator {j}")
     return None
 
@@ -353,20 +345,23 @@ def bgg_complex(mc: ModuleComplex) -> BGGComplex:
     return _bgg_total(mc, range(min(live), max(live) + 1) if live else range(0))
 
 
-def _bgg_total(mc: ModuleComplex, degrees: range) -> BGGComplex:
+def _bgg_total(mc: ModuleComplex | PeriodicModuleComplex, degrees: range) -> BGGComplex:
     """The functor applied to each term of mc, totalized by `_total_diffs`
-    over the total degrees `degrees` from degrees.start, so an empty range
-    gives the zero complex.  The exterior action on a total term is
-    blockwise over its nonzero cells.  The output is checked by
-    `validate_bgg`; `bgg_module` and `bgg_complex` guard mc."""
+    over the total degrees `degrees`: from degrees.start for a bounded mc,
+    so an empty range gives the zero complex, and the n residues for a
+    periodic one.  The cells of term l are the sizes of the nonzero pieces
+    mc.dim(l - i, i), by increasing i.  The output is checked by
+    `validate_bgg`; the callers guard mc."""
     field = mc.modules[0].field
     dual = lambda_dual(mc.modules[0].algebra.generators, field)
-    window, dim, _, _ = grid = _bgg_grid(mc, dual)
-    dims = tuple(sum(dim(i, l - i) for i in window) for l in degrees)
-    cx = BoundedComplex(field, degrees.start, dims, _total_diffs(field, degrees[:-1], *grid))
-    index = tuple(_term_index(dual, [mc.dim(l - i, i) for i in window]) for l in degrees)
-    actions = tuple(_placed(field, size, term) for size, term in zip(dims, index))
-    out = BGGComplex(dual, cx, actions, index)
+    window, _, _, _ = grid = _bgg_grid(mc, dual)
+    cells = tuple(tuple(d for i in window if (d := mc.dim(l - i, i))) for l in degrees)
+    dims = tuple(dual.total_dim * sum(t) for t in cells)
+    if isinstance(mc, PeriodicModuleComplex):
+        cx = PeriodicComplex(field, mc.n, dims, _total_diffs(field, degrees, *grid))
+    else:
+        cx = BoundedComplex(field, degrees.start, dims, _total_diffs(field, degrees[:-1], *grid))
+    out = BGGComplex(dual, cx, cells)
     bad = validate_bgg(out)
     if bad is not None:
         raise AssertionError(f"construction violated its own invariant: {bad}")
@@ -382,16 +377,21 @@ def _kron_index(dual: LambdaDual, d: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return rows, cols, np.repeat(signs, d, axis=1)
 
 
-def _term_index(dual: LambdaDual, cells: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The index form of the exterior action on a total term whose cells
-    are dual (x) M_t with dim M_t = cells[t], in order: block t of action j
-    is kron(actions[j], 1_(cells[t])), shifted to the offset of its cell."""
-    parts, offset = [], 0
-    for d in cells:
-        rows, cols, signs = _kron_index(dual, d)
-        parts.append((rows + offset, cols + offset, signs))
-        offset += dual.total_dim * d
-    return tuple(np.concatenate(arrays, axis=1) for arrays in zip(*parts))
+@_once
+def _term_index(b: BGGComplex) -> tuple:
+    """The index form of the exterior action on each term of b: on term k,
+    block t of action j is kron(actions[j], 1_d) for d = cells[k][t],
+    shifted to the offset of its cell."""
+    out = []
+    for cells in b.cells:
+        # The (c, 0) arrays of d = 0 give a term without cells its form.
+        parts, offset = [_kron_index(b.dual, 0)], 0
+        for d in cells:
+            rows, cols, signs = _kron_index(b.dual, d)
+            parts.append((rows + offset, cols + offset, signs))
+            offset += b.dual.total_dim * d
+        out.append(tuple(np.concatenate(arrays, axis=1) for arrays in zip(*parts)))
+    return tuple(out)
 
 
 def bgg_periodic(pm: PeriodicModuleComplex) -> PeriodicComplex:
@@ -399,20 +399,13 @@ def bgg_periodic(pm: PeriodicModuleComplex) -> PeriodicComplex:
 
     Term r collects the cells (i, homological class (r - i) mod n) over the
     bounded internal window, ordered by increasing i; the differential uses
-    the same signs as the bounded totalization.
+    the same signs as the bounded totalization.  The output is checked for
+    exterior linearity as well as square zero (`validate_bgg`).
     """
     _require(validate_module_complex(pm), "periodic module complex")
-    field = pm.modules[0].field
     if pm.modules[0].algebra.kind != "poly":
         raise ValueError("input must be periodic over a polynomial algebra")
-    dual = lambda_dual(pm.modules[0].algebra.generators, field)
-    window, dim, _, _ = grid = _bgg_grid(pm, dual)
-    dims = tuple(sum(dim(i, r - i) for i in window) for r in range(pm.n))
-    out = PeriodicComplex(field, pm.n, dims, _total_diffs(field, range(pm.n), *grid))
-    bad = validate_periodic(out)
-    if bad is not None:
-        raise AssertionError(f"construction violated its own invariant: {bad}")
-    return out
+    return _bgg_total(pm, range(pm.n)).complex
 
 
 @dataclass(frozen=True)

@@ -316,16 +316,15 @@ def random_module_complex(
     c: int,
     window: tuple[int, int],
     length: int | None = None,
-    jlo: int = 0,
 ) -> ModuleComplex:
     """A complex of graded modules of one, two, or three terms."""
     length = length if length is not None else rng.randint(1, 3)
     if length == 1:
-        return ModuleComplex(jlo, (random_graded_module(rng, field, c, window),), ())
+        return ModuleComplex(0, (random_graded_module(rng, field, c, window),), ())
     if length == 2:
         a = random_graded_module(rng, field, c, window)
         b = random_graded_module(rng, field, c, window)
-        return ModuleComplex(jlo, (a, b), (random_module_map(rng, a, b),))
+        return ModuleComplex(0, (a, b), (random_module_map(rng, a, b),))
     a = random_graded_module(rng, field, c, window, max_gens=1)
     b = random_graded_module(rng, field, c, window, max_gens=1)
     middle = direct_sum_modules([a, b])
@@ -342,4 +341,4 @@ def random_module_complex(
     skin_b, ub = conjugate_module(rng, b)
     maps0 = tuple(um[k][0] @ include[k] @ ua[k][1] for k in range(len(a.dims)))
     maps1 = tuple(ub[k][0] @ project[k] @ um[k][1] for k in range(len(a.dims)))
-    return ModuleComplex(jlo, (skin_a, skin_m, skin_b), (maps0, maps1))
+    return ModuleComplex(0, (skin_a, skin_m, skin_b), (maps0, maps1))

@@ -13,7 +13,8 @@ The Tor oracle counts BGG cohomology from the Koszul complex of the module,
 sharing only `rank` and `assemble_blocks` with the functor it checks, and
 the dual exterior algebra is written entry by entry from field scalars, as
 is the matrix of each index form of an exterior action; the BGG actions are
-also built by the dense route, kron(action, 1_d) assembled blockwise.  The
+also built by the dense route, kron(action, 1_d) assembled blockwise, and
+their linearity is checked by dense products, not by signed gathers.  The
 entrywise oracles write the cone and tensor differentials one entry at a
 time from the input differentials on basis labels, sharing only `Matrix`
 with the totalization they check.  The entrywise fold oracles do the same
@@ -44,6 +45,7 @@ from perhom import (
     Homotopy,
     Matrix,
     PeriodicComplex,
+    Violation,
     expand_window,
     identity,
     identity_chain_map,
@@ -517,10 +519,11 @@ def index_matrices(field, size: int, index) -> tuple:
 
 
 def kron_bgg_actions(b, mc) -> tuple:
-    """The exterior actions of the BGG complex b of the module complex mc by
-    the dense route: on each total term l, block-diagonal over the nonzero
-    cells (i, l - i) by increasing internal degree i, each block
-    kron(actions[j], 1_d) for the cell's piece of dimension d."""
+    """The exterior actions of the BGG complex b of the bounded or periodic
+    module complex mc by the dense route: on each total term l,
+    block-diagonal over the nonzero cells (i, l - i) by increasing internal
+    degree i, each block kron(actions[j], 1_d) for the cell's piece of
+    dimension d."""
     field, dual = b.complex.field, b.dual
     out = []
     for l in b.complex.degrees():
@@ -531,6 +534,18 @@ def kron_bgg_actions(b, mc) -> tuple:
             for a in dual.actions
         ))
     return tuple(out)
+
+
+def dense_linearity(c, actions) -> Violation | None:
+    """The linearity verdict of `koszul.validate_bgg` by dense products: the
+    first stored differential d of the bounded or periodic complex c and
+    generator j with d actions[k][j] != actions[k'][j] d, where d runs out
+    of term k into term k' = k + 1, mod the term count."""
+    for k, (i, d) in enumerate(zip(c.degrees(), c.diffs)):
+        for j, (a, b) in enumerate(zip(actions[k], actions[(k + 1) % len(actions)])):
+            if d @ a != b @ d:
+                return Violation("linearity", i, f"differential does not commute with generator {j}")
+    return None
 
 
 def _dim(c, i: int) -> int:

@@ -6,6 +6,7 @@ periods 1 to 4.  The seeds include periods wider than the input (empty
 residue classes) and zero-dimensional terms, and the tests assert that
 they do."""
 
+import dataclasses
 from random import Random
 
 import pytest
@@ -59,7 +60,8 @@ def test_compress_modules_matches_oracle(field):
     seen_zero_piece = seen_empty_class = False
     for seed in SEEDS:
         rng = Random(seed)
-        mc = random_module_complex(rng, field, rng.randint(1, 2), (0, 2), jlo=rng.randint(-1, 1))
+        c, jlo = rng.randint(1, 2), rng.randint(-1, 1)
+        mc = dataclasses.replace(random_module_complex(rng, field, c, (0, 2)), jlo=jlo)
         seen_zero_piece |= any(0 in m.dims for m in mc.modules)
         for n in PERIODS:
             seen_empty_class |= n > len(mc.modules)

@@ -227,8 +227,10 @@ F3 = GF(3)
 _POLY1 = polynomial_algebra(1)
 _POINT = GradedModule(QQ, _POLY1, 0, (1,), ((),))
 _DUAL = lambda_dual(1, QQ)
-# d = diag(1, 0) against the action e_12: d a = e_12, a d = 0.
-_BGG_D, _BGG_A = mat(QQ, [[1, 0], [0, 0]]), mat(QQ, [[0, 1], [0, 0]])
+# d = diag(1, 0) against the action a = -e_12 of one cell of size 1 on
+# each term: d a = -e_12, a d = 0.  And d = e_21 on the term of a 1-periodic
+# complex: d a = -e_22, a d = -e_11.
+_BGG_D, _BGG_E21 = mat(QQ, [[1, 0], [0, 0]]), mat(QQ, [[0, 0], [1, 0]])
 _PT = single(QQ, 0)
 
 VIOLATIONS = [
@@ -271,7 +273,12 @@ VIOLATIONS = [
     ),
     (
         "validate_bgg-linearity",
-        lambda: validate_bgg(BGGComplex(_DUAL, two_term(QQ, 0, _BGG_D), ((_BGG_A,), (_BGG_A,)))),
+        lambda: validate_bgg(BGGComplex(_DUAL, two_term(QQ, 0, _BGG_D), ((1,), (1,)))),
+        Violation("linearity", 0, "differential does not commute with generator 0"),
+    ),
+    (
+        "validate_bgg-periodic-linearity",
+        lambda: validate_bgg(BGGComplex(_DUAL, PeriodicComplex(QQ, 1, (2,), (_BGG_E21,)), ((1,),))),
         Violation("linearity", 0, "differential does not commute with generator 0"),
     ),
 ]

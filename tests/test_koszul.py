@@ -2,9 +2,10 @@
 (`_square_mismatch`, `_fold_labels`) behind the three folding squares
 (cone, tensor, BGG), the BGG construction bytes, the dual exterior algebra
 and the index form of every exterior action against their constructions
-from field scalars and by the dense route, the signed gathers and the
-`validate_bgg` verdicts against the dense products, and the BGG cohomology
-against the Koszul-complex Tor oracle."""
+from field scalars and by the dense route, the cell sizes a `BGGComplex`
+stores, the signed gathers of `_linearity` and the `validate_bgg` verdicts
+against the dense products, the linearity check of `bgg_periodic`, and the
+BGG cohomology against the Koszul-complex Tor oracle."""
 
 import hashlib
 from fractions import Fraction
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from oracles import index_matrices, koszul_tor_dims, kron_bgg_actions, scalar_lambda_dual
+from oracles import dense_linearity, index_matrices, koszul_tor_dims, kron_bgg_actions, scalar_lambda_dual
 from perhom import (
     GF,
     QQ,
@@ -38,11 +39,13 @@ from perhom import (
     serialize_document,
     polynomial_algebra,
     total_complex,
+    validate,
     validate_bgg,
     verify_bgg_square,
 )
 from perhom.graded import ModuleComplex
-from perhom.koszul import _signed_gather
+from perhom import koszul
+from perhom.koszul import _linearity, _term_index
 from perhom.linalg import ShapeError, identity, kron, mat, zeros
 from perhom.complexes import _cone_grid
 from perhom.periodic import _fold_labels, _square_mismatch
@@ -119,33 +122,54 @@ def test_bgg_construction_bytes(c, n):
 def test_lambda_dual_matches_the_scalar_construction(c, field):
     dual = lambda_dual(c, field)
     scalar = scalar_lambda_dual(c, field)
-    assert (dual.monomials, dual.actions, dual.signed_actions) == scalar
+    assert (dual.monomials, dual.actions) == scalar[:2]
     size = 2**c
     assert (index_matrices(field, size, dual.index), index_matrices(field, size, dual.signed_index)) == scalar[1:]
 
 
 @st.composite
-def signed_partial_permutations(draw, n):
-    """The index form (rows, cols, signs) of an n x n signed partial
-    permutation, from 0 to n entries."""
+def signed_partial_permutations(draw, n, c):
+    """The index form (rows, cols, signs) of c signed n x n partial
+    permutations with k entries each, 0 <= k <= n: c x k arrays, row j for
+    permutation j."""
     k = draw(st.integers(0, n))
-    rows, cols = (draw(st.permutations(range(n)))[:k] for _ in range(2))
-    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))
-    return tuple(np.array(x, dtype=np.int64) for x in (rows, cols, signs))
+    rows, cols, signs = [], [], []
+    for _ in range(c):
+        rows.append(draw(st.permutations(range(n)))[:k])
+        cols.append(draw(st.permutations(range(n)))[:k])
+        signs.append(draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k)))
+    return tuple(np.array(x, dtype=np.int64).reshape(c, k) for x in (rows, cols, signs))
 
 
 @SETTINGS
 @given(data=st.data(), field=st.sampled_from([QQ, GF(2), F5, GF(2147483629)]))
 def test_signed_gather_is_the_dense_product(data, field):
-    n, k = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 4))
-    perm = data.draw(signed_partial_permutations(n))
-    dense = index_matrices(field, n, [a[None] for a in perm])[0]
+    # One differential d, out of term 0 into term 1 of a bounded complex or
+    # back into term 0 of a 1-periodic one, and c generators acting on each
+    # term by drawn signed partial permutations: `_linearity` gives the
+    # verdict of the dense products.
+    c, n, periodic = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4)), data.draw(st.booleans())
+    dims = (n,) if periodic else (n, data.draw(st.integers(0, 4)))
+    forms = [data.draw(signed_partial_permutations(size, c)) for size in dims]
+    actions = [index_matrices(field, size, form) for size, form in zip(dims, forms)]
     # Over QQ a denominator, so the gathers must cancel what the dropped
     # rows or columns shared with it.
     den = Fraction(1, data.draw(st.integers(1, 4))) if field.p is None else 1
-    right, left = data.draw(matrices(field, k, n)).scale(den), data.draw(matrices(field, n, k)).scale(den)
-    assert _signed_gather(right, perm, left=False) == right @ dense
-    assert _signed_gather(left, perm, left=True) == dense @ left
+    commuting = periodic and data.draw(st.booleans())
+    if commuting:
+        # Every generator acts by the first permutation P, and d = x + y P
+        # commutes with it.
+        forms = [tuple(np.repeat(a[:1], c, axis=0) for a in forms[0])]
+        actions = [(actions[0][0],) * c]
+        x, y = (data.draw(st.integers(-2, 2)) for _ in range(2))
+        d = identity(field, n).scale(x) + actions[0][0].scale(y)
+    else:
+        d = data.draw(matrices(field, dims[-1], n))
+    d = d.scale(den)
+    cx = PeriodicComplex(field, 1, dims, (d,)) if periodic else BoundedComplex(field, 0, dims, (d,))
+    want = dense_linearity(cx, actions)
+    assert _linearity(cx, forms) == want
+    assert want is None or not commuting
 
 
 def bgg_cases(seed, c, field, kind):
@@ -171,8 +195,8 @@ def bgg_cases(seed, c, field, kind):
 def test_index_form_reproduces_the_dense_actions(seed, c, field, kind):
     b, mc = bgg_cases(seed, c, field, kind)
     assert b.actions == kron_bgg_actions(b, mc)
-    assert len(b._index) == len(b.complex.dims)
-    for k, (rows, cols, signs) in enumerate(b._index):
+    assert len(_term_index(b)) == len(b.complex.dims)
+    for k, (rows, cols, signs) in enumerate(_term_index(b)):
         assert index_matrices(field, b.complex.dims[k], (rows, cols, signs)) == b.actions[k]
         for j in range(c):
             assert len(set(rows[j].tolist())) == len(set(cols[j].tolist())) == rows.shape[1]
@@ -186,14 +210,15 @@ def unit(field, rows, cols, r, s):
 
 class TestLinearityMutations:
     """One changed entry, of a differential or of an action, gives the same
-    `validate_bgg` verdict whether the check gathers by index or takes the
-    dense products, and that verdict is the one worked out by hand."""
+    verdict from the signed gathers of `_linearity` and from the dense
+    products of the oracle, and that verdict is the one worked out by
+    hand."""
 
     @staticmethod
-    def verdicts(b, cx, actions, index):
-        """The verdicts on (cx, actions) with the index form and without."""
-        indexed = BGGComplex(b.dual, cx, actions, index)
-        return validate_bgg(indexed), validate_bgg(BGGComplex(b.dual, cx, actions))
+    def verdicts(cx, actions, index):
+        """The verdicts on cx of `_linearity` with the index form and of the
+        dense oracle with the matrices of the actions."""
+        return _linearity(cx, index), dense_linearity(cx, actions)
 
     @SETTINGS
     @given(
@@ -215,7 +240,8 @@ class TestLinearityMutations:
         want = None
         if failing:
             want = Violation("linearity", 0, f"differential does not commute with generator {failing[0]}")
-        assert self.verdicts(b, cx, b.actions, b._index) == (want, want)
+        assert self.verdicts(cx, b.actions, _term_index(b)) == (want, want)
+        assert validate_bgg(BGGComplex(b.dual, cx, b.cells)) == want
 
     @SETTINGS
     @given(
@@ -230,12 +256,12 @@ class TestLinearityMutations:
         cx, dims = b.complex, b.complex.dims
         k = data.draw(st.integers(0, len(dims) - 1))
         assume(dims[k])
-        rows, cols, signs = b._index[k]
+        rows, cols, signs = _term_index(b)[k]
         j, t = data.draw(st.integers(0, c - 1)), data.draw(st.integers(0, rows.shape[1] - 1))
         r, s = int(rows[j, t]), int(cols[j, t])
         flipped = signs.copy()
         flipped[j, t] *= -1
-        index = b._index[:k] + ((rows, cols, flipped),) + b._index[k + 1 :]
+        index = _term_index(b)[:k] + ((rows, cols, flipped),) + _term_index(b)[k + 1 :]
         action = b.actions[k][j] + unit(field, dims[k], dims[k], r, s).scale(-2 * int(signs[j, t]))
         family = b.actions[k][:j] + (action,) + b.actions[k][j + 1 :]
         actions = b.actions[:k] + (family,) + b.actions[k + 1 :]
@@ -245,7 +271,102 @@ class TestLinearityMutations:
         want = None
         if into or out:
             want = Violation("linearity", degree, f"differential does not commute with generator {j}")
-        assert self.verdicts(b, cx, actions, index) == (want, want)
+        assert self.verdicts(cx, actions, index) == (want, want)
+
+
+class TestCells:
+    """A `BGGComplex` is its dual, its complex and its cell sizes: the cells
+    fix the action, and cells that do not make up the terms are refused."""
+
+    def test_cells_fix_the_action(self):
+        # On one term of dimension 4 with c = 1, whose action on the dual is
+        # a = -e_12: cells (1, 1) give diag(a, a), cells (2,) give
+        # kron(a, 1_2).
+        dual = lambda_dual(1, QQ)
+        cx = BoundedComplex(QQ, 0, (4,), ())
+        split, whole = BGGComplex(dual, cx, ((1, 1),)), BGGComplex(dual, cx, ((2,),))
+        assert split != whole and split == BGGComplex(dual, cx, ((1, 1),))
+        assert split.actions == ((mat(QQ, [[0, -1, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1], [0, 0, 0, 0]]),),)
+        assert whole.actions == ((mat(QQ, [[0, 0, -1, 0], [0, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0]]),),)
+
+    @pytest.mark.parametrize("cells", [((1,),), ((3,),), ((2,), (1,)), ((2, 0),), ((3, -1),), ()], ids=repr)
+    def test_mismatched_cells_raise(self, cells):
+        cx = BoundedComplex(QQ, 0, (4,), ())
+        with pytest.raises(ShapeError) as caught:
+            BGGComplex(lambda_dual(1, QQ), cx, cells)
+        assert str(caught.value) == f"cells {cells} do not make up terms of dimensions (4,)"
+
+    def test_periodic_cells_are_checked(self):
+        cx = PeriodicComplex(F5, 2, (2, 4), (zeros(F5, 4, 2), zeros(F5, 2, 4)))
+        assert BGGComplex(lambda_dual(1, F5), cx, ((1,), (1, 1))).cells == ((1,), (1, 1))
+        with pytest.raises(ShapeError):
+            BGGComplex(lambda_dual(1, F5), cx, ((1,), (1,)))
+
+
+def plus_one_at(original, field, pick):
+    """`_bgg_differential` with 1 added to entry (r, s) of the block of the
+    calls for which pick(call number, internal degree, shape) gives (r, s),
+    and unchanged where it gives None."""
+    calls = []
+
+    def corrupted(dual, m, i):
+        d = original(dual, m, i)
+        at = pick(len(calls), i, d.shape)
+        calls.append(d.shape)
+        return d if at is None else d + unit(field, *d.shape, *at)
+
+    return corrupted, calls
+
+
+class TestPeriodicLinearity:
+    """`bgg_periodic` checks its output for exterior linearity as well as
+    square zero: a corrupted functor differential is refused exactly when
+    the oracles refuse the complex it gives."""
+
+    def test_refuses_a_square_zero_differential_that_is_not_linear(self, monkeypatch):
+        # M = k[x] on degrees 0 and 1, folded mod 2: term 0 is dual (x) M_0,
+        # term 1 is dual (x) M_1, and d out of term 1 is zero, so d squares
+        # to zero whatever d out of term 0 is.  That map is e_12; adding e_21
+        # gives d a - a d = diag(1, -1) for the action a = -e_12.
+        m = free_module(QQ, polynomial_algebra(1), 0, (0, 1))
+        pm = compress_modules(ModuleComplex(0, (m,), ()), 2)
+        assert bgg_periodic(pm).diffs == (mat(QQ, [[0, 1], [0, 0]]), zeros(QQ, 2, 2))
+        corrupted, _ = plus_one_at(koszul._bgg_differential, QQ, lambda t, i, shape: (1, 0) if i == 0 else None)
+        monkeypatch.setattr(koszul, "_bgg_differential", corrupted)
+        with pytest.raises(AssertionError) as caught:
+            bgg_periodic(pm)
+        want = "linearity at degree 0: differential does not commute with generator 0"
+        assert str(caught.value) == f"construction violated its own invariant: {want}"
+
+    @pytest.mark.parametrize("field", [QQ, F5], ids=repr)
+    def test_refuses_what_the_oracles_refuse(self, monkeypatch, field):
+        original, check = koszul._bgg_differential, koszul.validate_bgg
+        built, linearity_only = [], 0
+        monkeypatch.setattr(koszul, "validate_bgg", lambda b: built.append(b) or check(b))
+        for seed in range(30):
+            rng = Random(f"corrupt {seed} {field!r}")
+            mc = random_module_complex(rng, field, rng.randint(1, 2), (0, 2))
+            pm = compress_modules(mc, rng.randint(1, 3))
+            counting, calls = plus_one_at(original, field, lambda t, i, shape: None)
+            monkeypatch.setattr(koszul, "_bgg_differential", counting)
+            bgg_periodic(pm)
+            if not calls:
+                continue
+            t = rng.randrange(len(calls))
+            at = tuple(rng.randrange(x) for x in calls[t])
+            corrupted, _ = plus_one_at(original, field, lambda u, i, shape: at if u == t else None)
+            monkeypatch.setattr(koszul, "_bgg_differential", corrupted)
+            try:
+                bgg_periodic(pm)
+                refused = False
+            except AssertionError:
+                refused = True
+            b = built[-1]
+            square = validate(b.complex)
+            want = square or dense_linearity(b.complex, kron_bgg_actions(b, pm))
+            assert refused == (want is not None)
+            linearity_only += square is None and want is not None
+        assert linearity_only
 
 
 class TestSquareMismatch:

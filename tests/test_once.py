@@ -1,11 +1,12 @@
 """The derive-once rule (`complexes._once`): a check or a fold runs once per
-value and keeps its result on it, and a new value starts empty.  That an
-invalid value fails the same way on every call is in `test_guards`."""
+value and keeps its result on it, a new value starts empty, and two
+functions of one name keep their results apart.  That an invalid value
+fails the same way on every call is in `test_guards`."""
 
 import dataclasses
 
 from perhom import QQ, Matrix, compress, mat, validate
-from perhom.complexes import BoundedComplex
+from perhom.complexes import BoundedComplex, _once
 
 ONE = mat(QQ, [[1]])
 
@@ -43,3 +44,15 @@ def test_fold_is_kept_per_period():
     # An equal complex is another value, with its own fold.
     assert compress(_valid(), 2) is not compress(x, 2)
     assert compress(_valid(), 2) == compress(x, 2)
+
+
+def test_functions_of_one_name_keep_apart():
+    def kept(result):
+        def check(value):
+            return result
+
+        return _once(check)
+
+    first, second = kept("a"), kept("b")
+    x = _valid()
+    assert (first(x), second(x)) == ("a", "b")
