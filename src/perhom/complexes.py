@@ -108,13 +108,14 @@ class BoundedComplex:
         return i - 1
 
     def dim(self, i: int) -> int:
-        if self.lo <= i <= self.hi:
+        # Compared directly, not through the computed hi: this runs often.
+        if 0 <= i - self.lo < len(self.dims):
             return self.dims[i - self.lo]
         return 0
 
     def diff(self, i: int) -> Matrix:
         """The differential out of degree i (zero outside the window)."""
-        if self.lo <= i < self.hi:
+        if 0 <= i - self.lo < len(self.diffs):
             return self.diffs[i - self.lo]
         return zeros(self.field, self.dim(i + 1), self.dim(i))
 

@@ -11,14 +11,17 @@ JSON-pointer path.
 
 Matrices go both ways at array speed.  On output a `Matrix` stands where
 it goes in a document body, and `canonical_json_bytes` writes it from
-``Matrix.array`` as ``json.dumps`` writes its `matrix_doc`: a sparse
-matrix as the text of the zero matrix of its shape with the encoded
-nonzero entries spliced in, a dense one through `matrix_doc`, which reads
-the array too.  On input each matrix is checked and converted at once:
-over F_p a type check of every entry and one int64 array; over QQ one
-regex check of the comma-joined entries, then their numerators and
-denominators as ints, brought over one denominator, with no `Fraction`
-per entry.  A matrix that fails that conversion is walked
+``Matrix.array`` as ``json.dumps`` writes its `matrix_doc`.  One boolean
+scan of a matrix of more than 64 cells gives the flat positions of its
+nonzero entries.  A sparse matrix is written as bytes: slices of the text
+of the zero matrix of its shape, with the encoded entries at offsets read
+off those positions, and the document is joined once from these pieces
+and the encoded text around them.  A dense matrix goes through
+`matrix_doc`, which reads the array too.  On input each matrix is checked
+and converted at once: over F_p a type check of every entry and one int64
+array; over QQ one regex check of the comma-joined entries, then their
+numerators and denominators as ints, brought over one denominator, with
+no `Fraction` per entry.  A matrix that fails that conversion is walked
 entry by entry, which raises the error with its pointer, so a malformed
 document gets the same error either way.  The fields differ only where
 single entries are encoded and decoded.
@@ -84,34 +87,46 @@ def canonical_json_bytes(value) -> bytes:
     ``value`` written as its `matrix_doc`.
 
     A value takes one ``json.dumps`` call, which writes a dense matrix from
-    its `matrix_doc` and a sparse one as the placeholder ``"\\u0000"``.
-    The texts of the sparse matrices then replace the placeholders, in
-    output order.  If a string of the value is written the same way, there
-    are more placeholders than sparse matrices, and the value is written
-    again with every matrix from its `matrix_doc`.
+    its `matrix_doc` and a sparse one as the placeholder ``"\\u0000"``.  A
+    matrix of more than 64 cells is scanned once, for the flat positions of
+    its nonzero entries, which both decide whether it is sparse and place
+    its entries.  The document is then put together as bytes: the encoded
+    text between placeholders, and for each sparse matrix the slices of its
+    zero template and its encoded entries, in output order, joined once.
+    If a string of the value is written the same way, there are more
+    placeholders than sparse matrices, and the value is written again with
+    every matrix from its `matrix_doc`.
     """
     sparse = []
 
     def fill(obj):
         m = _matrix_of(obj)
         # Splicing costs about as much per nonzero entry as json.dumps of
-        # matrix_doc per four cells, and as much per matrix as 64 cells
-        # (numpy 2.4, Python 3.11, one core of a 2-vCPU Xeon VM).
-        if 4 * np.count_nonzero(m.array) + 64 >= m.rows * m.cols:
-            return matrix_doc(m)
-        sparse.append(m)
-        return _SLOT
+        # matrix_doc per four cells, and as much per matrix as 64 cells.
+        # Measured on this route: over F_p the two cost the same at about
+        # cells / 4 nonzero entries from 40 x 40 up, and at 10-20 on
+        # 12 x 12; over QQ, whose dense entries cost more, at about
+        # cells / 3 (numpy 2.4, Python 3.11, one core of a 2-vCPU Xeon VM).
+        # Both routes write the same bytes, so the constants set only the
+        # speed.  A matrix of at most 64 cells is dense without a scan.
+        if m.array.size > 64:
+            flat = np.flatnonzero(m.array != 0)
+            if 4 * len(flat) + 64 < m.array.size:
+                sparse.append((m, flat))
+                return _SLOT
+        return matrix_doc(m)
 
     text = _dumps(value, fill)
     if sparse:
         parts = text.split(_SLOT_TEXT)
         if len(parts) == len(sparse) + 1:
-            pieces = [parts[0]]
-            for m, part in zip(sparse, parts[1:]):
-                pieces += (_sparse_text(m), part)
-            text = "".join(pieces)
-        else:
-            text = _dumps(value, lambda obj: matrix_doc(_matrix_of(obj)))
+            pieces = [parts[0].encode()]
+            for (m, flat), part in zip(sparse, parts[1:]):
+                _splice(pieces, m, flat)
+                pieces.append(part.encode())
+            pieces.append(b"\n")
+            return b"".join(pieces)
+        text = _dumps(value, lambda obj: matrix_doc(_matrix_of(obj)))
     return (text + "\n").encode("utf-8")
 
 
@@ -266,24 +281,25 @@ def matrix_doc(m: Matrix) -> list:
     return [_entry_docs(m.field, row, m.den) for row in m.array.tolist()]
 
 
-def _sparse_text(m: Matrix) -> str:
-    """The JSON text of ``matrix_doc(m)``: the text of the zero matrix of
-    m's shape with the texts of the nonzero entries spliced in."""
+def _splice(pieces: list, m: Matrix, flat: np.ndarray) -> None:
+    """Append the UTF-8 text of ``matrix_doc(m)`` to ``pieces``: slices of
+    the text of the zero matrix of m's shape, and between them the texts of
+    the nonzero entries, at the flat positions ``flat``."""
     rows, cols = m.shape
-    i, j = m.array.nonzero()
     # No entry text holds a comma, so one dumps of the entries gives them
     # all; its default separators let json.dumps use its shared encoder.
-    zero, *values = json.dumps(_entry_docs(m.field, [0] + m.array[i, j].tolist(), m.den))[1:-1].split(", ")
-    template = "[" + ",".join(["[" + ",".join([zero] * cols) + "]"] * rows) + "]"
-    # Entry (i, j) starts after "[[", i rows and their "],[", and j entries
-    # and their commas.
+    entries = _entry_docs(m.field, [0] + m.array.take(flat).tolist(), m.den)
+    zero, *values = json.dumps(entries).encode()[1:-1].split(b", ")
+    row = b"[" + b",".join([zero] * cols) + b"]"
+    template = b"[" + b",".join([row] * rows) + b"]"
+    # Entry f = i cols + j starts after "[[", i rows and their "],[", and
+    # j entries and their commas.
     width = len(zero) + 1
-    pieces, start = [], 0
-    for at, text in zip((2 + i * (cols * width + 2) + j * width).tolist(), values):
+    start = 0
+    for at, text in zip((2 + flat * width + 2 * (flat // cols)).tolist(), values):
         pieces += (template[start:at], text)
         start = at + len(zero)
     pieces.append(template[start:])
-    return "".join(pieces)
 
 
 def _parse_window(value, ptr: str) -> tuple[int, int]:

@@ -204,7 +204,9 @@ def _linearity(c, index) -> Violation | None:
             diff[:, cols] = d.array[:, rows] * signs
             rows, cols, signs = (a[j] for a in target)
             diff[rows] -= d.array[cols] * signs[:, None]
-            if _mod(c.field, diff).any():
+            # Over F_p the gathers are signed residues, so a linear d may
+            # leave entries of +-p; only the nonzero ones need reducing.
+            if _mod(c.field, diff[diff != 0]).any():
                 return Violation("linearity", i, f"differential does not commute with generator {j}")
     return None
 

@@ -7,9 +7,11 @@ it raises does not depend on which missing field is checked first.
 
 The array paths of the document layer against per-entry references: the
 bytes of `canonical_json_bytes` against ``json.dumps`` of the rows of
-``Matrix.entries``, the round trip of every document kind, and matrices
-converted at once against the per-entry walk, which gives the same matrix
-or the same error."""
+``Matrix.entries`` (on small values of every kind, on matrices up to
+40 x 40 in the patterns that reach both sides of the splice threshold, and
+on `perhom bgg` output up to c = 6), the round trip of every document kind,
+and matrices converted at once against the per-entry walk, which gives the
+same matrix or the same error."""
 
 import json
 from fractions import Fraction
@@ -18,8 +20,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perhom import GF, QQ, Algebra, BoundedComplex, FlagData, GradedModule, Matrix, PeriodicComplex, chain_map, mat
+from perhom import (
+    GF,
+    QQ,
+    Algebra,
+    BoundedComplex,
+    FlagData,
+    GradedModule,
+    Matrix,
+    PeriodicComplex,
+    bgg_module,
+    chain_map,
+    cohomology_dims,
+    free_module,
+    mat,
+    polynomial_algebra,
+)
 from perhom import documents
+from perhom.cli import main
 from perhom.documents import (
     DocumentError,
     canonical_json_bytes,
@@ -232,6 +250,63 @@ def test_bgg_bodies_are_written_as_json_dumps_writes_the_entries(drawn):
         "ok": True,
     }
     assert canonical_json_bytes(body) == reference_bytes(expand(body))
+
+
+@st.composite
+def patterned_matrices(draw, field):
+    """A matrix of up to 40 x 40 in one of the patterns the writer meets: a
+    signed partial permutation (a BGG action), nonzero first and last cells,
+    zero first and last rows, or a nonzero count within two of the splice
+    threshold ``4 nnz + 64 = cells``."""
+    rng = draw(st.randoms(use_true_random=False))
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    pattern = draw(st.sampled_from(["permutation", "corners", "zero-end-rows", "threshold"]))
+    cells = rows * cols
+    values = {}
+    if pattern == "permutation":
+        k = rng.randint(0, min(rows, cols))
+        minus_one = -1 if field.p is None else field.p - 1
+        for r, c in zip(rng.sample(range(rows), k), rng.sample(range(cols), k)):
+            values[r * cols + c] = rng.choice([1, minus_one])
+    else:
+        if pattern == "corners":
+            at = {0, cells - 1} | set(rng.sample(range(cells), rng.randint(0, cells // 8)))
+        elif pattern == "zero-end-rows":
+            inner = range(cols, cells - cols)
+            at = set(rng.sample(inner, rng.randint(0, len(inner) // 4))) if len(inner) else set()
+        else:
+            nnz = min(cells, max(0, -(-(cells - 64) // 4) + rng.randint(-2, 1)))
+            at = set(rng.sample(range(cells), nnz))
+        values = {k: nonzero_entry(rng, field) for k in at}
+    flat = [values.get(k, 0) for k in range(cells)]
+    return Matrix(field, rows, cols, tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows)))
+
+
+@SETTINGS
+@given(st.sampled_from(FIELDS).flatmap(lambda field: st.lists(patterned_matrices(field), min_size=1, max_size=3)))
+def test_large_matrices_are_written_as_json_dumps_writes_the_entries(ms):
+    body = {"first": ms[0], "rest": [ms[1:], "x"]}
+    assert canonical_json_bytes(body) == reference_bytes(expand(body))
+
+
+@pytest.mark.parametrize(
+    "field, c, window",
+    [(GF(32003), 5, (0, 2)), (GF(32003), 6, (0, 1)), (QQ, 3, (0, 3))],
+    ids=["GF32003-c5", "GF32003-c6", "QQ-c3"],
+)
+def test_bgg_output_is_written_as_json_dumps_writes_the_entries(capsysbinary, tmp_path, field, c, window):
+    module = free_module(field, polynomial_algebra(c), 0, window)
+    path = tmp_path / "module.json"
+    path.write_bytes(serialize_document(module))
+    assert main(["bgg", str(path)]) == 0
+    built = bgg_module(module)
+    body = {
+        "complex": document_dict(built.complex),
+        "actions": [list(family) for family in built.actions],
+        "cohomology": [[i, h] for i, h in cohomology_dims(built.complex)],
+        "ok": True,
+    }
+    assert capsysbinary.readouterr() == (reference_bytes(expand(body)), b"")
 
 
 @pytest.mark.parametrize("note", ["\0", "a\0", '"\0', "\\u0000"])

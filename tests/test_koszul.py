@@ -172,6 +172,24 @@ def test_signed_gather_is_the_dense_product(data, field):
     assert want is None or not commuting
 
 
+@pytest.mark.parametrize("field", [GF(2), GF(32003)], ids=["GF2", "GF32003"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus-p", "minus-p"])
+def test_gathers_that_differ_by_p_commute(field, sign):
+    # One generator acts on both terms of k^2 -> k^2 by e_01, with sign
+    # `sign` on the source and -sign on the target.  For d = [[a, b], [0,
+    # e]], entry (0, 1) of d A - A d is sign (a + e) and every other entry
+    # is 0.  With e = p - a that entry is +-p: d is linear and must pass;
+    # with e = p - a + 1 it is not.
+    p, a = field.p, 1
+    rows, cols = np.array([[0]]), np.array([[1]])
+    index = ((rows, cols, np.array([[sign]])), (rows, cols, np.array([[-sign]])))
+    actions = [index_matrices(field, 2, form) for form in index]
+    refused = Violation("linearity", 0, "differential does not commute with generator 0")
+    for e, want in ((p - a, None), (p - a + 1, refused)):
+        cx = BoundedComplex(field, 0, (2, 2), (mat(field, [[a, 3], [0, e]]),))
+        assert (_linearity(cx, index), dense_linearity(cx, actions)) == (want, want)
+
+
 def bgg_cases(seed, c, field, kind):
     """A BGG complex built by `_bgg_total` and the module complex behind it."""
     rng = Random(seed)

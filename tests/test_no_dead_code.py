@@ -1,9 +1,11 @@
 """Nothing in `src/perhom` is left over: no module but the package's
-``__init__.py`` (which re-exports) imports a name it never reads, and every
-private top-level definition is referenced somewhere in the package.  A
-read is a name loaded anywhere in the module, annotations included; a
-reference is a loaded name, an attribute or an imported name in any
-module other than the definition itself."""
+``__init__.py`` (which re-exports) imports a name it never reads, every
+private top-level definition is referenced somewhere in the package, and
+every method or property of a class is read as an attribute somewhere in
+the sources, the tests or the benchmark.  A read is a name loaded anywhere
+in the module, annotations included; a reference is a loaded name, an
+attribute or an imported name in any module other than the definition
+itself."""
 
 import ast
 from pathlib import Path
@@ -15,6 +17,8 @@ import perhom
 PACKAGE = Path(perhom.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+# Where a member may be read: the sources, the tests and the benchmark.
+READERS = [PACKAGE.parent, Path(__file__).resolve().parent, Path(__file__).resolve().parent.parent / "perfbench"]
 
 
 def _imported(tree):
@@ -77,3 +81,30 @@ def test_every_private_definition_is_referenced():
             if definition not in others | _references(tree, skip=node):
                 unreferenced.append(f"{module}:{node.lineno} {definition}")
     assert unreferenced == []
+
+
+def _members(tree):
+    """(class, member, line) of every method or property defined in a
+    class body, dunders excluded."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    node.name.startswith("__") and node.name.endswith("__")
+                ):
+                    yield cls.name, node.name, node.lineno
+
+
+def test_every_member_is_read_as_an_attribute():
+    attributes = set()
+    for root in READERS:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            attributes.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    unread = [
+        f"{module}:{line} {cls}.{member}"
+        for module, tree in TREES.items()
+        for cls, member, line in _members(tree)
+        if member not in attributes
+    ]
+    assert unread == []
