@@ -15,6 +15,7 @@ from .complexes import (
     ChainMap,
     HomReport,
     Homotopy,
+    Splitting,
     Violation,
     chain_map,
     cohomology_dims,
@@ -30,6 +31,7 @@ from .complexes import (
     is_acyclic,
     shift,
     single,
+    splitting,
     tensor_complex,
     two_term,
     validate,

@@ -42,6 +42,7 @@ __all__ = [
     "Cone",
     "HomReport",
     "Homotopy",
+    "Splitting",
     "Violation",
     "chain_map",
     "cohomology_dims",
@@ -57,6 +58,7 @@ __all__ = [
     "is_acyclic",
     "shift",
     "single",
+    "splitting",
     "tensor_complex",
     "two_term",
     "validate",
@@ -393,7 +395,7 @@ def _splitting(c) -> tuple[dict[int, int], dict[int, int]]:
     return h, p
 
 
-class _Split(NamedTuple):
+class Splitting(NamedTuple):
     """Splitting data of one degree: d s + s d = 1 - i p."""
 
     i: Matrix
@@ -402,7 +404,7 @@ class _Split(NamedTuple):
 
 
 @_once
-def _contraction(c, r: int) -> _Split:
+def _contraction(c, r: int) -> Splitting:
     """Splitting data (i, p, s) of a bounded or periodic complex c in degree
     r, with d s + s d = 1 - i p and p d = 0, d i = 0.
 
@@ -418,7 +420,7 @@ def _contraction(c, r: int) -> _Split:
     in degree r + 1, s d v = E_P a, while d s v = D b.
 
     Only the rank data is needed for Hom counts (`_splitting`); this
-    solve is paid for by the homotopy witnesses alone.
+    solve is paid for by the homotopy witnesses and `splitting` alone.
     """
     field = c.field
     m = c.dim(r)
@@ -435,7 +437,27 @@ def _contraction(c, r: int) -> _Split:
         raise AssertionError(f"splitting of degree {r} is not a basis")
     s = place_rows(coords, incoming, c.dim(r - 1))
     project = submatrix(coords, range(len(incoming), coords.rows), range(m))
-    return _Split(cycles, project, s)
+    return Splitting(cycles, project, s)
+
+
+@_once
+def splitting(c) -> dict[int, Splitting]:
+    """`_contraction` in every degree of a bounded or periodic complex c,
+    checked: p i = 1, s d s = s and d s + s d = 1 - i p (s is zero past the
+    top of a bounded c).  With no cohomology the s are a contraction."""
+    _require(validate(c), "complex" if isinstance(c, BoundedComplex) else "periodic complex")
+    parts = {r: _contraction(c, r) for r in c.degrees()}
+    after = {c.prev(r): part.s for r, part in parts.items()}
+    for r, (i, p, s) in parts.items():
+        d = c.diff(c.prev(r))
+        sd = after[r] @ c.diff(r) if r in after else zeros(c.field, c.dim(r), c.dim(r))
+        if p @ i != identity(c.field, i.cols):
+            raise AssertionError(f"splitting fails p i = 1 at degree {r}")
+        if s @ d @ s != s:
+            raise AssertionError(f"splitting fails s d s = s at degree {r}")
+        if d @ s + sd != identity(c.field, c.dim(r)) - i @ p:
+            raise AssertionError(f"splitting fails d s + s d = 1 - i p at degree {r}")
+    return parts
 
 
 def _split_null_homotopy(x, y, phi) -> dict | None:

@@ -16,10 +16,10 @@ splitting below share the bounded bodies in `complexes`.
 
 Hom dimensions and homotopy witnesses come from the splitting of each
 complex into cohomology and contractible pieces, read off one rref of each
-differential (`complexes._contraction`).  In particular `periodize`
-(`unrolled_identity_contraction` then `periodize_null_homotopy`) solves no
-Kronecker-sized linear system: it solves one small system per residue, in
-the size of a single term.
+differential (`complexes._contraction`).  `perhom periodize` reads its
+contraction off the checked `complexes.splitting`, with no Kronecker-sized
+system; `unrolled_identity_contraction` and `periodize_null_homotopy` keep
+the windowed route, which folds any windowed contraction.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .complexes import (
     Homotopy,
     Violation,
     _cone_grid,
-    _contraction,
     _once,
     _require,
     _split_hom_report,
@@ -46,6 +45,7 @@ from .complexes import (
     identity_chain_map,
     shift,
     degree_shift,
+    splitting,
     validate,
     validate_chain_map,
     zero_chain_map,
@@ -338,21 +338,14 @@ def unrolled_identity_contraction(p: PeriodicComplex) -> Homotopy | None:
     This is the windowed input consumed by `periodize_null_homotopy`; it is
     weaker than a contraction of the truncated unrolled complex, whose
     identity at the window edges is perturbed by the truncation.  The maps
-    are the periodic contraction s_r of the splitting data
-    (`complexes._contraction`, here with no cohomology): with P_r the pivot
-    columns and R_r the pivot rows of rref(d^r),
-
-        s_r = E_(P_(r-1)) solve(d^(r-1) E_(P_(r-1)), 1 - E_(P_r) R_r),
-
-    unrolled as s^i = s_(i mod n), so the top edge is s^n = s_0.  Each
-    differential is reduced once.
+    are the contraction of `complexes.splitting`, unrolled as
+    s^i = s_(i mod n), so the top edge is s^n = s_0.
     """
-    _require(validate_periodic(p), "periodic complex")
-    if any(_splitting(p)[0].values()):
+    if any(periodic_cohomology(p)):
         return None
-    n = p.n
+    n, parts = p.n, splitting(p)
     e = expand_window(p, -1, n)
-    comps = tuple((i, _contraction(p, i % n).s) for i in range(n + 1) if p.dim(i) and p.dim(i - 1))
+    comps = tuple((i, parts[i % n].s) for i in range(n + 1) if p.dim(i) and p.dim(i - 1))
     return Homotopy(identity_chain_map(e), zero_chain_map(e, e), comps)
 
 

@@ -52,6 +52,7 @@ from perhom import (
     mat,
     rank,
     solve_linear,
+    splitting,
     zero_chain_map,
     zeros,
 )
@@ -546,6 +547,26 @@ def dense_linearity(c, actions) -> Violation | None:
             if d @ a != b @ d:
                 return Violation("linearity", i, f"differential does not commute with generator {j}")
     return None
+
+
+def cone_cohomology(f) -> dict[int, int]:
+    """The nonzero cohomology dimensions of the mapping cone of a bounded or
+    periodic chain map f : X -> Y, from the long exact sequence of the cone:
+
+        dim H^i(cone f) = (h^i(Y) - rk_i) + (h^(i+1)(X) - rk_(i+1)),
+
+    where rk_i is the rank of H^i(f) = p_Y f^i i_X, read off the splittings
+    of X and Y; for a periodic map, i + 1 is taken mod n."""
+    x, y = f.source, f.target
+    sx, sy = splitting(x), splitting(y)
+    if isinstance(x, PeriodicComplex):
+        degrees, up = range(x.n), lambda i: (i + 1) % x.n
+    else:
+        degrees, up = range(min(x.lo - 1, y.lo), max(x.hi, y.hi) + 1), lambda i: i + 1
+    h = lambda parts, i: parts[i].i.cols if i in parts else 0
+    rk = lambda i: rank(sy[i].p @ f.component(i) @ sx[i].i) if i in sx and i in sy else 0
+    dims = {i: h(sy, i) - rk(i) + h(sx, up(i)) - rk(up(i)) for i in degrees}
+    return {i: d for i, d in dims.items() if d}
 
 
 def _dim(c, i: int) -> int:

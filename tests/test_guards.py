@@ -46,6 +46,7 @@ from perhom import (
     polynomial_algebra,
     shift_periodic,
     single,
+    splitting,
     tensor_complex,
     tensor_periodic,
     total_complex,
@@ -165,6 +166,8 @@ CASES = [
         f"invalid complex: {SQUARE}",
     ),
     ("cohomology_dims", lambda: cohomology_dims(BAD_COMPLEX), f"invalid complex: {SQUARE}"),
+    ("splitting-bounded", lambda: splitting(BAD_COMPLEX), f"invalid complex: {SQUARE}"),
+    ("splitting-periodic", lambda: splitting(BAD_PERIODIC), f"invalid periodic complex: {SQUARE}"),
     ("tensor_complex", lambda: tensor_complex(GOOD_COMPLEX, BAD_COMPLEX), f"invalid complex: {SQUARE}"),
     ("find_null_homotopy", lambda: find_null_homotopy(BAD_MAP), f"invalid chain map: {NOT_CHAIN_MAP}"),
 ]

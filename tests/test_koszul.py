@@ -4,10 +4,12 @@
 and the index form of every exterior action against their constructions
 from field scalars and by the dense route, the cell sizes a `BGGComplex`
 stores, the signed gathers of `_linearity` and the `validate_bgg` verdicts
-against the dense products, the linearity check of `bgg_periodic`, and the
-BGG cohomology against the Koszul-complex Tor oracle."""
+against the dense products, the linearity check of `bgg_periodic`, the
+BGG cohomology against the Koszul-complex Tor oracle, and the BGG complex
+of a free module with c = 1-6 generators in closed form."""
 
 import hashlib
+from math import comb
 from fractions import Fraction
 from random import Random
 
@@ -447,6 +449,25 @@ def test_bgg_cohomology_matches_koszul_tor(seed, c, field, width):
     m = random_graded_module(Random(seed), field, c, (0, min(width, 2) if c == 3 else width))
     coh = dict(cohomology_dims(bgg_module(m).complex))
     assert coh == {j: koszul_tor_dims(m, j) for j in m.degrees()}
+
+
+# The windows of the free modules with c = 1-6 generators; QQ takes c <= 3.
+BGG_FREE_WINDOWS = {1: (0, 6), 2: (0, 4), 3: (0, 3), 4: (0, 3), 5: (0, 2), 6: (0, 1)}
+BGG_FREE_CASES = [(field, c) for c in BGG_FREE_WINDOWS for field in (GF(2), GF(32003))]
+BGG_FREE_CASES += [(QQ, c) for c in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("field, c", BGG_FREE_CASES, ids=lambda v: repr(v))
+def test_bgg_of_a_free_module_in_closed_form(field, c):
+    """The free rank-one module k[x_1..x_c] on the window [lo, hi] goes to
+    terms 2^c C(i + c - 1, c - 1), with cohomology 1 at the bottom, 0 inside
+    and, by the Euler characteristic, the rest at the top."""
+    lo, hi = BGG_FREE_WINDOWS[c]
+    b = bgg_module(free_module(field, polynomial_algebra(c), 0, (lo, hi)))
+    dims = tuple(2**c * comb(i + c - 1, c - 1) for i in range(lo, hi + 1))
+    top = (-1) ** hi * (sum((-1) ** i * d for i, d in enumerate(dims, lo)) - (-1) ** lo)
+    assert b.complex.dims == dims
+    assert cohomology_dims(b.complex) == ((lo, 1),) + tuple((i, 0) for i in range(lo + 1, hi)) + ((hi, top),)
 
 
 def bgg_double_complex(mc):

@@ -1,8 +1,9 @@
 """Nothing in `src/perhom` is left over: no module but the package's
 ``__init__.py`` (which re-exports) imports a name it never reads, every
-private top-level definition is referenced somewhere in the package, and
+private top-level definition is referenced somewhere in the package,
 every method or property of a class is read as an attribute somewhere in
-the sources, the tests or the benchmark.  A read is a name loaded anywhere
+the sources, the tests or the benchmark, and every defaulted parameter of
+a function is passed at some call there.  A read is a name loaded anywhere
 in the module, annotations included; a reference is a loaded name, an
 attribute or an imported name in any module other than the definition
 itself."""
@@ -108,3 +109,52 @@ def test_every_member_is_read_as_an_attribute():
         if member not in attributes
     ]
     assert unread == []
+
+
+def _defaulted(tree):
+    """(function, parameter, positional index or None, line) of every
+    parameter with a default; the index of a method's parameter counts from
+    the first argument after self, as a call through an attribute passes
+    it."""
+    methods = {
+        node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body
+    }
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        skip = fn in methods
+        for k, arg in enumerate(positional[first:], first):
+            yield fn.name, arg.arg, k - skip, fn.lineno
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield fn.name, arg.arg, None, fn.lineno
+
+
+def _passes(call, parameter, index):
+    """Whether a call passes the parameter, by keyword or by position; a
+    starred argument may pass any of them."""
+    if any(kw.arg in (parameter, None) for kw in call.keywords):
+        return True
+    args = call.args
+    if any(isinstance(a, ast.Starred) for a in args):
+        return index is not None
+    return index is not None and len(args) > index
+
+
+def test_every_default_is_passed_somewhere():
+    calls = {}
+    for root in READERS:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    unset = [
+        f"{module}:{line} {fn}({parameter})"
+        for module, tree in TREES.items()
+        for fn, parameter, index, line in _defaulted(tree)
+        if not any(_passes(call, parameter, index) for call in calls.get(fn, ()))
+    ]
+    assert unset == []
