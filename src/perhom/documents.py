@@ -327,6 +327,17 @@ def _parse_dims(value, ptr: str, count: int | None = None) -> tuple[int, ...]:
     return tuple(dims)
 
 
+def _parse_diffs(field: Field, value, ptr: str, dims: tuple[int, ...], count: int) -> tuple[Matrix, ...]:
+    """The `count` differentials at `ptr`; differential k maps dims[k] to
+    dims[(k + 1) % len(dims)]."""
+    docs = _expect_list(value, ptr)
+    if len(docs) != count:
+        raise DocumentError(ptr, f"expected {count} differentials")
+    return tuple(
+        _parse_matrix(field, d, dims[(k + 1) % len(dims)], dims[k], f"{ptr}/{k}") for k, d in enumerate(docs)
+    )
+
+
 def _parse_complex(obj: dict, ptr: str) -> BoundedComplex:
     _expect_object(obj, ptr, {"kind", "field", "window", "dims", "diffs"})
     if obj["kind"] != "complex":
@@ -334,12 +345,7 @@ def _parse_complex(obj: dict, ptr: str) -> BoundedComplex:
     field = _parse_field(obj["field"], f"{ptr}/field")
     lo, hi = _parse_window(obj["window"], f"{ptr}/window")
     dims = _parse_dims(obj["dims"], f"{ptr}/dims", hi - lo + 1)
-    diffs_doc = _expect_list(obj["diffs"], f"{ptr}/diffs")
-    if len(diffs_doc) != max(0, len(dims) - 1):
-        raise DocumentError(f"{ptr}/diffs", f"expected {max(0, len(dims) - 1)} differentials")
-    diffs = tuple(
-        _parse_matrix(field, d, dims[k + 1], dims[k], f"{ptr}/diffs/{k}") for k, d in enumerate(diffs_doc)
-    )
+    diffs = _parse_diffs(field, obj["diffs"], f"{ptr}/diffs", dims, max(0, len(dims) - 1))
     return BoundedComplex(field, lo, dims, diffs)
 
 
@@ -360,13 +366,7 @@ def _parse_periodic(obj: dict, ptr: str) -> PeriodicComplex:
     if n < 1:
         raise DocumentError(f"{ptr}/n", "period must be at least 1")
     dims = _parse_dims(obj["dims"], f"{ptr}/dims", n)
-    diffs_doc = _expect_list(obj["diffs"], f"{ptr}/diffs")
-    if len(diffs_doc) != n:
-        raise DocumentError(f"{ptr}/diffs", f"expected {n} differentials")
-    diffs = tuple(
-        _parse_matrix(field, d, dims[(k + 1) % n], dims[k], f"{ptr}/diffs/{k}") for k, d in enumerate(diffs_doc)
-    )
-    return PeriodicComplex(field, n, dims, diffs)
+    return PeriodicComplex(field, n, dims, _parse_diffs(field, obj["diffs"], f"{ptr}/diffs", dims, n))
 
 
 def _periodic_doc(p: PeriodicComplex) -> dict:

@@ -11,6 +11,7 @@ both composites stay inside the window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, combinations_with_replacement
 
 from .complexes import BoundedComplex, Violation, _once, _require, _tensor_grid, _total_diffs, tensor_complex, validate
 from .linalg import (
@@ -163,29 +164,19 @@ def validate_module(m: GradedModule) -> Violation | None:
 def free_module(field: Field, algebra: Algebra, generator_degree: int, window: tuple[int, int]) -> GradedModule:
     """The free rank-one module on a generator, truncated to the window.
 
-    Pieces carry the monomial basis in lexicographic exponent order.
+    Pieces carry the monomial basis in lexicographic exponent order.  A
+    monomial is held as the increasing tuple of its generators, and
+    `combinations_with_replacement` yields those tuples in decreasing
+    exponent order, so each piece reads them in reverse.
     """
     lo, hi = window
     c = algebra.generators
     if algebra.kind != "poly":
         raise ValueError("free exterior modules are not needed here")
-
-    def monomials(total: int) -> list[tuple[int, ...]]:
-        if total < 0:
-            return []
-        out = []
-
-        def rec(prefix, remaining, slots):
-            if slots == 1:
-                out.append(prefix + (remaining,))
-                return
-            for e in range(remaining + 1):
-                rec(prefix + (e,), remaining - e, slots - 1)
-
-        rec((), total, c)
-        return sorted(out)
-
-    basis = {i: monomials(i - generator_degree) for i in range(lo, hi + 1)}
+    basis = {
+        i: list(combinations_with_replacement(range(c), i - generator_degree))[::-1] if i >= generator_degree else []
+        for i in range(lo, hi + 1)
+    }
     dims = tuple(len(basis[i]) for i in range(lo, hi + 1))
     actions = []
     for j in range(c):
@@ -195,8 +186,7 @@ def free_module(field: Field, algebra: Algebra, generator_degree: int, window: t
             dst = {mono: t for t, mono in enumerate(basis[i + 1])}
             mx = [[0] * len(src) for _ in range(len(dst))]
             for s, mono in enumerate(src):
-                bumped = tuple(e + (1 if t == j else 0) for t, e in enumerate(mono))
-                mx[dst[bumped]][s] = 1
+                mx[dst[tuple(sorted(mono + (j,)))]][s] = 1
             family.append(_from_rows(field, mx, len(src)))
         actions.append(tuple(family))
     return GradedModule(field, algebra, lo, dims, tuple(actions))
@@ -432,9 +422,7 @@ def flag_filtration(f: FlagData) -> tuple[FlagStage, ...]:
     """Filtration by the first i+1 parts; subquotients are (P_i, 0)."""
     assembled = flag_assemble(f)
     delta = assembled.diffs[0]
-    offsets = [0]
-    for s in f.parts:
-        offsets.append(offsets[-1] + s)
+    offsets = list(accumulate(f.parts, initial=0))
     stages = []
     for i in range(len(f.parts)):
         cut = offsets[i + 1]

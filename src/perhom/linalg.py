@@ -21,8 +21,9 @@ only in the reduction mod p and in the bookkeeping of the denominator:
 * over QQ the array has object dtype and holds Python ints, the numerators
   over ``den``.  The pair is canonical: gcd(den, every numerator) = 1, so an
   integer matrix and every zero matrix have ``den`` 1, and two matrices are
-  equal exactly when their (den, array) pairs are.  Python ints grow as
-  needed, so no QQ step has an overflow bound to prove.
+  equal exactly when their (den, array) pairs are; `_wrap` cancels the gcd
+  in every array the module builds.  Python ints grow as needed, so no QQ
+  step has an overflow bound to prove.
 
 `Fraction` values appear only where entries come in (``Field.coerce`` and
 the constructor) and where they go out (``Matrix.entries``); documents
@@ -72,6 +73,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -274,7 +276,7 @@ class Matrix:
         return not self.array.any()
 
     def transpose(self) -> "Matrix":
-        return _wrap(self.field, self.array.T, self.den, canonical=True)
+        return _wrap(self.field, self.array.T, self.den)
 
     def scale(self, value) -> "Matrix":
         c = self.field.coerce(value)
@@ -283,7 +285,7 @@ class Matrix:
         return _wrap(self.field, self.array * c.numerator, self.den * c.denominator)
 
     def __neg__(self) -> "Matrix":
-        return _wrap(self.field, _mod(self.field, -self.array), self.den, canonical=True)
+        return _wrap(self.field, _mod(self.field, -self.array), self.den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._entrywise(other, operator.add)
@@ -324,21 +326,15 @@ class Matrix:
         return f"Matrix({self.field}, [{body}])"
 
 
-def _wrap(field: Field, a: np.ndarray, den: int = 1, canonical: bool = False) -> Matrix:
+def _wrap(field: Field, a: np.ndarray, den: int = 1) -> Matrix:
     """The matrix a / den, wrapping `a` without copying it; nothing else may
     write to `a`, which becomes read-only.
 
     Over F_p `a` is an int64 array of residues and `den` is 1.  Over QQ `a`
     is an object array of Python ints and `den` > 0; the factor common to
-    `den` and every entry is cancelled here, so the result is canonical.
-    A caller passes ``canonical=True`` to skip that gcd pass when the pair
-    is canonical already: when it rearranges the entries of one canonical
-    matrix, or lifts several to the lcm of their denominators.  (For each
-    prime at its highest power in the lcm, the matrix carrying that power
-    has a numerator the prime does not divide, and the lift multiplies it
-    by a factor the prime does not divide either.)
+    `den` and every entry is cancelled here, so every result is canonical.
     """
-    if den != 1 and not canonical:
+    if den != 1:
         g = math.gcd(den, *a.flat)
         if g != 1:
             a, den = a // g, den // g
@@ -422,7 +418,7 @@ def _stack(mats: Sequence[Matrix], axis: int) -> Matrix:
         if m.field != field:
             raise FieldMismatch(f"{name} across fields")
     den = math.lcm(*(m.den for m in mats))
-    return _wrap(field, np.concatenate([_over(m, den) for m in mats], axis=axis), den, canonical=True)
+    return _wrap(field, np.concatenate([_over(m, den) for m in mats], axis=axis), den)
 
 
 def assemble_blocks(
@@ -435,12 +431,8 @@ def assemble_blocks(
 
     ``blocks[(bi, bj)]`` must have shape ``row_sizes[bi] x col_sizes[bj]``.
     """
-    row_off = [0]
-    for s in row_sizes:
-        row_off.append(row_off[-1] + s)
-    col_off = [0]
-    for s in col_sizes:
-        col_off.append(col_off[-1] + s)
+    row_off = list(accumulate(row_sizes, initial=0))
+    col_off = list(accumulate(col_sizes, initial=0))
     grid = np.zeros((row_off[-1], col_off[-1]), dtype=_dtype(field))
     den = math.lcm(*(m.den for m in blocks.values()))
     for (bi, bj), m in blocks.items():
@@ -453,7 +445,7 @@ def assemble_blocks(
             )
         r0, c0 = row_off[bi], col_off[bj]
         grid[r0 : r0 + m.rows, c0 : c0 + m.cols] = _over(m, den)
-    return _wrap(field, grid, den, canonical=True)
+    return _wrap(field, grid, den)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -470,7 +462,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 def vec(m: Matrix) -> Matrix:
     """Row-major flattening into a column vector."""
-    return _wrap(m.field, m.array.reshape(m.rows * m.cols, 1), m.den, canonical=True)
+    return _wrap(m.field, m.array.reshape(m.rows * m.cols, 1), m.den)
 
 
 def unvec(field: Field, column: Matrix, rows: int, cols: int) -> Matrix:
@@ -478,7 +470,7 @@ def unvec(field: Field, column: Matrix, rows: int, cols: int) -> Matrix:
         raise FieldMismatch(f"{column.field} vs {field}")
     if column.cols != 1 or column.rows != rows * cols:
         raise ShapeError("column has the wrong length")
-    return _wrap(field, column.array.reshape(rows, cols), column.den, canonical=True)
+    return _wrap(field, column.array.reshape(rows, cols), column.den)
 
 
 def submatrix(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
@@ -629,9 +621,6 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
 
     Deterministic choice: the reduced-echelon particular solution with all
     free variables set to zero, read off the rows of `rref` of [a | b].
-    The seed-0 benchmark calls it only from `complexes._contraction` (1202
-    times in ``verify``, 12 in ``homotopy-qq``, 28 in ``homotopy-fp``); a
-    list route of its own saved 5-15 us on each small system.
     """
     if a.field != b.field:
         raise FieldMismatch(f"{a.field} vs {b.field}")
@@ -691,18 +680,10 @@ class BlockSystem:
         self._terms: list = []
 
     def add_unknown(self, key, rows: int, cols: int) -> None:
-        if key in self._unknowns:
-            if self._unknowns[key] != (rows, cols):
-                raise ShapeError(f"unknown {key!r} redeclared with a different shape")
-            return
-        self._unknowns[key] = (rows, cols)
+        _declare(self._unknowns, "unknown", key, rows, cols)
 
     def add_equation(self, key, rows: int, cols: int) -> None:
-        if key in self._equations:
-            if self._equations[key] != (rows, cols):
-                raise ShapeError(f"equation {key!r} redeclared with a different shape")
-            return
-        self._equations[key] = (rows, cols)
+        _declare(self._equations, "equation", key, rows, cols)
 
     def add_term(self, eq_key, unk_key, left: Matrix | None = None, right: Matrix | None = None, sign: int = 1) -> None:
         if eq_key not in self._equations:
@@ -751,3 +732,9 @@ class BlockSystem:
             out[k] = unvec(self.field, submatrix(column, range(off, off + r * c), [0]), r, c)
             off += r * c
         return out
+
+
+def _declare(table: dict, what: str, key, rows: int, cols: int) -> None:
+    """Record the shape of block `key`; a redeclaration must repeat it."""
+    if table.setdefault(key, (rows, cols)) != (rows, cols):
+        raise ShapeError(f"{what} {key!r} redeclared with a different shape")

@@ -19,6 +19,7 @@ by ``tests/test_sampler_pins.py``.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from random import Random
 
 from .complexes import (
@@ -49,7 +50,6 @@ from .linalg import (
 from .periodic import PeriodicComplex, compress, identity_periodic_map, periodic_cone
 
 __all__ = [
-    "rand_invertible",
     "rand_matrix",
     "random_bounded_complex",
     "random_chain_map",
@@ -77,10 +77,6 @@ def _draw_rows(rng: Random, field: Field, rows: int, cols: int) -> list[list[int
     if field.p is not None:
         return [[rng.randrange(field.p) for _ in range(cols)] for _ in range(rows)]
     return [[rng.randint(-_BOUND, _BOUND) for _ in range(cols)] for _ in range(rows)]
-
-
-def rand_invertible(rng: Random, field: Field, n: int) -> Matrix:
-    return _basis_change(rng, field, n)[0]
 
 
 def _basis_change(rng: Random, field: Field, n: int) -> tuple[Matrix, Matrix]:
@@ -165,12 +161,9 @@ def random_periodic(
     n: int,
     max_dim: int = 3,
     max_width: int = 4,
-    conjugate: bool = True,
 ) -> PeriodicComplex:
-    p = compress(random_bounded_complex(rng, field, max_dim=max_dim, max_width=max_width), n)
-    if not conjugate:
-        return p
-    return conjugate_periodic(rng, p)
+    x = random_bounded_complex(rng, field, max_dim=max_dim, max_width=max_width)
+    return conjugate_periodic(rng, compress(x, n))
 
 
 def conjugate_periodic(rng: Random, p: PeriodicComplex) -> PeriodicComplex:
@@ -182,7 +175,7 @@ def conjugate_periodic(rng: Random, p: PeriodicComplex) -> PeriodicComplex:
 def random_contractible_periodic(rng: Random, field: Field, n: int, max_dim: int = 2) -> PeriodicComplex:
     """A cone of an identity map, disguised by a random basis change."""
     while True:
-        q = random_periodic(rng, field, n, max_dim=max_dim, max_width=min(n + 1, 3), conjugate=False)
+        q = compress(random_bounded_complex(rng, field, max_dim=max_dim, max_width=min(n + 1, 3)), n)
         if q.total_dim() > 0:
             break
     return conjugate_periodic(rng, periodic_cone(identity_periodic_map(q)))
@@ -210,12 +203,10 @@ def random_flag(rng: Random, field: Field) -> FlagData:
     }
     diag = {(i, i): identity(field, parts[i]) for i in range(count)}
     u = assemble_blocks(field, parts, parts, {**diag, **upper})
-    v = assemble_blocks(field, parts, parts, {(i, i): rand_invertible(rng, field, parts[i]) for i in range(count)})
+    v = assemble_blocks(field, parts, parts, {(i, i): _basis_change(rng, field, parts[i])[0] for i in range(count)})
     g = v @ u
     delta = g @ delta @ _inverse(g)
-    offs = [0]
-    for s in parts:
-        offs.append(offs[-1] + s)
+    offs = list(accumulate(parts, initial=0))
     out_blocks = []
     for jj in range(count):
         for ii in range(jj):

@@ -231,8 +231,11 @@ def suite_bgg_cohomology(seed: int) -> _Cases:
 
 
 def suite_flags(seed: int) -> _Cases:
-    """Every filtration subquotient of a seeded flag carries the zero
-    differential."""
+    """Seeded flags over QQ and GF(7) assemble and filter into stages that
+    validate (`flag_filtration` raises otherwise).  The recorded verdict, a
+    zero differential on each subquotient, holds by construction: every
+    block lies strictly above the diagonal.  That each stage is a mapping
+    cone is checked in ``tests/test_graded.py``."""
     rng = Random((seed, "flags").__repr__())
     for k in range(25):
         field = QQ if k % 3 == 0 else F7

@@ -31,7 +31,11 @@ structural oracles (transpose, stacks, blocks, submatrices, vec) rearrange
 the `entries` of either field.  The sampler oracles draw random matrices
 and basis changes by the samplers' earlier route: every entry through
 `mat` and `Field.coerce`, and each inverse from `solve_linear(cand,
-identity)`, sharing only the generator calls with `perhom.samples`.
+identity)`, sharing only the generator calls with `perhom.samples`.  The
+Kuenneth and fold oracles read only `cohomology_dims` and
+`periodic_cohomology` of the inputs of the construction they check, and
+the free-module oracle enumerates exponent tuples with
+`itertools.product`, sharing nothing with `graded.free_module`.
 """
 
 from fractions import Fraction
@@ -46,10 +50,12 @@ from perhom import (
     Matrix,
     PeriodicComplex,
     Violation,
+    cohomology_dims,
     expand_window,
     identity,
     identity_chain_map,
     mat,
+    periodic_cohomology,
     rank,
     solve_linear,
     splitting,
@@ -567,6 +573,54 @@ def cone_cohomology(f) -> dict[int, int]:
     rk = lambda i: rank(sy[i].p @ f.component(i) @ sx[i].i) if i in sx and i in sy else 0
     dims = {i: h(sy, i) - rk(i) + h(sx, up(i)) - rk(up(i)) for i in degrees}
     return {i: d for i, d in dims.items() if d}
+
+
+def kunneth_cohomology(x: BoundedComplex, y) -> dict[int, int]:
+    """The nonzero cohomology dimensions of x (x) y by the Kuenneth formula,
+    h^m = sum over i + j = m of h^i(x) h^j(y), read off `cohomology_dims`
+    of x and `cohomology_dims` or `periodic_cohomology` of y; for a
+    periodic y of period n, m and j are taken mod n."""
+    hx = cohomology_dims(x)
+    if isinstance(y, PeriodicComplex):
+        return _summed(((i + j) % y.n, a * b) for i, a in hx for j, b in enumerate(periodic_cohomology(y)))
+    return _summed((i + j, a * b) for i, a in hx for j, b in cohomology_dims(y))
+
+
+def fold_cohomology(x: BoundedComplex, n: int) -> dict[int, int]:
+    """The nonzero cohomology dimensions of compress(x, n): h^r = sum over
+    i = r mod n of h^i(x), read off `cohomology_dims` of x."""
+    return _summed((i % n, h) for i, h in cohomology_dims(x))
+
+
+def _summed(pairs) -> dict[int, int]:
+    """The sums of the values of (degree, value) pairs by degree, nonzero
+    sums only."""
+    out = {}
+    for m, h in pairs:
+        out[m] = out.get(m, 0) + h
+    return {m: h for m, h in out.items() if h}
+
+
+def free_module_entries(c: int, generator_degree: int, window: tuple[int, int]) -> tuple:
+    """The dims and the action entries of `graded.free_module` on c
+    generators by another route: degree i has the exponent tuples of
+    ``product(range(t + 1), repeat=c)`` with sum t = i - generator_degree,
+    in increasing lexicographic order, and generator j maps the monomial
+    with exponents e to the one with e_j + 1, entry by entry."""
+    lo, hi = window
+    basis = {
+        i: [e for e in product(range(i - generator_degree + 1), repeat=c) if sum(e) == i - generator_degree]
+        for i in range(lo, hi + 1)
+    }
+    bump = lambda e, j: tuple(x + (t == j) for t, x in enumerate(e))
+    actions = tuple(
+        tuple(
+            tuple(tuple(int(target == bump(e, j)) for e in basis[i]) for target in basis[i + 1])
+            for i in range(lo, hi)
+        )
+        for j in range(c)
+    )
+    return tuple(len(basis[i]) for i in range(lo, hi + 1)), actions
 
 
 def _dim(c, i: int) -> int:

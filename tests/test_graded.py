@@ -1,7 +1,11 @@
+from itertools import accumulate
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import free_module_entries
 from perhom import (
     GF,
     QQ,
@@ -9,6 +13,7 @@ from perhom import (
     FlagError,
     GradedModule,
     Matrix,
+    PeriodicComplex,
     compress,
     direct_sum_modules,
     exterior_algebra,
@@ -17,6 +22,7 @@ from perhom import (
     free_module,
     is_acyclic_periodic,
     mat,
+    periodic_cone,
     polynomial_algebra,
     rank,
     single,
@@ -27,7 +33,10 @@ from perhom import (
     zeros,
 )
 from perhom.graded import ModuleComplex, PeriodicModuleComplex, compress_modules, validate_module_complex
+from perhom.linalg import submatrix
+from perhom.periodic import periodic_chain_map
 from perhom.samples import random_bounded_complex, random_flag, random_module_complex
+from strategies import SETTINGS
 
 F5 = GF(5)
 F7 = GF(7)
@@ -43,6 +52,17 @@ def exterior_rank_two(field=QQ):
     xi1 = (mat(field, [[0, 1]]), mat(field, [[1], [0]]))
     xi2 = (mat(field, [[-1, 0]]), mat(field, [[0], [1]]))
     return GradedModule(field, exterior_algebra(2), -2, (1, 2, 1), (xi1, xi2))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=repr)
+@pytest.mark.parametrize("c", range(1, 7))
+def test_free_module_matches_the_product_route(field, c):
+    for generator_degree in (-1, 0, 1):
+        for lo in range(-1, 2):
+            for hi in range(lo, lo + 3):
+                m = free_module(field, polynomial_algebra(c), generator_degree, (lo, hi))
+                entries = tuple(tuple(a.entries for a in family) for family in m.actions)
+                assert (m.dims, entries) == free_module_entries(c, generator_degree, (lo, hi))
 
 
 class TestValidateModule:
@@ -152,6 +172,27 @@ class TestFlags:
             f = random_flag(rng, F7)
             for stage in flag_filtration(f):
                 assert stage.subquotient.diffs[0].is_zero()
+
+    @pytest.mark.parametrize("field", [QQ, F7, GF(2)], ids=repr)
+    @SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_stages_are_iterated_cones(self, field, seed):
+        """Stage i is the cone of the period-1 map (P_i, 0) -> stage i - 1
+        whose component is the block of the differential from part i into
+        the parts before it, once P_i's summand is moved from the front of
+        the cone to the end: so a flag puts its complex in the triangulated
+        hull of its parts."""
+        f = random_flag(Random(seed), field)
+        stages = flag_filtration(f)
+        delta = flag_assemble(f).diffs[0]
+        offsets = list(accumulate(f.parts, initial=0))
+        for i in range(1, len(stages)):
+            below, cut, size = offsets[i], offsets[i + 1], f.parts[i]
+            part = PeriodicComplex(field, 1, (size,), (zeros(field, size, size),))
+            block = submatrix(delta, range(below), range(below, cut))
+            c = periodic_cone(periodic_chain_map(part, stages[i - 1].sub, (block,)))
+            order = [*range(size, cut), *range(size)]
+            assert stages[i].sub.diffs[0] == submatrix(c.diffs[0], order, order)
 
 
 class TestTensorPeriodic:
