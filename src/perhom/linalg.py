@@ -47,23 +47,43 @@ bound k (p-1)^2 on the entries of the unreduced product:
 
 Row reduction over QQ is fraction-free Gauss-Jordan elimination (Bareiss,
 Math. Comp. 22, 1968) on the numerators; see `rref`.  QQ has one loop, on
-Python lists of Python ints (`_rref_rows`), at every size.  Over F_p the
-same loop runs on lists up to ``_SMALL_CELLS`` = 64 cells, where numpy's
-per-call cost is most of the time, and on the int64 array above.
-`rref` alone states this rule, except that `_invert_rows` applies it to
-[M | den 1] itself: the samplers call it 34628 times in a pass of the
-seed-0 ``verify`` benchmark, and each call reduces the rows they drew.
+Python lists of Python ints (`_rref_rows`), at every size.  Over F_p,
+with nnz the number of nonzero entries, there are three routes:
+
+* up to ``_SMALL_CELLS`` = 64 cells, the same loop on lists, where
+  numpy's per-call cost is most of the time;
+* above that, when nnz <= 2 (rows + cols): Gauss-Jordan on rows kept as
+  {column: residue} dicts (`_rref_sparse`; after Dumas and Villard, CASC
+  2002, and Faugere and Lachartre, PASCO 2010), which gives up and hands
+  the matrix to the array route once its rows hold more than 2 nnz
+  entries, since random sparse matrices fill in;
+* otherwise the pivot loop on the int64 array.
+
+The reduced row echelon form is unique, so every route writes the same
+bytes.  `rref` alone states this rule, except that `_invert_rows` takes
+the list route on [M | den 1] itself, on the rows the samplers drew.
 
 Measured with numpy 2.4 and Python 3.11 on one core of a 2-vCPU Xeon VM.
 Over F_p (best of five) lists win at 64 cells (8x8 over GF(7): 0.14
 against 0.30 ms), and int64 numpy wins past about 200 cells (10x20 over
 GF(2147483629): 0.40 against 0.87 ms) and by far at 40x80 (2.9 against 16
-ms at GF(7), 2.2 against 35 ms at GF(2147483629)).  Over QQ (best of nine,
-two runs) the lists take 0.75-0.83 of the time of the same loop on
-object-dtype numpy arrays on [M | 1] at 8x16, 0.93-0.96 at 12x24,
-0.89-0.91 at 20x40 and 1.23-1.36 at 40x80 (entries of M in [-9, 9]), and
-0.98-1.18 on fractions near 2^20/50, entries near 2^70 and rank-4
-products.  No benchmark workload reduces a QQ matrix larger than 8x14.
+ms at GF(7), 2.2 against 35 ms at GF(2147483629)).  The sparse rule was
+timed against the array loop alone on random matrices over GF(32003) and
+GF(2147483629), shapes 12x16 to 240x480 and 480x160 at 0.5-6 nonzeros
+per row (median of three best-of-nine ratios): the 49 matrices the dicts
+keep ran 1.1-5.8x faster, the 12 that filled in past 2 nnz and were
+handed on 0.69-0.99x, and the 11 left to the loop 0.92-1.03x.  The six
+BGG differentials above 64 cells of the free modules with c = 4, 5 and 6
+(GF(32003)) take 2.4-3 against 12 ms in all.  Dicts do not replace the
+lists: on dense 2x2 to 6x6 matrices they take 1.5-3.5x as long, and they
+draw level only at 8x8 (GF(7) and GF(32003), best of seven).
+
+Over QQ (best of nine, two runs) the lists take 0.75-0.83 of the time of
+the same loop on object-dtype numpy arrays on [M | 1] at 8x16, 0.93-0.96
+at 12x24, 0.89-0.91 at 20x40 and 1.23-1.36 at 40x80 (entries of M in
+[-9, 9]), and 0.98-1.18 on fractions near 2^20/50, entries near 2^70 and
+rank-4 products.  No benchmark workload reduces a QQ matrix larger than
+8x14.
 """
 
 from __future__ import annotations
@@ -107,6 +127,12 @@ __all__ = [
 # The largest matrix, in cells, that `rref` reduces on lists over F_p; see
 # the module docstring for the measured crossover.
 _SMALL_CELLS = 64
+
+# Above that, `rref` reduces an F_p matrix on sparse rows when it has at
+# most _SPARSE_FILL (rows + cols) nonzeros, and gives the rows up for the
+# int64 array once they hold more than _SPARSE_FILL times as many; see the
+# module docstring.
+_SPARSE_FILL = 2
 
 
 class ShapeError(ValueError):
@@ -499,9 +525,18 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     The reduced row echelon form is unique, so both fields' routes give the
     same matrix.
 
-    The loop runs on Python lists (`_rref_rows`) over QQ, and over F_p for
-    a matrix of at most ``_SMALL_CELLS`` = 64 cells; above that, F_p runs
-    it on the int64 numpy array, making the same steps in the same order.
+    The loop runs on Python lists (`_rref_rows`) over QQ.  Over F_p this
+    function alone picks one of three routes, from the shape and the
+    nonzero count nnz of `m`:
+
+    * up to ``_SMALL_CELLS`` = 64 cells, the loop on lists;
+    * else, when nnz <= ``_SPARSE_FILL`` (rows + cols) = 2 (rows + cols),
+      Gauss-Jordan on rows kept as {column: residue} dicts
+      (`_rref_sparse`), which hands `m` on to the next route once its
+      rows hold more than 2 nnz entries;
+    * else the loop on the int64 numpy array, making the same steps in
+      the same order as on lists.
+
     The module docstring gives the measured times.
     """
     if m.rows == 0 or m.cols == 0:
@@ -510,6 +545,11 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     if p is None or m.rows * m.cols <= _SMALL_CELLS:
         rows, pivots, den = _rref_rows(p, m.array.tolist(), m.cols)
         return _from_rows(m.field, rows, m.cols, den), pivots
+    nnz = np.count_nonzero(m.array)
+    if nnz <= _SPARSE_FILL * (m.rows + m.cols):
+        sparse = _rref_sparse(m.array, p, _SPARSE_FILL * nnz)
+        if sparse is not None:
+            return _wrap(m.field, sparse[0]), sparse[1]
     a = m.array.copy()
     pivots = []
     r = 0
@@ -533,6 +573,60 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         pivots.append(c)
         r += 1
     return _wrap(m.field, a), tuple(pivots)
+
+
+def _rref_sparse(a: np.ndarray, p: int, budget: int) -> tuple[np.ndarray, tuple[int, ...]] | None:
+    """The rref and pivot columns of the int64 residue array `a`, by
+    Gauss-Jordan on its rows kept as {column: residue} dicts; None once the
+    pivot rows hold more than `budget` entries.
+
+    Each row is reduced against the pivot rows found so far until its
+    leftmost column is no pivot, and then becomes the pivot row of that
+    column, scaled to 1 there.  Back-substitution in decreasing pivot order
+    then clears every pivot column from the other pivot rows: a row already
+    cleared holds no other pivot column, so subtracting it brings none in.
+    """
+    n = a.shape[1]
+    at = np.flatnonzero(a != 0)  # several times faster than on `a` itself
+    rows = [{} for _ in range(a.shape[0])]
+    for k, x in zip(at.tolist(), a.take(at).tolist()):
+        rows[k // n][k % n] = x
+    found: dict[int, dict[int, int]] = {}
+    stored = 0
+    for row in rows:
+        while row:
+            c = min(row)
+            if c not in found:
+                inv = pow(row[c], -1, p)
+                found[c] = row if inv == 1 else {j: x * inv % p for j, x in row.items()}
+                stored += len(row)
+                break
+            _subtract(row, row[c], found[c], p)
+            if stored + len(row) > budget:
+                return None
+    pivots = sorted(found)
+    for c in reversed(pivots):
+        row = found[c]
+        stored -= len(row)
+        for j in [j for j in row if j != c and j in found]:
+            _subtract(row, row[j], found[j], p)
+        stored += len(row)
+        if stored > budget:
+            return None
+    reduced = [found[c] for c in pivots]
+    out = np.zeros(a.shape, dtype=np.int64)
+    out.put([r * n + j for r, row in enumerate(reduced) for j in row], [x for row in reduced for x in row.values()])
+    return out, tuple(pivots)
+
+
+def _subtract(row: dict[int, int], f: int, top: dict[int, int], p: int) -> None:
+    """row -= f top mod p, in place, dropping the entries that become 0."""
+    for j, y in top.items():
+        x = (row.get(j, 0) - f * y) % p
+        if x:
+            row[j] = x
+        else:
+            row.pop(j, None)
 
 
 def _rref_rows(p: int | None, a: list[list[int]], cols: int) -> tuple[list[list[int]], tuple[int, ...], int]:
@@ -642,10 +736,10 @@ def _invert_rows(field: Field, rows: list[list[int]], den: int = 1) -> Matrix | 
 
     One elimination of [rows | den 1] decides both: the matrix is
     invertible exactly when every pivot lies left of the identity block,
-    and then the rows of the reduced form end in the inverse.  The
-    elimination takes the route `rref` would take on the same cells:
-    lists (`_rref_rows`) over QQ, and over F_p up to ``_SMALL_CELLS``
-    cells; `rref` on the int64 array above that.
+    and then the rows of the reduced form end in the inverse.  It runs on
+    the lists (`_rref_rows`) where `rref` would, over QQ and over F_p up
+    to ``_SMALL_CELLS`` cells; above that it calls `rref`, which picks
+    the F_p route.
     """
     n = len(rows)
     p = field.p
@@ -727,11 +821,11 @@ class BlockSystem:
     def split_solution(self, column: Matrix) -> dict:
         if column.shape != (self.unknown_dim, 1):
             raise ShapeError("solution vector has the wrong length")
-        out, off = {}, 0
-        for k, (r, c) in self._unknowns.items():
-            out[k] = unvec(self.field, submatrix(column, range(off, off + r * c), [0]), r, c)
-            off += r * c
-        return out
+        offsets = accumulate((r * c for r, c in self._unknowns.values()), initial=0)
+        return {
+            k: unvec(self.field, submatrix(column, range(off, off + r * c), [0]), r, c)
+            for (k, (r, c)), off in zip(self._unknowns.items(), offsets)
+        }
 
 
 def _declare(table: dict, what: str, key, rows: int, cols: int) -> None:

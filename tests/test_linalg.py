@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perhom import linalg
+from perhom import koszul, linalg, samples
 from perhom.documents import matrix_doc
 from perhom.linalg import (
     GF,
@@ -574,25 +574,126 @@ class TestEliminationRoutes:
 
     @pytest.mark.parametrize("field", [QQ, GF(7)])
     def test_lists_run_up_to_64_cells(self, monkeypatch, field):
-        # rref runs the list loop up to 64 cells over F_p and at every size
-        # over QQ; solve_linear takes the route of rref on [a | b].
+        # Over F_p rref runs the list loop up to 64 cells; above that it
+        # keeps sparse rows while nnz <= 2 (rows + cols), handing the matrix
+        # to the array loop ("bail") once they hold more than 2 nnz entries,
+        # and runs the array loop otherwise.  Over QQ it runs the lists at
+        # every size.  solve_linear takes the route of rref on [a | b].
         calls = []
-        real = linalg._rref_rows
-        monkeypatch.setattr(linalg, "_rref_rows", lambda *args: calls.append(1) or real(*args))
+        real_rows, real_sparse = linalg._rref_rows, linalg._rref_sparse
+
+        def sparse(*args):
+            out = real_sparse(*args)
+            calls.append("sparse" if out is not None else "bail")
+            return out
+
+        monkeypatch.setattr(linalg, "_rref_rows", lambda *args: calls.append("lists") or real_rows(*args))
+        monkeypatch.setattr(linalg, "_rref_sparse", sparse)
         rng = Random(11)
 
-        def route(run, *shapes):
+        def route(run, *args):
             calls.clear()
-            run(*(rand_mat(rng, field, r, c) for r, c in shapes))
-            return "lists" if calls else "numpy"
+            run(*args)
+            return "+".join(calls) or "array"
 
-        large = "lists" if field.p is None else "numpy"
-        assert route(rref, (8, 8)) == route(rref, (64, 1)) == "lists"
-        assert route(rref, (1, 65)) == route(rref, (5, 13)) == large
-        assert route(solve_linear, (8, 7), (8, 1)) == route(solve_linear, (1, 63), (1, 1)) == "lists"
-        assert route(solve_linear, (8, 8), (8, 1)) == route(solve_linear, (1, 64), (1, 1)) == large
+        def full(rows, cols):
+            return mat(field, [[rng.randint(1, 6) for _ in range(cols)] for _ in range(rows)], rows=rows, cols=cols)
+
+        # Its inverse is dense upper triangular, so the rref of [u | 1]
+        # has 12 + 78 entries against 35 in [u | 1].
+        u = identity(field, 12) + Matrix(field, 12, 12, [[int(j == i + 1) for j in range(12)] for i in range(12)])
+        perm = submatrix(identity(field, 40), range(40), [(7 * j) % 40 for j in range(40)]).scale(-1)
+
+        def fp(name):
+            return "lists" if field.p is None else name
+
+        assert route(rref, full(8, 8)) == route(rref, full(64, 1)) == "lists"
+        assert route(rref, full(5, 13)) == route(rref, full(8, 9)) == fp("array")
+        assert route(rref, full(1, 65)) == route(rref, perm) == route(kernel_basis, perm) == fp("sparse")
+        assert route(rref, hstack([u, identity(field, 12)])) == fp("bail")
+        assert route(solve_linear, full(8, 7), full(8, 1)) == route(solve_linear, full(1, 63), full(1, 1)) == "lists"
+        assert route(solve_linear, full(8, 8), full(8, 1)) == fp("array")
+        assert route(solve_linear, perm, full(40, 1)) == fp("sparse")
+        assert route(solve_linear, u, identity(field, 12)) == fp("bail")
+        assert route(linalg._invert_rows, field, u.array.tolist()) == fp("bail")
+        assert route(linalg._invert_rows, field, full(5, 5).array.tolist()) == "lists"
         if field.p is None:
-            assert route(rref, (40, 80)) == route(solve_linear, (20, 20), (20, 20)) == "lists"
+            assert route(rref, full(40, 80)) == route(solve_linear, full(20, 20), full(20, 20)) == "lists"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_sparse_rows_match_the_oracles(self, data):
+        # Every F_p route against the oracles, on the inputs the sparse rule
+        # is for: signed partial permutations, sparse matrices with zero
+        # rows and empty columns on both sides of nnz = 2 (rows + cols), BGG
+        # differentials, and fill-heavy ones that the sparse route hands on.
+        field = data.draw(st.sampled_from(SPARSE_FIELDS))
+        a = data.draw(sparse_matrices(field))
+        reduced, pivots = rref(a)
+        assert (reduced.entries, pivots) == fp_rref(a)
+        assert rank(a) == len(pivots)
+        assert kernel_basis(a).entries == fp_kernel_basis(a)
+        for m in (reduced, kernel_basis(a)):
+            assert_well_formed(m)
+        k = data.draw(st.integers(1, 2))
+        image = a @ data.draw(sparse_matrices(field, a.cols, k))
+        for b in (image, data.draw(sparse_matrices(field, a.rows, k))):
+            got, want = solve_linear(a, b), fp_solve(a, b)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.entries == want
+                assert_well_formed(got)
+        assert solve_linear(a, image) is not None
+
+
+# GF(2) and GF(5) have many zero sums; 32003 is the prime of the bgg-fp
+# benchmark, and 2147483629 the largest prime below 2^31 that the fields use.
+SPARSE_FIELDS = [GF(2), GF(5), GF(32003), GF(2147483629)]
+# On both sides of 64 cells, and of the sparse rule at every fill.
+SPARSE_SHAPES = [(8, 8), (5, 13), (1, 65), (12, 16), (16, 12), (20, 30), (30, 20)]
+
+
+@st.composite
+def sparse_matrices(draw, field, rows=None, cols=None):
+    """A signed partial permutation, a sparse matrix with some rows and
+    columns zeroed, a BGG differential of a random graded module, or, when
+    no shape is given, [u | diag] for a unit upper bidiagonal u, rows
+    shuffled, whose rref fills in past twice its nonzeros."""
+    kinds = ["permutation", "sparse"] + (["bgg", "fill"] if rows is None else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "bgg":
+        c, hi = draw(st.sampled_from([(2, 2), (3, 1), (3, 2)]))
+        module = samples.random_graded_module(Random(draw(st.integers(0, 2**32))), field, c, (0, hi))
+        complex_ = koszul.bgg_module(module).complex
+        return complex_.diff(draw(st.sampled_from(sorted(complex_.degrees()))))
+    if rows is None:
+        rows, cols = draw(st.sampled_from(SPARSE_SHAPES))
+    if rows * cols == 0:
+        return zeros(field, rows, cols)
+    p = field.p
+    unit = st.integers(1, p - 1)
+    a = np.zeros((rows, cols), dtype=np.int64)
+    if kind == "fill":
+        n = draw(st.integers(9, 14))
+        a = np.zeros((n, 2 * n), dtype=np.int64)
+        for i in range(n):
+            a[i, i], a[i, n + i] = draw(unit), draw(unit)
+            if i + 1 < n:
+                a[i, i + 1] = draw(unit)
+        a = a[draw(st.permutations(range(n)))]
+    elif kind == "permutation":
+        targets = draw(st.permutations(range(cols)))
+        for i in draw(st.lists(st.integers(0, rows - 1), unique=True, max_size=min(rows, cols))):
+            a[i, targets[i % cols]] = draw(st.sampled_from([1, p - 1]))
+    else:
+        for _ in range(draw(st.integers(0, 4 * (rows + cols)))):
+            a[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = draw(unit)
+        a[draw(st.lists(st.integers(0, rows - 1), max_size=2))] = 0
+        a[:, draw(st.lists(st.integers(0, cols - 1), max_size=2))] = 0
+    m = Matrix(field, *a.shape, a)
+    if kind == "fill":
+        assert linalg._rref_sparse(a, p, 2 * np.count_nonzero(a)) is None
+    return m
 
 
 class TestConstructor:
