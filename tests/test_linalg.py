@@ -647,7 +647,7 @@ class TestEliminationRoutes:
 
 
 # GF(2) and GF(5) have many zero sums; 32003 is the prime of the bgg-fp
-# benchmark, and 2147483629 the largest prime below 2^31 that the fields use.
+# workload, and 2147483629 that of homotopy-fp, near the bound p < 2^31.
 SPARSE_FIELDS = [GF(2), GF(5), GF(32003), GF(2147483629)]
 # On both sides of 64 cells, and of the sparse rule at every fill.
 SPARSE_SHAPES = [(8, 8), (5, 13), (1, 65), (12, 16), (16, 12), (20, 30), (30, 20)]
@@ -655,24 +655,20 @@ SPARSE_SHAPES = [(8, 8), (5, 13), (1, 65), (12, 16), (16, 12), (20, 30), (30, 20
 
 @st.composite
 def sparse_matrices(draw, field, rows=None, cols=None):
-    """A signed partial permutation, a sparse matrix with some rows and
-    columns zeroed, a BGG differential of a random graded module, or, when
-    no shape is given, [u | diag] for a unit upper bidiagonal u, rows
-    shuffled, whose rref fills in past twice its nonzeros."""
+    """A signed partial permutation or a sparse matrix with some rows and
+    columns zeroed; when no shape is given, also a BGG differential of a
+    random graded module, or [u | diag] for an upper bidiagonal u with a
+    nonzero diagonal, rows shuffled, whose rref fills in past twice its
+    nonzeros."""
     kinds = ["permutation", "sparse"] + (["bgg", "fill"] if rows is None else [])
     kind = draw(st.sampled_from(kinds))
+    p = field.p
+    unit = st.integers(1, p - 1)
     if kind == "bgg":
         c, hi = draw(st.sampled_from([(2, 2), (3, 1), (3, 2)]))
         module = samples.random_graded_module(Random(draw(st.integers(0, 2**32))), field, c, (0, hi))
         complex_ = koszul.bgg_module(module).complex
         return complex_.diff(draw(st.sampled_from(sorted(complex_.degrees()))))
-    if rows is None:
-        rows, cols = draw(st.sampled_from(SPARSE_SHAPES))
-    if rows * cols == 0:
-        return zeros(field, rows, cols)
-    p = field.p
-    unit = st.integers(1, p - 1)
-    a = np.zeros((rows, cols), dtype=np.int64)
     if kind == "fill":
         n = draw(st.integers(9, 14))
         a = np.zeros((n, 2 * n), dtype=np.int64)
@@ -681,7 +677,14 @@ def sparse_matrices(draw, field, rows=None, cols=None):
             if i + 1 < n:
                 a[i, i + 1] = draw(unit)
         a = a[draw(st.permutations(range(n)))]
-    elif kind == "permutation":
+        assert linalg._rref_sparse(a, p, 2 * np.count_nonzero(a)) is None
+        return Matrix(field, n, 2 * n, a)
+    if rows is None:
+        rows, cols = draw(st.sampled_from(SPARSE_SHAPES))
+    if rows * cols == 0:
+        return zeros(field, rows, cols)
+    a = np.zeros((rows, cols), dtype=np.int64)
+    if kind == "permutation":
         targets = draw(st.permutations(range(cols)))
         for i in draw(st.lists(st.integers(0, rows - 1), unique=True, max_size=min(rows, cols))):
             a[i, targets[i % cols]] = draw(st.sampled_from([1, p - 1]))
@@ -690,10 +693,7 @@ def sparse_matrices(draw, field, rows=None, cols=None):
             a[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = draw(unit)
         a[draw(st.lists(st.integers(0, rows - 1), max_size=2))] = 0
         a[:, draw(st.lists(st.integers(0, cols - 1), max_size=2))] = 0
-    m = Matrix(field, *a.shape, a)
-    if kind == "fill":
-        assert linalg._rref_sparse(a, p, 2 * np.count_nonzero(a)) is None
-    return m
+    return Matrix(field, rows, cols, a)
 
 
 class TestConstructor:
