@@ -31,7 +31,6 @@ from .linalg import (
     kron,
     place_rows,
     rref,
-    solve_linear,
     submatrix,
     zeros,
 )
@@ -406,37 +405,38 @@ class Splitting(NamedTuple):
 @_once
 def _contraction(c, r: int) -> Splitting:
     """Splitting data (i, p, s) of a bounded or periodic complex c in degree
-    r, with d s + s d = 1 - i p and p d = 0, d i = 0.
+    r, with d s + s d = 1 - i p and p d = 0, d i = 0, from one elimination.
 
     `_echelon` gives the rref R and pivot columns P of the differentials out
     of r and out of c.prev(r).  The unit vectors at P_r span a complement of
     the cycles Z_r; the columns D of d^(r-1) at P_(r-1) are a basis of the
-    boundaries B_r; the columns I of a kernel basis of d^r that are pivots
-    of [D | kernel] span a complement H_r of B_r in Z_r.  Write a vector of
-    degree r as v = E_P a + D b + I c.  Then R v = a, because R is zero on
-    cycles and the identity at its pivots, so (b; c) solves
-    [D | I] (b; c) = (1 - E_P R) v; set i = I, p v = c and
+    boundaries B_r; the columns I of a kernel basis K of d^r (none unless
+    Z_r > B_r) that are pivots of [D | K] span a complement H_r of B_r in
+    Z_r.  Write a vector of degree r as v = E_P a + D b + I c.  Then R v = a,
+    because R is zero on cycles and the identity at its pivots, so (b; c)
+    solves [D | I] (b; c) = (1 - E_P R) v: one rref of [D | K | 1 - E_P R]
+    gives I and, in the last block of its pivot rows, (b; c); a pivot in
+    that block would mean D and I do not span Z_r.  Set i = I, p v = c and
     s v = E_(P_(r-1)) b.  As d^r v = d^r E_P a has boundary coordinates a
     in degree r + 1, s d v = E_P a, while d s v = D b.
 
     Only the rank data is needed for Hom counts (`_splitting`); this
-    solve is paid for by the homotopy witnesses and `splitting` alone.
+    elimination is paid for by the homotopy witnesses and `splitting` alone.
     """
     field = c.field
     m = c.dim(r)
     reduced, pivots = _echelon(c, r)
     incoming = _echelon(c, c.prev(r))[1]
     boundaries = submatrix(c.diff(r - 1), range(m), incoming)
-    cycles = zeros(field, m, 0)
-    if m - len(pivots) - len(incoming):
-        kernel = _kernel_of_rref(reduced, pivots)
-        chosen = rref(hstack([boundaries, kernel]))[1][len(incoming) :]
-        cycles = submatrix(kernel, range(m), [j - len(incoming) for j in chosen])
-    coords = solve_linear(hstack([boundaries, cycles]), identity(field, m) - place_rows(reduced, pivots, m))
-    if coords is None:
+    kernel = _kernel_of_rref(reduced, pivots) if m - len(pivots) - len(incoming) else zeros(field, m, 0)
+    width = len(incoming) + kernel.cols
+    solved, chosen = rref(hstack([boundaries, kernel, identity(field, m) - place_rows(reduced, pivots, m)]))
+    if chosen and chosen[-1] >= width:
         raise AssertionError(f"splitting of degree {r} is not a basis")
+    cycles = submatrix(kernel, range(m), [j - len(incoming) for j in chosen[len(incoming) :]])
+    coords = submatrix(solved, range(len(chosen)), range(width, width + m))
     s = place_rows(coords, incoming, c.dim(r - 1))
-    project = submatrix(coords, range(len(incoming), coords.rows), range(m))
+    project = submatrix(coords, range(len(incoming), len(chosen)), range(m))
     return Splitting(cycles, project, s)
 
 

@@ -2,11 +2,12 @@
 
 Canonical serialization: UTF-8, sorted keys, no insignificant whitespace,
 one trailing newline.  Rational entries are strings "a/b" or "a"; prime
-field entries are integers in [0, p).  On input a rational string must
-match ``-?[0-9]+(/[0-9]+)?`` and a residue may also be a string matching
-``-?[0-9]+`` (ASCII digits, no spaces, underscores, decimal points or
-exponents), and JSON integers are accepted for both.  Floats are rejected
-everywhere.  Unknown object keys are rejected; every error carries a
+field entries are integers in [0, p).  On input an entry follows the
+scalar grammar of `linalg.Field.coerce`: a rational string matches
+``-?[0-9]+(/[0-9]+)?``, a residue may also be a string matching
+``-?[0-9]+``, and JSON integers are accepted for both; floats are
+rejected, and an entry error is coerce's message after the entry's
+pointer.  Unknown object keys are rejected; every error carries a
 JSON-pointer path.
 
 Matrices go both ways at array speed.  On output a `Matrix` stands where
@@ -32,14 +33,13 @@ from __future__ import annotations
 import json
 import math
 import re
-from fractions import Fraction
 from itertools import chain
 
 import numpy as np
 
 from .complexes import BoundedComplex, ChainMap, chain_map
 from .graded import Algebra, FlagData, GradedModule
-from .linalg import Field, Matrix, ShapeError, _residues, _wrap
+from .linalg import _RATIONAL, Field, Matrix, ShapeError, _residues, _wrap
 from .periodic import PeriodicComplex
 
 __all__ = [
@@ -51,10 +51,8 @@ __all__ = [
     "serialize_document",
 ]
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-_RESIDUE = re.compile(r"-?[0-9]+")
 # Rational strings joined by commas, and the denominator of one.
-_RATIONAL_ROW = re.compile(r"-?[0-9]+(/[0-9]+)?(,-?[0-9]+(/[0-9]+)?)*")
+_RATIONAL_ROW = re.compile(f"{_RATIONAL.pattern}(,{_RATIONAL.pattern})*")
 _DENOMINATOR = re.compile(r"/[0-9]+")
 # What json.dumps writes for the placeholder string of a sparse matrix.
 _SLOT = "\0"
@@ -179,29 +177,10 @@ def _field_doc(field: Field):
 
 
 def _parse_entry(field: Field, value, ptr: str):
-    if isinstance(value, float):
-        raise DocumentError(ptr, "floats are not allowed")
-    if field.p is None:
-        if isinstance(value, bool) or not isinstance(value, (str, int)):
-            raise DocumentError(ptr, "expected a rational string")
-        if isinstance(value, int) or _RATIONAL.fullmatch(value):
-            # Fails on a zero denominator or past Python's int digit limit.
-            try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                pass
-        raise DocumentError(ptr, f"not a rational: {value!r}")
-    if isinstance(value, str):
-        try:
-            residue = int(value) if _RESIDUE.fullmatch(value) else None
-        except ValueError:  # past Python's int digit limit
-            residue = None
-        if residue is None:
-            raise DocumentError(ptr, f"not a residue: {value!r}")
-        value = residue
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(ptr, "expected a residue")
-    return value % field.p
+    try:
+        return field.coerce(value)
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(ptr, str(exc)) from None
 
 
 def _parse_matrix(field: Field, value, rows: int, cols: int, ptr: str) -> Matrix:

@@ -27,7 +27,8 @@ only in the reduction mod p and in the bookkeeping of the denominator:
 
 `Fraction` values appear only where entries come in (``Field.coerce`` and
 the constructor) and where they go out (``Matrix.entries``); documents
-read and write the arrays.
+read and write the arrays.  ``Field.coerce`` owns the scalar grammar, so
+`mat`, ``Matrix.scale`` and documents accept the same scalars.
 
 A product over QQ is object-dtype `@` over the product of the two
 denominators.  A product over F_p with inner dimension k is chosen by the
@@ -60,8 +61,9 @@ with nnz the number of nonzero entries, there are three routes:
 * otherwise the pivot loop on the int64 array.
 
 The reduced row echelon form is unique, so every route writes the same
-bytes.  `rref` alone states this rule, except that `_invert_rows` takes
-the list route on [M | den 1] itself, on the rows the samplers drew.
+bytes.  `rref` alone states this rule; `_invert_rows` reduces [M | den 1]
+on lists at every size, as the samplers invert at most 8x8 (128 cells,
+below the crossover) in the 2446 inversions of the verify suites at seed 0.
 
 Measured with numpy 2.4 and Python 3.11 on one core of a 2-vCPU Xeon VM.
 Over F_p (best of five) lists win at 64 cells (8x8 over GF(7): 0.14
@@ -91,6 +93,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -123,6 +126,10 @@ __all__ = [
     "zeros",
 ]
 
+
+# The string grammar of `Field.coerce` over QQ and over F_p.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RESIDUE = re.compile(r"-?[0-9]+")
 
 # The largest matrix, in cells, that `rref` reduces on lists over F_p; see
 # the module docstring for the measured crossover.
@@ -191,18 +198,28 @@ class Field:
         return Fraction(1) if self.p is None else 1
 
     def coerce(self, value):
-        """Normalize `value` to the canonical scalar representation."""
-        if self.p is None:
-            if isinstance(value, bool):
-                raise TypeError("bool is not a scalar")
-            if isinstance(value, (Fraction, int, str)):
-                return Fraction(value)
-            raise TypeError(f"cannot coerce {value!r} into QQ")
+        """The canonical scalar of `value`: a `Fraction` over QQ, a residue
+        in [0, p) over F_p.  This is the one scalar grammar, documents
+        included: an int (not a bool), over QQ also a `Fraction`, or a string
+        matching ``-?[0-9]+(/[0-9]+)?`` (nonzero denominator) over QQ and
+        ``-?[0-9]+`` over F_p.  Other types raise TypeError and other strings
+        ValueError, with the message a document prints after the pointer.
+        """
+        qq = self.p is None
+        if type(value) is int:  # first, as `mat` coerces every entry
+            return Fraction(value) if qq else value % self.p
+        if isinstance(value, float):
+            raise TypeError("floats are not allowed")
         if isinstance(value, str):
-            value = int(value, 10)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"cannot coerce {value!r} into GF({self.p})")
-        return value % self.p
+            try:  # fails on a zero denominator or past Python's int digit limit
+                if (_RATIONAL if qq else _RESIDUE).fullmatch(value):
+                    return Fraction(value) if qq else int(value) % self.p
+            except (ValueError, ZeroDivisionError):
+                pass
+            raise ValueError(f"not a {'rational' if qq else 'residue'}: {value!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction) if qq else int):
+            raise TypeError("expected a rational string" if qq else "expected a residue")
+        return Fraction(value) if qq else value % self.p
 
     def __eq__(self, other) -> bool:
         # Identity first: each GF(p) call builds a new Field, but most
@@ -734,21 +751,14 @@ def _invert_rows(field: Field, rows: list[list[int]], den: int = 1) -> Matrix | 
     """The inverse of the square matrix ``rows / den``, or None when it is
     singular; `rows` are Python ints (residues over F_p), left unchanged.
 
-    One elimination of [rows | den 1] decides both: the matrix is
-    invertible exactly when every pivot lies left of the identity block,
-    and then the rows of the reduced form end in the inverse.  It runs on
-    the lists (`_rref_rows`) where `rref` would, over QQ and over F_p up
-    to ``_SMALL_CELLS`` cells; above that it calls `rref`, which picks
-    the F_p route.
+    One elimination of [rows | den 1] on the lists (`_rref_rows`) decides
+    both: the matrix is invertible exactly when every pivot lies left of
+    the identity block, and then the rows of the reduced form end in the
+    inverse.
     """
     n = len(rows)
-    p = field.p
     augmented = [row + [0] * i + [den] + [0] * (n - 1 - i) for i, row in enumerate(rows)]
-    if p is None or 2 * n * n <= _SMALL_CELLS:
-        augmented, pivots, den = _rref_rows(p, augmented, 2 * n)
-    else:
-        reduced, pivots = rref(_from_rows(field, augmented, 2 * n))
-        augmented, den = reduced.array.tolist(), reduced.den
+    augmented, pivots, den = _rref_rows(field.p, augmented, 2 * n)
     if pivots and pivots[-1] >= n:
         return None
     return _from_rows(field, [row[n:] for row in augmented], n, den)

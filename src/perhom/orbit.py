@@ -59,9 +59,7 @@ def orbit_hom(x: BoundedComplex, y: BoundedComplex, n: int) -> OrbitHomReport:
     """Hom dimensions in the orbit of the n-fold shift, both ways."""
     if x.field != y.field:
         raise FieldMismatch("orbit hom across fields")
-    if n < 1:
-        raise ValueError("period must be at least 1")
-    # compress guards x and y.
+    # compress guards x, y and n (through PeriodicComplex).
     periodic = periodic_hom_dims(compress(x, n), compress(y, n)).homotopy_classes
     hx, hy = _splitting(x)[0], _splitting(y)[0]
     summands = []

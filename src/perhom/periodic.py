@@ -213,8 +213,6 @@ def compress(x: BoundedComplex, n: int) -> PeriodicComplex:
     degrees and zero elsewhere.
     """
     _require(validate(x), "complex")
-    if n < 1:
-        raise ValueError("period must be at least 1")
     classes = [residue_degrees(x, n, r) for r in range(n)]
     dims = tuple(sum(x.dim(j) for j in classes[r]) for r in range(n))
     diffs = tuple(

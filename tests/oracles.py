@@ -9,6 +9,9 @@ witnesses as the reduced-echelon particular solution (free variables
 zero).  They share `rank`, `solve_linear` and the system assembly with the
 library, but not the splitting of each complex into cohomology and
 contractible pieces that the library counts and builds witnesses from.
+The splitting of one degree has a reference too: the earlier route of
+two eliminations, a cycle complement from one rref and its coordinates
+from `solve_linear`, against the library's one rref.
 The Tor oracle counts BGG cohomology from the Koszul complex of the module,
 sharing only `rank` and `assemble_blocks` with the functor it checks, and
 the dual exterior algebra is written entry by entry from field scalars, as
@@ -54,6 +57,7 @@ from perhom import (
     expand_window,
     identity,
     identity_chain_map,
+    kernel_basis,
     mat,
     periodic_cohomology,
     rank,
@@ -63,7 +67,7 @@ from perhom import (
     zeros,
 )
 from perhom.samples import _chain_map_system
-from perhom.linalg import BlockSystem, assemble_blocks, kron, vec, vstack
+from perhom.linalg import BlockSystem, assemble_blocks, hstack, kron, place_rows, rref, submatrix, vec, vstack
 from perhom.periodic import PeriodicChainMap, PeriodicHomotopy
 
 
@@ -399,6 +403,26 @@ def solver_unrolled_contraction(p: PeriodicComplex) -> Homotopy | None:
         return None
     e = expand_window(p, -1, p.n)
     return Homotopy(identity_chain_map(e), zero_chain_map(e, e), tuple(sorted(parts.items())))
+
+
+def two_elimination_contraction(c, r: int) -> tuple[Matrix, Matrix, Matrix]:
+    """(i, p, s) of `complexes._contraction` in degree r of the bounded or
+    periodic complex c, by the earlier route of two eliminations: H_r from
+    the pivots of rref([D | K]), then (b; c) from `solve_linear([D | I],
+    1 - E_P R)`, both with the notation of `_contraction`."""
+    field, m = c.field, c.dim(r)
+    reduced, pivots = rref(c.diff(r))
+    incoming = rref(c.diff(c.prev(r)))[1]
+    boundaries = submatrix(c.diff(r - 1), range(m), incoming)
+    cycles = zeros(field, m, 0)
+    if m - len(pivots) - len(incoming):
+        kernel = kernel_basis(c.diff(r))
+        chosen = rref(hstack([boundaries, kernel]))[1][len(incoming) :]
+        cycles = submatrix(kernel, range(m), [j - len(incoming) for j in chosen])
+    coords = solve_linear(hstack([boundaries, cycles]), identity(field, m) - place_rows(reduced, pivots, m))
+    assert coords is not None, f"splitting of degree {r} is not a basis"
+    s = place_rows(coords, incoming, c.dim(r - 1))
+    return cycles, submatrix(coords, range(len(incoming), coords.rows), range(m)), s
 
 
 def solver_null_homotopy(f: ChainMap) -> Homotopy | None:

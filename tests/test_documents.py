@@ -411,3 +411,42 @@ def test_a_bad_entry_raises_the_walked_error(field, cell, bad):
 )
 def test_bodies_parse_as_the_walk_parses_them(field, body):
     check_against_walk(field, body, 2, 2)
+
+
+GRAMMAR_FIELDS = [QQ, GF(5), GF(2147483629)]
+SCALARS = st.one_of(
+    st.text(alphabet="0123456789-/+.e_ ٣", max_size=8),
+    st.integers(),
+    st.booleans(),
+    st.floats(),
+    st.none(),
+)
+
+
+def coerced(field, value):
+    """``field.coerce(value)``, or the message of the error it raises."""
+    try:
+        return field.coerce(value)
+    except (TypeError, ValueError) as error:
+        return str(error)
+
+
+def parsed_entry(field, value):
+    """The entry of a 1 x 1 complex document holding `value`, or the message
+    of the error `parse_document` raises at its pointer."""
+    field_doc = documents._field_doc(field)
+    doc = {"diffs": [[[value]]], "dims": [1, 1], "field": field_doc, "kind": "complex", "window": [0, 1]}
+    try:
+        return parse_document(json.dumps(doc)).diffs[0].entry(0, 0)
+    except DocumentError as error:
+        assert error.pointer == "/diffs/0/0/0"
+        return error.message
+
+
+@SETTINGS
+@given(field=st.sampled_from(GRAMMAR_FIELDS), value=SCALARS)
+def test_coerce_takes_exactly_the_document_entries(field, value):
+    # One grammar: coerce raises exactly where a document is refused, with
+    # the message the document prints, and otherwise gives the same scalar.
+    got, want = coerced(field, value), parsed_entry(field, value)
+    assert (type(got), got) == (type(want), want)

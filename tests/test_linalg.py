@@ -91,6 +91,14 @@ class TestField:
         assert QQ != GF(7) and GF(5) != GF(7)
         assert a.__eq__(7) is NotImplemented and a != 7
 
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=repr)
+    @pytest.mark.parametrize("text", ["0.5", "1e3", " 1/2", "1_000", " 7", "+5", "\u0663"])
+    def test_mat_refuses_what_documents_refuse(self, field, text):
+        kind = "rational" if field.p is None else "residue"
+        with pytest.raises(ValueError) as caught:
+            mat(field, [[text]])
+        assert str(caught.value) == f"not a {kind}: {text!r}"
+
     def test_exact_rational_sum(self):
         a = Fraction(1, 3) + Fraction(1, 6)
         assert a == Fraction(1, 2)
@@ -578,7 +586,8 @@ class TestEliminationRoutes:
         # keeps sparse rows while nnz <= 2 (rows + cols), handing the matrix
         # to the array loop ("bail") once they hold more than 2 nnz entries,
         # and runs the array loop otherwise.  Over QQ it runs the lists at
-        # every size.  solve_linear takes the route of rref on [a | b].
+        # every size.  solve_linear takes the route of rref on [a | b], and
+        # _invert_rows the lists at every size over both fields.
         calls = []
         real_rows, real_sparse = linalg._rref_rows, linalg._rref_sparse
 
@@ -615,8 +624,10 @@ class TestEliminationRoutes:
         assert route(solve_linear, full(8, 8), full(8, 1)) == fp("array")
         assert route(solve_linear, perm, full(40, 1)) == fp("sparse")
         assert route(solve_linear, u, identity(field, 12)) == fp("bail")
-        assert route(linalg._invert_rows, field, u.array.tolist()) == fp("bail")
-        assert route(linalg._invert_rows, field, full(5, 5).array.tolist()) == "lists"
+        # _invert_rows runs the lists at every size: past the 8 x 8 that the
+        # verify suites invert at most at seed 0, to 9 x 9 and the 12 x 12 u.
+        for m in (u, full(9, 9), full(5, 5)):
+            assert route(linalg._invert_rows, field, m.array.tolist()) == "lists"
         if field.p is None:
             assert route(rref, full(40, 80)) == route(solve_linear, full(20, 20), full(20, 20)) == "lists"
 

@@ -6,7 +6,9 @@ contractible periodic complexes the windowed route folds back to the same
 contraction: `periodize_null_homotopy` of `unrolled_identity_contraction`
 returns the s of the splitting, component for component.  And the mapping
 cone has the cohomology that the long exact sequence gives, with the map on
-cohomology read off the splittings (`oracles.cone_cohomology`)."""
+cohomology read off the splittings (`oracles.cone_cohomology`).  The
+splitting of each degree, read off one elimination, equals the earlier
+route of two (`oracles.two_elimination_contraction`)."""
 
 from random import Random
 
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import cone_cohomology
+from oracles import cone_cohomology, two_elimination_contraction
 from perhom import (
     GF,
     QQ,
@@ -30,6 +32,7 @@ from perhom import (
     unrolled_identity_contraction,
     zeros,
 )
+from perhom.complexes import _contraction
 from perhom.samples import random_bounded_complex, random_chain_map, random_contractible_periodic, random_periodic
 from strategies import SETTINGS
 
@@ -73,6 +76,24 @@ def test_splitting_satisfies_its_identities(field, n, sampler, seed):
     if not any(periodic_cohomology(c)):
         folded = periodize_null_homotopy(c, unrolled_identity_contraction(c))
         assert folded.components == tuple(part.s for part in parts.values())
+
+
+@SETTINGS
+@given(
+    field=st.sampled_from(SPLIT_FIELDS),
+    n=st.integers(1, 4),
+    sampler=st.sampled_from(sorted(SAMPLERS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_elimination_matches_the_two_elimination_reference(field, n, sampler, seed):
+    # In every degree, and in the degrees just outside a bounded window,
+    # which `_split_null_homotopy` reads: the same (i, p, s), den and bytes.
+    c = SAMPLERS[sampler](Random(seed), field, n)
+    degrees = list(c.degrees())
+    if isinstance(c, BoundedComplex):
+        degrees = [c.lo - 1, *degrees, c.hi + 1]
+    for r in degrees:
+        assert tuple(_contraction(c, r)) == two_elimination_contraction(c, r)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=repr)
