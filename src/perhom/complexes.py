@@ -96,6 +96,8 @@ class BoundedComplex:
     def __post_init__(self) -> None:
         if len(self.diffs) != max(0, len(self.dims) - 1):
             raise ShapeError("expected one differential per adjacent pair of degrees")
+        if min(self.dims, default=0) < 0:
+            raise ShapeError("dimensions must be nonnegative")
 
     @property
     def hi(self) -> int:
@@ -125,21 +127,20 @@ class BoundedComplex:
 
 
 def complex_from(field: Field, lo: int, dims, diffs) -> BoundedComplex:
-    """Build a complex, coercing the differentials to matrices over `field`."""
-    dims = tuple(int(d) for d in dims)
-    fixed = []
-    for k, m in enumerate(diffs):
+    """Build a complex, checking that each differential is a matrix over
+    `field` of the shape its degrees give."""
+    c = BoundedComplex(field, lo, tuple(int(d) for d in dims), tuple(diffs))
+    for k, m in enumerate(c.diffs):
         if not isinstance(m, Matrix):
             raise TypeError("differentials must be Matrix values")
         if m.field != field:
             raise FieldMismatch("differential over the wrong field")
-        if m.shape != (dims[k + 1], dims[k]):
+        if m.shape != (c.dims[k + 1], c.dims[k]):
             raise ShapeError(
                 f"differential at degree {lo + k} has shape {m.shape}, expected "
-                f"({dims[k + 1]}, {dims[k]})"
+                f"({c.dims[k + 1]}, {c.dims[k]})"
             )
-        fixed.append(m)
-    return BoundedComplex(field, lo, dims, tuple(fixed))
+    return c
 
 
 def zero_complex(field: Field, lo: int = 0) -> BoundedComplex:
@@ -358,20 +359,13 @@ def cone(f: ChainMap) -> Cone:
     lo, hi = min(c.lo for c in live), max(c.hi for c in live)
     dims = tuple(x.dim(i + 1) + y.dim(i) for i in range(lo, hi + 1))
     c = BoundedComplex(field, lo, dims, _total_diffs(field, range(lo, hi), *_cone_grid(f)))
-    incl = {}
-    for i in y.degrees():
-        if y.dim(i) == 0:
-            continue
-        blocks = {(1, 0): identity(field, y.dim(i))}
-        incl[i] = assemble_blocks(field, (x.dim(i + 1), y.dim(i)), (y.dim(i),), blocks)
-    inclusion = chain_map(y, c, incl)
-    projection = []
-    for i in range(lo, hi + 1):
-        if x.dim(i + 1) == 0 or c.dim(i) == 0:
-            continue
-        blocks = {(0, 0): identity(field, x.dim(i + 1))}
-        projection.append((i, assemble_blocks(field, (x.dim(i + 1),), (x.dim(i + 1), y.dim(i)), blocks)))
-    return Cone(c, inclusion, tuple(projection))
+    incl = {i: place_rows(identity(field, y.dim(i)), range(x.dim(i + 1), c.dim(i)), c.dim(i)) for i in y.degrees()}
+    projection = tuple(
+        (i, submatrix(identity(field, c.dim(i)), range(x.dim(i + 1)), range(c.dim(i))))
+        for i in range(lo, hi + 1)
+        if x.dim(i + 1)
+    )
+    return Cone(c, chain_map(y, c, incl), projection)
 
 
 @_once

@@ -68,7 +68,7 @@ class DocumentError(ValueError):
         super().__init__(f"{self.pointer}: {message}")
 
 
-def _dumps(value, default=None) -> str:
+def _dumps(value, default) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False, default=default)
 
 

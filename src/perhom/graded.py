@@ -200,6 +200,12 @@ def direct_sum_modules(mods: list[GradedModule]) -> GradedModule:
     for m in mods:
         if (m.field, m.algebra, m.lo, len(m.dims)) != (first.field, first.algebra, first.lo, len(first.dims)):
             raise ShapeError("direct sum needs matching windows and algebras")
+    return _module_sum(first, mods)
+
+
+def _module_sum(first: GradedModule, mods: list[GradedModule]) -> GradedModule:
+    """The direct sum of `mods`, which share `first`'s window and algebra;
+    with no `mods`, the zero module on that window."""
     dims = tuple(sum(m.dims[k] for m in mods) for k in range(len(first.dims)))
     actions = []
     for j in range(first.algebra.generators):
@@ -346,19 +352,8 @@ def compress_modules(mc: ModuleComplex, n: int) -> PeriodicModuleComplex:
         raise ValueError("cannot fold an empty module complex")
     first = mc.modules[0]
     field = first.field
-    window_len = len(first.dims)
     classes = [[j for j in mc.homological_degrees() if (j - r) % n == 0] for r in range(n)]
-    terms = []
-    for r in range(n):
-        mods = [mc.module(j) for j in classes[r]]
-        if mods:
-            terms.append(direct_sum_modules(mods))
-        else:
-            empty_actions = tuple(
-                tuple(zeros(field, 0, 0) for _ in range(max(0, window_len - 1)))
-                for _ in range(first.algebra.generators)
-            )
-            terms.append(GradedModule(field, first.algebra, first.lo, (0,) * window_len, empty_actions))
+    terms = [_module_sum(first, [mc.module(j) for j in degrees]) for degrees in classes]
     maps = []
     for r in range(n):
         family = []

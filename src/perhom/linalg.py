@@ -200,14 +200,17 @@ class Field:
     def coerce(self, value):
         """The canonical scalar of `value`: a `Fraction` over QQ, a residue
         in [0, p) over F_p.  This is the one scalar grammar, documents
-        included: an int (not a bool), over QQ also a `Fraction`, or a string
-        matching ``-?[0-9]+(/[0-9]+)?`` (nonzero denominator) over QQ and
-        ``-?[0-9]+`` over F_p.  Other types raise TypeError and other strings
-        ValueError, with the message a document prints after the pointer.
+        included: an integer (numpy's too, not a bool), over QQ also a
+        `Fraction`, or a string matching ``-?[0-9]+(/[0-9]+)?`` (nonzero
+        denominator) over QQ and ``-?[0-9]+`` over F_p.  Other types raise
+        TypeError and other strings ValueError, with the message a document
+        prints after the pointer.
         """
         qq = self.p is None
         if type(value) is int:  # first, as `mat` coerces every entry
             return Fraction(value) if qq else value % self.p
+        if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+            return self.coerce(int(value))  # an int subclass or a numpy integer
         if isinstance(value, float):
             raise TypeError("floats are not allowed")
         if isinstance(value, str):
@@ -217,9 +220,9 @@ class Field:
             except (ValueError, ZeroDivisionError):
                 pass
             raise ValueError(f"not a {'rational' if qq else 'residue'}: {value!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction) if qq else int):
+        if not (qq and isinstance(value, Fraction)):
             raise TypeError("expected a rational string" if qq else "expected a residue")
-        return Fraction(value) if qq else value % self.p
+        return Fraction(value)
 
     def __eq__(self, other) -> bool:
         # Identity first: each GF(p) call builds a new Field, but most
@@ -508,12 +511,10 @@ def vec(m: Matrix) -> Matrix:
     return _wrap(m.field, m.array.reshape(m.rows * m.cols, 1), m.den)
 
 
-def unvec(field: Field, column: Matrix, rows: int, cols: int) -> Matrix:
-    if column.field != field:
-        raise FieldMismatch(f"{column.field} vs {field}")
+def unvec(column: Matrix, rows: int, cols: int) -> Matrix:
     if column.cols != 1 or column.rows != rows * cols:
         raise ShapeError("column has the wrong length")
-    return _wrap(field, column.array.reshape(rows, cols), column.den)
+    return _wrap(column.field, column.array.reshape(rows, cols), column.den)
 
 
 def submatrix(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
@@ -768,8 +769,8 @@ class BlockSystem:
     """Linear systems whose unknowns are families of matrices.
 
     Each unknown is a matrix block U_k; each equation block is the left
-    side ``sum sign * A @ U_k @ B`` of a matrix identity.  Blocks are
-    flattened row major, so a term contributes ``sign * kron(A, B^T)``.
+    side ``sum A @ U_k @ B`` of a matrix identity.  Blocks are flattened
+    row major, so a term contributes ``kron(A, B^T)``.
     Contributions to the same (equation, unknown) pair accumulate, which is
     what the cyclic systems with period 1 or 2 need.  `matrix` is the matrix
     of the left sides, and `split_solution` cuts a solution column into the
@@ -789,12 +790,12 @@ class BlockSystem:
     def add_equation(self, key, rows: int, cols: int) -> None:
         _declare(self._equations, "equation", key, rows, cols)
 
-    def add_term(self, eq_key, unk_key, left: Matrix | None = None, right: Matrix | None = None, sign: int = 1) -> None:
+    def add_term(self, eq_key, unk_key, left: Matrix | None = None, right: Matrix | None = None) -> None:
         if eq_key not in self._equations:
             raise KeyError(f"unknown equation {eq_key!r}")
         if unk_key not in self._unknowns:
             raise KeyError(f"unknown block {unk_key!r}")
-        self._terms.append((eq_key, unk_key, left, right, sign))
+        self._terms.append((eq_key, unk_key, left, right))
 
     @property
     def unknown_dim(self) -> int:
@@ -805,7 +806,7 @@ class BlockSystem:
         row_of = {key: t for t, key in enumerate(self._equations)}
         col_of = {key: t for t, key in enumerate(self._unknowns)}
         blocks: dict = {}
-        for eq_key, unk_key, left, right, sign in self._terms:
+        for eq_key, unk_key, left, right in self._terms:
             er, ec = self._equations[eq_key]
             ur, uc = self._unknowns[unk_key]
             if er * ec == 0 or ur * uc == 0:
@@ -821,7 +822,6 @@ class BlockSystem:
             left = identity(field, er) if left is None else left
             right = identity(field, ec) if right is None else right
             term = kron(left, right.transpose())
-            term = term if sign == 1 else term.scale(sign)
             key = (row_of[eq_key], col_of[unk_key])
             blocks[key] = blocks[key] + term if key in blocks else term
         rows = [r * c for r, c in self._equations.values()]
@@ -833,7 +833,7 @@ class BlockSystem:
             raise ShapeError("solution vector has the wrong length")
         offsets = accumulate((r * c for r, c in self._unknowns.values()), initial=0)
         return {
-            k: unvec(self.field, submatrix(column, range(off, off + r * c), [0]), r, c)
+            k: unvec(submatrix(column, range(off, off + r * c), [0]), r, c)
             for (k, (r, c)), off in zip(self._unknowns.items(), offsets)
         }
 

@@ -44,6 +44,7 @@ from .linalg import (
     assemble_blocks,
     identity,
     kernel_basis,
+    place_rows,
     submatrix,
     zeros,
 )
@@ -91,12 +92,9 @@ def _basis_change(rng: Random, field: Field, n: int) -> tuple[Matrix, Matrix]:
         inv = _invert_rows(field, rows)
         if inv is not None:
             return _from_rows(field, rows, n), inv
-    # Unit upper-triangular fallback, invertible by construction; over F_p
-    # its negative draws are reduced mod p.
+    # Unit upper-triangular fallback, invertible by construction.
     body = [[1 if i == j else rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)]
-    if field.p is not None:
-        body = [[x % field.p for x in row] for row in body]
-    m = _from_rows(field, body, n)
+    m = Matrix(field, n, n, body)
     return m, _inverse(m)
 
 
@@ -271,7 +269,7 @@ def _map_system(src, dst, degrees, relations) -> BlockSystem:
             if t in unknowns:
                 sys.add_term(key, t, right=a)
             if k in unknowns:
-                sys.add_term(key, k, left=b, sign=-1)
+                sys.add_term(key, k, left=-b)
     return sys
 
 
@@ -319,12 +317,9 @@ def random_module_complex(
     a = random_graded_module(rng, field, c, window, max_gens=1)
     b = random_graded_module(rng, field, c, window, max_gens=1)
     middle = direct_sum_modules([a, b])
-    include = tuple(
-        assemble_blocks(field, [a.dim(i), b.dim(i)], [a.dim(i)], {(0, 0): identity(field, a.dim(i))})
-        for i in a.degrees()
-    )
+    include = tuple(place_rows(identity(field, a.dim(i)), range(a.dim(i)), middle.dim(i)) for i in a.degrees())
     project = tuple(
-        assemble_blocks(field, [b.dim(i)], [a.dim(i), b.dim(i)], {(0, 1): identity(field, b.dim(i))})
+        submatrix(identity(field, middle.dim(i)), range(a.dim(i), middle.dim(i)), range(middle.dim(i)))
         for i in a.degrees()
     )
     skin_a, ua = conjugate_module(rng, a)

@@ -470,7 +470,7 @@ def _cyclic_chain_map_system(x: PeriodicComplex, y: PeriodicComplex) -> BlockSys
         if x.dim(r + 1) and y.dim(r + 1):
             sys.add_term(r, (r + 1) % n, right=x.diff(r))
         if x.dims[r] and y.dims[r]:
-            sys.add_term(r, r, left=y.diff(r), sign=-1)
+            sys.add_term(r, r, left=-y.diff(r))
     return sys
 
 

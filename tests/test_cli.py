@@ -327,6 +327,12 @@ def test_malformed_document_exits_2(capsysbinary, tmp_path, document, error):
     assert run(capsysbinary, "cohomology", str(path)) == (2, b"", f"error: {error}\n".encode())
 
 
+def test_negative_dimension_exits_2(capsysbinary, tmp_path):
+    path = tmp_path / "negative.json"
+    path.write_text(COMPLEX_DOC % ("[]", "[-1]", '{"fp":5}', 0))
+    assert run(capsysbinary, "cohomology", str(path)) == (2, b"", b"error: /dims/0: dimensions must be nonnegative\n")
+
+
 def test_cone_of_non_chain_map_exits_1(capsysbinary, tmp_path):
     # f^1 d_X = 1 but d_Y f^0 = 0.
     x = '{"diffs":[[[1]]],"dims":[1,1],"field":{"fp":5},"kind":"complex","window":[0,1]}'

@@ -5,6 +5,9 @@ import pytest
 from perhom import (
     GF,
     QQ,
+    BoundedComplex,
+    FieldMismatch,
+    ShapeError,
     chain_map,
     cohomology_dims,
     complex_from,
@@ -56,6 +59,29 @@ class TestValidate:
         broken = type(c)(QQ, 0, (1, 1), c.diffs)
         v = validate(broken)
         assert v is not None and v.kind == "shape"
+
+
+class TestComplexFrom:
+    def test_negative_dimension_is_refused(self):
+        # Such a complex would pass validate, fail inside numpy in
+        # cohomology_dims and serialize to a document that does not parse.
+        for build in (complex_from, BoundedComplex):
+            with pytest.raises(ShapeError, match="^dimensions must be nonnegative$"):
+                build(QQ, 0, (-1,), ())
+        with pytest.raises(ShapeError, match="^dimensions must be nonnegative$"):
+            complex_from(QQ, 0, (1, -1), (zeros(QQ, 0, 1),))
+
+    def test_surplus_differential_is_refused(self):
+        with pytest.raises(ShapeError, match="^expected one differential per adjacent pair of degrees$"):
+            complex_from(QQ, 0, (1,), (mat(QQ, [[1]]),))
+
+    def test_each_differential_is_checked(self):
+        with pytest.raises(ShapeError, match=r"^differential at degree 3 has shape \(1, 1\), expected \(2, 1\)$"):
+            complex_from(QQ, 3, (1, 2), (mat(QQ, [[1]]),))
+        with pytest.raises(FieldMismatch, match="^differential over the wrong field$"):
+            complex_from(QQ, 0, (1, 1), (mat(F5, [[1]]),))
+        with pytest.raises(TypeError, match="^differentials must be Matrix values$"):
+            complex_from(QQ, 0, (1, 1), ([[1]],))
 
 
 class TestShift:

@@ -1,6 +1,9 @@
 """The pointer and message of every `parse_document` error outside the
-`complex` kind (whose errors `test_cli.py` pins through `cohomology`), and
-the `TypeError` of `document_dict` on a value with no document form.
+`complex` kind (whose entry and field errors `test_cli.py` pins through
+`cohomology`) and of the schema errors of the shared parsers (objects,
+integers, fields, windows, dimensions, a chain map's source kind, a
+module's action count), and the `TypeError` of `document_dict` on a value
+with no document form.
 
 Each malformed document lacks at most one required field, so the error
 it raises does not depend on which missing field is checked first.
@@ -17,7 +20,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from perhom import (
@@ -46,6 +49,7 @@ from perhom.documents import (
     parse_document,
     serialize_document,
 )
+from strategies import SETTINGS
 
 F5 = '{"fp":5}'
 QQ_FIELD = '{"rationals":true}'
@@ -125,12 +129,47 @@ def test_malformed_document_error(document, pointer, message):
     assert str(error.value) == f"{pointer}: {message}"
 
 
+def complex_doc(dims="[1]", field=F5, window="[0,0]"):
+    return '{"diffs":[],"dims":%s,"field":%s,"kind":"complex","window":%s}' % (dims, field, window)
+
+
+# The schema errors of the shared parsers, reached through the document
+# kinds: pointer and message of each.
+SCHEMA_ERRORS = {
+    "not-an-object": (CHAIN_MAP % ("[]", F5, "5", POINT % F5), "/source", "expected an object"),
+    "not-an-integer": (complex_doc(window="[0.5,0]"), "/window/0", "expected an integer"),
+    "both-fields": (
+        complex_doc(field='{"fp":5,"rationals":true}'),
+        "/field",
+        "field must be either rational or prime, not both",
+    ),
+    "rationals-false": (complex_doc(field='{"rationals":false}'), "/field/rationals", "must be true"),
+    "no-field": (complex_doc(field="{}"), "/field", "field must specify rationals or fp"),
+    "window-length": (complex_doc(window="[0]"), "/window", "window must be [lo, hi]"),
+    "window-reversed": (complex_doc(dims="[]", window="[2,0]"), "/window", "window upper bound below lower bound"),
+    "dimension-count": (complex_doc(window="[0,1]"), "/dims", "expected 2 dimensions, got 1"),
+    "negative-dimension": (complex_doc(dims="[-1]"), "/dims/0", "dimensions must be nonnegative"),
+    "chain-map-source-kind": (
+        CHAIN_MAP % ("[]", F5, (POINT % F5).replace('"complex"', '"periodic"'), POINT % F5),
+        "/source/kind",
+        "expected 'complex'",
+    ),
+    "action-count": (MODULE % ("[[]]", '{"poly":1}'), "/actions/0", "expected 1 matrices"),
+}
+
+
+@pytest.mark.parametrize("document, pointer, message", SCHEMA_ERRORS.values(), ids=SCHEMA_ERRORS.keys())
+def test_schema_error_pointer_and_message(document, pointer, message):
+    with pytest.raises(DocumentError) as error:
+        parse_document(document)
+    assert (error.value.pointer, error.value.message) == (pointer, message)
+
+
 def test_document_dict_rejects_a_value_without_a_document_form():
     with pytest.raises(TypeError, match=r"^no document form for Matrix$"):
         document_dict(mat(QQ, [[1]]))
 
 
-SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 FIELDS = [QQ, GF(2), GF(5), GF(32003), GF(2147483629)]
 
 

@@ -57,6 +57,7 @@ from oracles import (
     rhs_vector,
     sympy_rank,
 )
+from strategies import SETTINGS
 
 
 def rand_mat(rng, field, rows, cols, bound=3):
@@ -98,6 +99,20 @@ class TestField:
         with pytest.raises(ValueError) as caught:
             mat(field, [[text]])
         assert str(caught.value) == f"not a {kind}: {text!r}"
+
+    def test_numpy_integers_coerce_as_ints(self):
+        # What the constructor stores, `mat` takes: numpy integers are
+        # Integral, numpy bools and floats are not.
+        assert mat(QQ, [[np.int64(3)]]) == Matrix(QQ, 1, 1, ((np.int64(3),),)) == mat(QQ, [[3]])
+        assert mat(GF(5), [[np.int64(7), np.uint8(9)]]) == mat(GF(5), [[2, 4]])
+        assert type(GF(5).coerce(np.int32(-1))) is int and GF(5).coerce(np.int32(-1)) == 4
+        assert type(QQ.coerce(np.int64(3)).numerator) is int
+        assert mat(QQ, [[1]]).scale(np.int16(2)) == mat(QQ, [[2]])
+        for field, message in ((QQ, "expected a rational string"), (GF(5), "expected a residue")):
+            with pytest.raises(TypeError, match=f"^{message}$"):
+                field.coerce(np.bool_(True))
+        with pytest.raises(TypeError, match="^floats are not allowed$"):
+            QQ.coerce(np.float64(3.0))
 
     def test_exact_rational_sum(self):
         a = Fraction(1, 3) + Fraction(1, 6)
@@ -211,7 +226,7 @@ class TestStructure:
     def test_unvec_inverts_vec(self):
         rng = Random(8)
         m = rand_mat(rng, QQ, 3, 4)
-        assert unvec(QQ, vec(m), 3, 4) == m
+        assert unvec(vec(m), 3, 4) == m
 
     def test_permutations(self):
         m = mat(QQ, [[1, 2], [3, 4]])
@@ -397,7 +412,7 @@ def assert_canonical(m):
 
 
 class TestQqKernels:
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @settings(SETTINGS, max_examples=120)
     @given(st.data())
     def test_kernels_match_fraction_oracles(self, data):
         rows, inner, cols = (data.draw(st.integers(0, 4)) for _ in range(3))
@@ -424,7 +439,7 @@ class TestQqKernels:
             (assemble_blocks(QQ, [rows, inner], [inner, cols], blocks), entries_blocks(QQ, [rows, inner], [inner, cols], blocks)),
             (submatrix(a, pick_rows, pick_cols), entries_submatrix(a, pick_rows, pick_cols)),
             (vec(a), entries_vec(a)),
-            (unvec(QQ, vec(a), rows, inner), entries_unvec(vec(a), rows, inner)),
+            (unvec(vec(a), rows, inner), entries_unvec(vec(a), rows, inner)),
             (rref(low)[0], qq_rref(low)[0]),
             (rref(a)[0], qq_rref(a)[0]),
             (kernel_basis(low), qq_kernel_basis(low)),
@@ -454,7 +469,7 @@ class TestQqKernels:
             identity(QQ, 2) @ m,
             m.scale(3).scale("1/3"),
             submatrix(hstack([m, m]), [0, 1], [2, 3]),
-            unvec(QQ, vec(m), 2, 2),
+            unvec(vec(m), 2, 2),
         ]
         for r in routes:
             assert r == m and hash(r) == hash(m)
@@ -478,7 +493,7 @@ def mixed_denominator_matrices(rows, cols):
 
 
 class TestCanonicalRearrangements:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @SETTINGS
     @given(st.data())
     def test_stacks_blocks_and_reshapes_are_canonical(self, data):
         # These operations skip the gcd pass of `_wrap`; the result must be
@@ -504,7 +519,7 @@ class TestCanonicalRearrangements:
             (a.transpose(), entries_transpose(a)),
             (-a, qq_entrywise(operator.neg, a)),
             (vec(a), entries_vec(a)),
-            (unvec(QQ, vec(a), rows, cols), entries_unvec(vec(a), rows, cols)),
+            (unvec(vec(a), rows, cols), entries_unvec(vec(a), rows, cols)),
         ]
         for got, want in cases:
             assert got.entries == want
@@ -553,7 +568,7 @@ def assert_well_formed(m):
 
 
 class TestEliminationRoutes:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(SETTINGS, max_examples=200)
     @given(st.data())
     def test_both_routes_match_the_oracles(self, data):
         field = data.draw(st.sampled_from(ROUTE_FIELDS))
@@ -631,7 +646,34 @@ class TestEliminationRoutes:
         if field.p is None:
             assert route(rref, full(40, 80)) == route(solve_linear, full(20, 20), full(20, 20)) == "lists"
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_sparse_route_bails_out_in_the_forward_pass(self):
+        # Row 0 is e_0 + e_20 + ... + e_30 and row i is e_(i-1) + e_i: 50
+        # nonzeros, within 2 (20 + 31) = 102, so rref takes the sparse route
+        # with a budget of 100.  Reducing row i against pivot row i - 1
+        # leaves 12 entries, so the forward pass stores 12 per row and
+        # passes the budget at row 8, before any back-substitution.
+        field, n = GF(32003), 31
+        a = np.zeros((20, n), dtype=np.int64)
+        a[0, [0, *range(20, n)]] = 1
+        for i in range(1, 20):
+            a[i, [i - 1, i]] = 1
+        m = Matrix(field, 20, n, a)
+        assert np.count_nonzero(a) == 50
+        forward, real = [], linalg._subtract
+
+        def subtract(row, f, top, p):
+            forward.append(len(row))
+            real(row, f, top, p)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "_subtract", subtract)
+            assert linalg._rref_sparse(a, field.p, 100) is None
+        # Rows 1 to 8, of two entries each, took one forward reduction
+        # apiece, and row 8 bailed.
+        assert forward == [2] * 8
+        assert (rref(m)[0].entries, rref(m)[1]) == fp_rref(m)
+
+    @settings(SETTINGS, max_examples=300)
     @given(st.data())
     def test_sparse_rows_match_the_oracles(self, data):
         # Every F_p route against the oracles, on the inputs the sparse rule
@@ -736,3 +778,88 @@ class TestConstructor:
     def test_fraction_over_fp_raises(self):
         with pytest.raises(TypeError):
             Matrix(GF(5), 1, 1, ((Fraction(1, 2),),))
+
+
+ONE, ONE_F5, ROW = mat(QQ, [[1]]), mat(GF(5), [[1]]), mat(QQ, [[1, 2]])
+
+
+def block_system(unknown=(1, 1), equation=(1, 1), term=None):
+    """A system over QQ with an unknown "u" and an equation "e" of these
+    shapes (None leaves one undeclared) and, given the factors (left,
+    right) as `term`, one term of "u" in "e"."""
+    sys = BlockSystem(QQ)
+    if unknown:
+        sys.add_unknown("u", *unknown)
+    if equation:
+        sys.add_equation("e", *equation)
+    if term:
+        sys.add_term("e", "u", *term)
+    return sys
+
+
+# The guard of each constructor and operator: call, exception type, message.
+GUARDS = {
+    "matrix-negative": (lambda: Matrix(QQ, -1, 0, ()), ShapeError, "negative dimensions"),
+    "matrix-row-count": (lambda: Matrix(QQ, 2, 1, ((1,),)), ShapeError, "row count does not match entries"),
+    "matrix-ragged": (lambda: Matrix(QQ, 2, 2, ((1, 2), (3,))), ShapeError, "ragged rows"),
+    "mat-row-count": (lambda: mat(QQ, [[1]], rows=2), ShapeError, "row count does not match data"),
+    "mat-no-rows": (lambda: mat(QQ, []), ShapeError, "column count required for a matrix with no rows"),
+    "mat-ragged": (lambda: mat(QQ, [[1, 2], [3]]), ShapeError, "ragged rows"),
+    "add-fields": (lambda: ONE + ONE_F5, FieldMismatch, "QQ vs GF(5)"),
+    "sub-shapes": (lambda: ONE - ROW, ShapeError, "(1, 1) vs (1, 2)"),
+    "matmul-fields": (lambda: ONE @ ONE_F5, FieldMismatch, "QQ vs GF(5)"),
+    "matmul-shapes": (lambda: ROW @ ROW, ShapeError, "cannot multiply (1, 2) by (1, 2)"),
+    "stack-nothing": (lambda: vstack([]), ShapeError, "nothing to stack"),
+    "hstack-rows": (lambda: hstack([ONE, ROW.transpose()]), ShapeError, "hstack needs equal row counts"),
+    "vstack-columns": (lambda: vstack([ONE, ROW]), ShapeError, "vstack needs equal column counts"),
+    "hstack-fields": (lambda: hstack([ONE, ONE_F5]), FieldMismatch, "hstack across fields"),
+    "blocks-field": (lambda: assemble_blocks(QQ, [1], [1], {(0, 0): ONE_F5}), FieldMismatch, "block over the wrong field"),
+    "blocks-shape": (
+        lambda: assemble_blocks(QQ, [1], [1, 1], {(0, 1): ROW}),
+        ShapeError,
+        "block (0,1) has shape (1, 2), expected (1, 1)",
+    ),
+    "kron-fields": (lambda: kron(ONE, ONE_F5), FieldMismatch, "kron across fields"),
+    "unvec-length": (lambda: unvec(vec(ROW), 2, 2), ShapeError, "column has the wrong length"),
+    "unvec-row": (lambda: unvec(ROW, 1, 2), ShapeError, "column has the wrong length"),
+    "system-equation-key": (lambda: block_system(equation=None, term=(ONE,)), KeyError, "unknown equation 'e'"),
+    "system-unknown-key": (lambda: block_system(unknown=None, term=(ONE,)), KeyError, "unknown block 'u'"),
+    "system-left-shape": (
+        lambda: block_system(term=(ROW,)).matrix(),
+        ShapeError,
+        "left factor of 'e'/'u' has shape (1, 2)",
+    ),
+    "system-right-shape": (
+        lambda: block_system(term=(None, ROW)).matrix(),
+        ShapeError,
+        "right factor of 'e'/'u' has shape (1, 2)",
+    ),
+    "system-left-identity": (
+        lambda: block_system(unknown=(2, 1), term=(None, ONE)).matrix(),
+        ShapeError,
+        "implicit identity needs square placement",
+    ),
+    "system-right-identity": (
+        lambda: block_system(unknown=(1, 2), term=(ONE, None)).matrix(),
+        ShapeError,
+        "implicit identity needs square placement",
+    ),
+    "system-solution": (lambda: block_system().split_solution(ROW), ShapeError, "solution vector has the wrong length"),
+    "system-unknown-redeclared": (
+        lambda: block_system().add_unknown("u", 2, 1),
+        ShapeError,
+        "unknown 'u' redeclared with a different shape",
+    ),
+    "system-equation-redeclared": (
+        lambda: block_system().add_equation("e", 1, 2),
+        ShapeError,
+        "equation 'e' redeclared with a different shape",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, kind, message", GUARDS.values(), ids=GUARDS.keys())
+def test_guard_raises_its_type_and_message(call, kind, message):
+    with pytest.raises(Exception) as error:
+        call()
+    assert (type(error.value), error.value.args) == (kind, (message,))

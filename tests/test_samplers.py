@@ -17,17 +17,18 @@ from hypothesis import strategies as st
 from perhom.linalg import GF, QQ, _invert_rows, identity, solve_linear
 from perhom.samples import _basis_change, _inverse, rand_matrix
 from oracles import drawn_basis_change, drawn_matrix
+from strategies import SETTINGS
 
 FIELDS = [QQ, GF(2), GF(5), GF(7)]
 
-SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+SAMPLER_SETTINGS = settings(SETTINGS, max_examples=200)
 
 
 def same(got, want) -> bool:
     return got == want and hash(got) == hash(want)
 
 
-@SETTINGS
+@SAMPLER_SETTINGS
 @given(st.sampled_from(FIELDS), st.integers(0, 9), st.integers(0, 9), st.integers(0, 2**32))
 def test_rand_matrix_matches_the_mat_route(field, rows, cols, seed):
     rng, old = Random(seed), Random(seed)
@@ -35,7 +36,7 @@ def test_rand_matrix_matches_the_mat_route(field, rows, cols, seed):
     assert rng.getstate() == old.getstate()
 
 
-@SETTINGS
+@SAMPLER_SETTINGS
 @given(st.sampled_from(FIELDS), st.integers(0, 9), st.integers(0, 2**32))
 def test_basis_change_matches_the_solve_route(field, n, seed):
     rng, old = Random(seed), Random(seed)
@@ -46,7 +47,7 @@ def test_basis_change_matches_the_solve_route(field, n, seed):
     assert m @ inv == identity(field, n)
 
 
-@SETTINGS
+@SAMPLER_SETTINGS
 @given(st.sampled_from(FIELDS), st.integers(0, 9), st.integers(0, 9), st.integers(0, 2**32), st.data())
 def test_invert_rows_matches_solve_linear(field, n, inner, seed, data):
     """On random squares (often singular over GF(2)), on their scalings by
