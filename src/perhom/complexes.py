@@ -207,8 +207,6 @@ def _require(violation: Violation | None, what: str) -> None:
 
 def shift(c: BoundedComplex, l: int) -> BoundedComplex:
     """Suspension: term i becomes the old term i+l, differentials pick up (-1)^l."""
-    if not c.dims:
-        return BoundedComplex(c.field, c.lo - l, (), ())
     sign = 1 if l % 2 == 0 else -1
     diffs = c.diffs if sign == 1 else tuple(-m for m in c.diffs)
     return BoundedComplex(c.field, c.lo - l, c.dims, diffs)

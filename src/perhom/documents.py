@@ -39,7 +39,7 @@ import numpy as np
 
 from .complexes import BoundedComplex, ChainMap, chain_map
 from .graded import Algebra, FlagData, GradedModule
-from .linalg import _RATIONAL, Field, Matrix, ShapeError, _residues, _wrap
+from .linalg import _RATIONAL, Field, Matrix, _residues, _wrap
 from .periodic import PeriodicComplex
 
 __all__ = [
@@ -374,10 +374,7 @@ def _parse_chain_map(obj: dict, ptr: str) -> ChainMap:
         comps[degree] = _parse_matrix(
             field, item["matrix"], target.dim(degree), source.dim(degree), f"{ptr}/components/{k}/matrix"
         )
-    try:
-        return chain_map(source, target, comps)
-    except ShapeError as exc:
-        raise DocumentError(f"{ptr}/components", str(exc)) from None
+    return chain_map(source, target, comps)
 
 
 def _chain_map_doc(f: ChainMap) -> dict:

@@ -83,7 +83,7 @@ def exterior_algebra(c: int) -> Algebra:
 
 @dataclass(frozen=True)
 class GradedModule:
-    """Finite degree window of graded pieces with generator actions.
+    """Finite degree window of graded pieces of nonnegative dimension with generator actions.
 
     ``actions[j][k]`` bridges the adjacent degrees ``lo+k`` and ``lo+k+1``,
     in the direction ``Algebra.bridge(k)`` gives.
@@ -102,6 +102,8 @@ class GradedModule:
         for family in self.actions:
             if len(family) != want:
                 raise ShapeError("expected one action matrix per adjacent degree pair")
+        if min(self.dims, default=0) < 0:
+            raise ShapeError("dimensions must be nonnegative")
 
     @property
     def hi(self) -> int:
@@ -140,24 +142,19 @@ def validate_module(m: GradedModule) -> Violation | None:
                 return Violation("shape", src, f"action {j} has shape {mx.shape}, expected {want}")
             if mx.field != m.field:
                 return Violation("field", src, f"action {j} over the wrong field")
-    c = m.algebra.generators
+    c, exterior = m.algebra.generators, m.algebra.kind == "ext"
+    law = "anticommute" if exterior else "commute"
     for i in m.degrees():
         if not (m.lo <= i + 2 * step <= m.hi):
             continue
-        if m.algebra.kind == "poly":
-            for j in range(c):
-                for l in range(j + 1, c):
-                    if m.action(j, i + 1) @ m.action(l, i) != m.action(l, i + 1) @ m.action(j, i):
-                        return Violation("commute", i, f"generators ({j}, {l}) do not commute")
-        else:
-            for j in range(c):
-                if not (m.action(j, i - 1) @ m.action(j, i)).is_zero():
-                    return Violation("square", i, f"generator {j} does not square to zero")
-                for l in range(j + 1, c):
-                    lhs = m.action(j, i - 1) @ m.action(l, i)
-                    rhs = m.action(l, i - 1) @ m.action(j, i)
-                    if lhs != -rhs:
-                        return Violation("anticommute", i, f"generators ({j}, {l}) do not anticommute")
+        for j in range(c):
+            if exterior and not (m.action(j, i + step) @ m.action(j, i)).is_zero():
+                return Violation("square", i, f"generator {j} does not square to zero")
+            for l in range(j + 1, c):
+                lhs = m.action(j, i + step) @ m.action(l, i)
+                rhs = m.action(l, i + step) @ m.action(j, i)
+                if lhs != (-rhs if exterior else rhs):
+                    return Violation(law, i, f"generators ({j}, {l}) do not {law}")
     return None
 
 
@@ -367,7 +364,7 @@ def compress_modules(mc: ModuleComplex, n: int) -> PeriodicModuleComplex:
 
 @dataclass(frozen=True)
 class FlagData:
-    """Summand dimensions plus strictly upper-triangular blocks.
+    """Nonnegative summand dimensions plus strictly upper-triangular blocks.
 
     ``blocks`` holds triples (src, dst, matrix) with dst < src; the block
     maps part src into part dst.  Square-zero of the assembled differential
@@ -379,6 +376,8 @@ class FlagData:
     blocks: tuple[tuple[int, int, Matrix], ...]
 
     def __post_init__(self) -> None:
+        if min(self.parts, default=0) < 0:
+            raise ShapeError("dimensions must be nonnegative")
         for src, dst, m in self.blocks:
             if not 0 <= dst < src < len(self.parts):
                 raise ShapeError(f"block ({src}, {dst}) is not strictly upper triangular")

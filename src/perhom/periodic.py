@@ -49,7 +49,6 @@ from .complexes import (
     validate,
     validate_chain_map,
     zero_chain_map,
-    zero_complex,
 )
 from .linalg import (
     Field,
@@ -90,7 +89,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PeriodicComplex:
-    """n terms with cyclically indexed differentials d^i : i -> (i+1) mod n."""
+    """n terms, of nonnegative dimensions, and differentials d^i : i -> (i+1) mod n."""
 
     field: Field
     n: int
@@ -102,6 +101,8 @@ class PeriodicComplex:
             raise ValueError("period must be at least 1")
         if len(self.dims) != self.n or len(self.diffs) != self.n:
             raise ShapeError("expected exactly n dimensions and n differentials")
+        if min(self.dims) < 0:
+            raise ShapeError("dimensions must be nonnegative")
 
     def degrees(self) -> range:
         """One degree per residue."""
@@ -238,8 +239,6 @@ def expand_window(p: PeriodicComplex, lo: int, hi: int) -> BoundedComplex:
     The outgoing differential at the top degree is truncated to zero; the
     restriction to [lo, hi-1] agrees with the unrolled complex.
     """
-    if lo > hi:
-        return zero_complex(p.field, lo)
     dims = tuple(p.dim(i) for i in range(lo, hi + 1))
     diffs = tuple(p.diff(i) for i in range(lo, hi))
     return BoundedComplex(p.field, lo, dims, diffs)
@@ -394,11 +393,8 @@ def twist_iso(x: BoundedComplex, n: int) -> ChainMap:
     dst = degree_shift(x, n)
     comps = {}
     for i in src.degrees():
-        d = src.dim(i)
-        if d == 0:
-            continue
         sign = 1 if (n * (i + n)) % 2 == 0 else -1
-        m = identity(x.field, d)
+        m = identity(x.field, src.dim(i))
         comps[i] = m if sign == 1 else -m
     return chain_map(src, dst, comps)
 

@@ -141,11 +141,7 @@ def random_bounded_complex(
         for t in range(heads.get(i, 0)):
             block[t][heads.get(i - 1, 0) + t] = 1
         diffs.append(_from_rows(field, block, cols))
-    basis = {i: _basis_change(rng, field, dims[i - lo]) for i in degs}
-    conjugated = []
-    for k, i in enumerate(degs[:-1]):
-        conjugated.append(basis[i + 1][0] @ diffs[k] @ basis[i][1])
-    return BoundedComplex(field, lo, dims, tuple(conjugated))
+    return BoundedComplex(field, lo, dims, _conjugated(rng, field, dims, diffs))
 
 
 def random_chain_map(rng: Random, x: BoundedComplex, y: BoundedComplex) -> ChainMap:
@@ -165,9 +161,14 @@ def random_periodic(
 
 
 def conjugate_periodic(rng: Random, p: PeriodicComplex) -> PeriodicComplex:
-    basis = [_basis_change(rng, p.field, d) for d in p.dims]
-    diffs = tuple(basis[(i + 1) % p.n][0] @ p.diffs[i] @ basis[i][1] for i in range(p.n))
-    return PeriodicComplex(p.field, p.n, p.dims, diffs)
+    return PeriodicComplex(p.field, p.n, p.dims, _conjugated(rng, p.field, p.dims, p.diffs))
+
+
+def _conjugated(rng: Random, field: Field, dims, diffs) -> tuple[Matrix, ...]:
+    """``diffs`` in a random basis: one basis change B_k per term of ``dims``, all
+    drawn in term order first, then d_k becomes B_((k+1) mod terms) d_k B_k^-1."""
+    basis = [_basis_change(rng, field, d) for d in dims]
+    return tuple(basis[(k + 1) % len(dims)][0] @ d @ basis[k][1] for k, d in enumerate(diffs))
 
 
 def random_contractible_periodic(rng: Random, field: Field, n: int, max_dim: int = 2) -> PeriodicComplex:

@@ -98,6 +98,9 @@ class TestShift:
         c = unit_interval()
         assert shift(shift(c, 1), 1) == shift(c, 2)
 
+    def test_zero_complex_moves_its_window(self):
+        assert shift(zero_complex(F5, 2), 3) == BoundedComplex(F5, -1, (), ())
+
     def test_validates_and_translates_cohomology(self):
         rng = Random(11)
         for _ in range(10):

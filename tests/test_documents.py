@@ -165,6 +165,13 @@ def test_schema_error_pointer_and_message(document, pointer, message):
     assert (error.value.pointer, error.value.message) == (pointer, message)
 
 
+def test_an_empty_component_outside_both_supports_is_dropped():
+    with_empty = CHAIN_MAP % ('[{"degree":0,"matrix":[[2]]},{"degree":3,"matrix":[]}]', F5, POINT % F5, POINT % F5)
+    without = CHAIN_MAP % ('[{"degree":0,"matrix":[[2]]}]', F5, POINT % F5, POINT % F5)
+    assert parse_document(with_empty) == parse_document(without)
+    assert parse_document(with_empty).components == ((0, mat(GF(5), [[2]])),)
+
+
 def test_document_dict_rejects_a_value_without_a_document_form():
     with pytest.raises(TypeError, match=r"^no document form for Matrix$"):
         document_dict(mat(QQ, [[1]]))

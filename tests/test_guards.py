@@ -4,30 +4,39 @@ the folds of module complexes and the embedding certificate of an empty
 corpus reject a period below one, the chain-map constructors reject a
 component over another field, each guard fails the same way on a second
 call, and the violation branches of the checks that no other test reaches
-fire (each check runs once per value, so these inputs show it still does)."""
+fire (each check runs once per value, so these inputs show it still does).
+The constructors, the remaining guards and the checks' value branches
+that no other test reaches are pinned in tables at the end, exception
+type and message included."""
 
 import pytest
 
 from perhom import (
     GF,
     QQ,
+    Algebra,
     BGGComplex,
+    DocumentError,
     DoubleComplex,
     FieldMismatch,
+    FlagData,
     GradedModule,
     Homotopy,
     ModuleComplex,
     PeriodicComplex,
     PeriodicModuleComplex,
+    ShapeError,
     bgg_complex,
     bgg_module,
     bgg_periodic,
     chain_map,
     cohomology_dims,
+    compose,
     compress,
     compress_map,
     compress_modules,
     cone,
+    direct_sum_modules,
     embedding_certificate,
     exterior_algebra,
     find_null_homotopy,
@@ -36,9 +45,11 @@ from perhom import (
     hom_space_dims,
     homotopy_defect,
     identity_chain_map,
+    identity_periodic_map,
     lambda_dual,
     mat,
     orbit_hom,
+    parse_document,
     periodic_cohomology,
     periodic_cone,
     periodic_hom_dims,
@@ -55,13 +66,16 @@ from perhom import (
     unrolled_identity_contraction,
     validate,
     validate_bgg,
+    validate_chain_map,
     validate_module,
     validate_module_complex,
     verify_bgg_square,
     zero_chain_map,
+    zero_complex,
     zeros,
 )
 from perhom.complexes import BoundedComplex, Violation
+from perhom.koszul import Totalization
 from perhom.periodic import periodic_chain_map
 
 ONE, ZERO = mat(QQ, [[1]]), zeros(QQ, 1, 1)
@@ -297,3 +311,244 @@ def test_total_complex_rejects_a_column_that_does_not_square_to_zero():
     with pytest.raises(ValueError) as caught:
         total_complex(grid)
     assert (type(caught.value), str(caught.value)) == (ValueError, "column 0 does not square to zero at (0, 0)")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PeriodicComplex(QQ, 1, (-1,), (zeros(QQ, 0, 0),)),
+        lambda: GradedModule(QQ, polynomial_algebra(1), 0, (-1,), ((),)),
+        lambda: FlagData(QQ, (-1,), ()),
+    ],
+    ids=["PeriodicComplex", "GradedModule", "FlagData"],
+)
+def test_constructor_refuses_a_negative_dimension(build):
+    with pytest.raises(ShapeError) as caught:
+        build()
+    assert str(caught.value) == "dimensions must be nonnegative"
+
+
+_F5_POINT = single(GF(5), 0)
+_EXT_POINT = GradedModule(QQ, exterior_algebra(1), 0, (1,), ((),))
+_F5_PERIODIC = PeriodicComplex(GF(5), 1, (1,), (zeros(GF(5), 1, 1),))
+
+GUARDS = [
+    ("chain_map-fields", lambda: chain_map(_PT, _F5_POINT, {}), FieldMismatch, "chain map across fields"),
+    (
+        "chain_map-shape",
+        lambda: chain_map(_PT, _PT, {0: zeros(QQ, 1, 2)}),
+        ShapeError,
+        "component at degree 0 has shape (1, 2)",
+    ),
+    (
+        "chain_map-outside-supports",
+        lambda: chain_map(_PT, _PT, {1: ONE}),
+        ShapeError,
+        "nonzero component at degree 1 outside both supports",
+    ),
+    (
+        "compose",
+        lambda: compose(identity_chain_map(_PT), identity_chain_map(single(QQ, 1))),
+        ShapeError,
+        "middle complexes do not match",
+    ),
+    ("Algebra-kind", lambda: Algebra("lie", 1), ValueError, "unknown algebra kind 'lie'"),
+    (
+        "GradedModule-families",
+        lambda: GradedModule(QQ, _POLY1, 0, (1,), ()),
+        ShapeError,
+        "expected one action family per generator",
+    ),
+    (
+        "GradedModule-matrices",
+        lambda: GradedModule(QQ, _POLY1, 0, (1, 1), ((),)),
+        ShapeError,
+        "expected one action matrix per adjacent degree pair",
+    ),
+    (
+        "ModuleComplex-maps",
+        lambda: ModuleComplex(0, (_POINT,), ((ZERO,),)),
+        ShapeError,
+        "expected one map per adjacent pair of terms",
+    ),
+    (
+        "PeriodicModuleComplex-terms",
+        lambda: PeriodicModuleComplex(1, (), ()),
+        ShapeError,
+        "expected n modules and n maps",
+    ),
+    (
+        "PeriodicComplex-terms",
+        lambda: PeriodicComplex(QQ, 2, (1,), (ZERO,)),
+        ShapeError,
+        "expected exactly n dimensions and n differentials",
+    ),
+    (
+        "free_module-exterior",
+        lambda: free_module(QQ, exterior_algebra(1), 0, (0, 1)),
+        ValueError,
+        "free exterior modules are not needed here",
+    ),
+    ("direct_sum_modules-empty", lambda: direct_sum_modules([]), ValueError, "nothing to sum"),
+    (
+        "direct_sum_modules-windows",
+        lambda: direct_sum_modules([_POINT, GradedModule(QQ, _POLY1, 1, (1,), ((),))]),
+        ShapeError,
+        "direct sum needs matching windows and algebras",
+    ),
+    (
+        "compress_modules-empty",
+        lambda: compress_modules(ModuleComplex(0, (), ()), 2),
+        ValueError,
+        "cannot fold an empty module complex",
+    ),
+    (
+        "FlagData-triangle",
+        lambda: FlagData(QQ, (1, 1), ((0, 1, ONE),)),
+        ShapeError,
+        "block (0, 1) is not strictly upper triangular",
+    ),
+    (
+        "FlagData-shape",
+        lambda: FlagData(QQ, (1, 1), ((1, 0, zeros(QQ, 1, 2)),)),
+        ShapeError,
+        "block (1, 0) has shape (1, 2)",
+    ),
+    ("lambda_dual-low", lambda: lambda_dual(0, QQ), ValueError, "generator count out of range: 0"),
+    ("lambda_dual-high", lambda: lambda_dual(7, QQ), ValueError, "generator count out of range: 7"),
+    (
+        "total_complex-vertical",
+        lambda: total_complex(DoubleComplex(QQ, {(0, 0): 1, (0, 1): 1}, {}, {(0, 0): zeros(QQ, 2, 1)})),
+        ShapeError,
+        "vertical map at (0, 0) has the wrong shape",
+    ),
+    (
+        "total_complex-square",
+        # Both rows and both columns are single maps, but the square
+        # anticommutes, so the total differential does not square to zero.
+        lambda: total_complex(
+            DoubleComplex(
+                QQ,
+                {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
+                {(0, 0): ONE, (0, 1): ONE},
+                {(0, 0): ONE, (1, 0): -ONE},
+            )
+        ),
+        ValueError,
+        f"total differential does not square to zero: {SQUARE}",
+    ),
+    (
+        "bgg_complex-empty",
+        lambda: bgg_complex(ModuleComplex(0, (), ())),
+        ValueError,
+        "cannot apply the functor to an empty complex",
+    ),
+    (
+        "bgg_complex-exterior",
+        lambda: bgg_complex(ModuleComplex(0, (_EXT_POINT,), ())),
+        ValueError,
+        "input must be a complex of polynomial-algebra modules",
+    ),
+    (
+        "bgg_periodic-exterior",
+        lambda: bgg_periodic(PeriodicModuleComplex(1, (_EXT_POINT,), ((ZERO,),))),
+        ValueError,
+        "input must be periodic over a polynomial algebra",
+    ),
+    (
+        "periodic_chain_map-fields",
+        lambda: periodic_chain_map(GOOD_PERIODIC, _F5_PERIODIC, (ZERO,)),
+        FieldMismatch,
+        "periodic map across fields",
+    ),
+    (
+        "periodic_chain_map-periods",
+        lambda: periodic_chain_map(GOOD_PERIODIC, _P, (ZERO,)),
+        ShapeError,
+        "periodic map across different periods",
+    ),
+    (
+        "periodic_chain_map-count",
+        lambda: periodic_chain_map(GOOD_PERIODIC, GOOD_PERIODIC, ()),
+        ShapeError,
+        "expected one component per residue",
+    ),
+    (
+        "periodic_chain_map-shape",
+        lambda: periodic_chain_map(GOOD_PERIODIC, GOOD_PERIODIC, (zeros(QQ, 1, 2),)),
+        ShapeError,
+        "component 0 has shape (1, 2)",
+    ),
+    (
+        "periodic_hom_dims-fields",
+        lambda: periodic_hom_dims(GOOD_PERIODIC, _F5_PERIODIC),
+        FieldMismatch,
+        "hom across fields",
+    ),
+    (
+        "find_periodic_homotopy-endpoints",
+        lambda: find_periodic_homotopy(identity_periodic_map(GOOD_PERIODIC), identity_periodic_map(_P)),
+        ShapeError,
+        "homotopy endpoints must share source and target",
+    ),
+    (
+        "embedding_certificate-fields",
+        lambda: embedding_certificate([_PT, _F5_POINT], 2),
+        FieldMismatch,
+        "corpus spans several fields",
+    ),
+    (
+        "parse_document-missing-field",
+        lambda: parse_document('{"dims":[1],"field":{"fp":5},"kind":"complex","window":[0,0]}'),
+        DocumentError,
+        "/: missing field 'diffs'",
+    ),
+    # Past the trial divisions by the primes up to 13, so decided by
+    # Miller-Rabin; 2147117569 = 46337^2 lies just below 2^31.
+    ("GF-square-of-17", lambda: GF(289), ValueError, "289 is not prime"),
+    ("GF-square-of-46337", lambda: GF(2147117569), ValueError, "2147117569 is not prime"),
+    ("GF-float", lambda: GF(5.0), ValueError, "prime must be an int, got 5.0"),
+    ("GF-bool", lambda: GF(True), ValueError, "prime must be an int, got True"),
+]
+
+
+@pytest.mark.parametrize("call, kind, message", [case[1:] for case in GUARDS], ids=[case[0] for case in GUARDS])
+def test_guard_raises_its_exception_and_message(call, kind, message):
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert (type(caught.value), str(caught.value)) == (kind, message)
+
+
+_FREE_LOOP = PeriodicModuleComplex(1, (_FREE,), ((ZERO, ZERO),))
+
+VALUES = [
+    (
+        "validate_chain_map-source",
+        lambda: validate_chain_map(chain_map(BAD_COMPLEX, _PT, {})),
+        Violation("square", 0, "composite of consecutive differentials is nonzero"),
+    ),
+    (
+        "validate_chain_map-target",
+        lambda: validate_chain_map(chain_map(_PT, BAD_COMPLEX, {})),
+        Violation("square", 0, "composite of consecutive differentials is nonzero"),
+    ),
+    (
+        "validate_module_complex-module",
+        lambda: validate_module_complex(ModuleComplex(0, (BAD_MODULE,), ())),
+        Violation("commute", 0, "generators (0, 1) do not commute"),
+    ),
+    ("PeriodicModuleComplex.map_at-below", lambda: _FREE_LOOP.map_at(0, -1), zeros(QQ, 0, 0)),
+    ("PeriodicModuleComplex.map_at-above", lambda: _FREE_LOOP.map_at(0, 2), zeros(QQ, 0, 0)),
+    (
+        "total_complex-empty",
+        lambda: total_complex(DoubleComplex(QQ, {}, {}, {})),
+        Totalization(zero_complex(QQ), {}),
+    ),
+    ("repr-empty", lambda: repr(zeros(QQ, 0, 2)), "Matrix(QQ, 0x2)"),
+    ("repr-entries", lambda: repr(mat(QQ, [["1/2", 3]])), "Matrix(QQ, [1/2 3])"),
+]
+
+
+@pytest.mark.parametrize("call, want", [case[1:] for case in VALUES], ids=[case[0] for case in VALUES])
+def test_branch_returns_its_value(call, want):
+    assert call() == want

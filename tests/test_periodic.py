@@ -5,6 +5,7 @@ import pytest
 from perhom import (
     GF,
     QQ,
+    BoundedComplex,
     Homotopy,
     PeriodicComplex,
     chain_map,
@@ -37,6 +38,7 @@ from perhom import (
     validate_chain_map,
     validate_periodic,
     zero_chain_map,
+    zero_complex,
     zeros,
 )
 from perhom.periodic import periodic_chain_map
@@ -151,6 +153,10 @@ class TestExpand:
     def test_point_window(self):
         e = expand_window(compress(unit_interval(), 2), 0, 0)
         assert e.dims == (1,)
+
+    def test_reversed_window_is_the_zero_complex_at_its_low_end(self):
+        p = compress(unit_interval(F5), 2)
+        assert expand_window(p, 3, 1) == zero_complex(F5, 3)
 
     def test_interior_agrees_with_unrolling(self):
         rng = Random(24)
@@ -324,6 +330,12 @@ class TestShiftTwist:
         comps = dict(t.components)
         assert comps[-1] == mat(QQ, [[1]])
         assert comps[0] == mat(QQ, [[-1]])
+        assert validate_chain_map(t) is None
+
+    def test_zero_term_inside_the_window_has_no_component(self):
+        x = BoundedComplex(QQ, 1, (1, 0, 1), (zeros(QQ, 0, 1), zeros(QQ, 1, 0)))
+        t = twist_iso(x, 1)
+        assert t.components == ((0, mat(QQ, [[-1]])), (2, mat(QQ, [[-1]])))
         assert validate_chain_map(t) is None
 
     def test_twist_is_isomorphism(self):
