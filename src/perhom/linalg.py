@@ -49,19 +49,20 @@ bound k (p-1)^2 on the entries of the unreduced product:
 Row reduction over QQ is fraction-free Gauss-Jordan elimination (Bareiss,
 Math. Comp. 22, 1968) on the numerators; see `rref`.  QQ has one loop, on
 Python lists of Python ints (`_rref_rows`), at every size.  Over F_p,
-with nnz the number of nonzero entries, there are three routes:
+with nnz the number of nonzero entries, `rref` picks one of three routes
+from the shape and nnz alone, and the route it picks runs to the end:
 
 * up to ``_SMALL_CELLS`` = 64 cells, the same loop on lists, where
   numpy's per-call cost is most of the time;
-* above that, when nnz <= 2 (rows + cols): Gauss-Jordan on rows kept as
-  {column: residue} dicts (`_rref_sparse`; after Dumas and Villard, CASC
-  2002, and Faugere and Lachartre, PASCO 2010), which gives up and hands
-  the matrix to the array route once its rows hold more than 2 nnz
-  entries, since random sparse matrices fill in;
-* otherwise the pivot loop on the int64 array.
+* above that, when nnz <= ``_SPARSE_FILL`` (rows + cols) = 2 (rows +
+  cols): Gauss-Jordan on rows kept as {column: residue} dicts
+  (`_rref_sparse`; after Dumas and Villard, CASC 2002, and Faugere and
+  Lachartre, PASCO 2010), also where the rows fill in;
+* otherwise the pivot loop on the int64 array, making the same steps in
+  the same order as on lists.
 
 The reduced row echelon form is unique, so every route writes the same
-bytes.  `rref` alone states this rule; `_invert_rows` reduces [M | den 1]
+bytes.  `rref` alone applies this rule; `_invert_rows` reduces [M | den 1]
 on lists at every size, as the samplers invert at most 8x8 (128 cells,
 below the crossover) in the 2446 inversions of the verify suites at seed 0.
 
@@ -72,13 +73,19 @@ GF(2147483629): 0.40 against 0.87 ms) and by far at 40x80 (2.9 against 16
 ms at GF(7), 2.2 against 35 ms at GF(2147483629)).  The sparse rule was
 timed against the array loop alone on random matrices over GF(32003) and
 GF(2147483629), shapes 12x16 to 240x480 and 480x160 at 0.5-6 nonzeros
-per row (median of three best-of-nine ratios): the 49 matrices the dicts
-keep ran 1.1-5.8x faster, the 12 that filled in past 2 nnz and were
-handed on 0.69-0.99x, and the 11 left to the loop 0.92-1.03x.  The six
-BGG differentials above 64 cells of the free modules with c = 4, 5 and 6
-(GF(32003)) take 2.4-3 against 12 ms in all.  Dicts do not replace the
-lists: on dense 2x2 to 6x6 matrices they take 1.5-3.5x as long, and they
-draw level only at 8x8 (GF(7) and GF(32003), best of seven).
+per row (best of fifteen, two runs).  The dicts take 64 of the 72, in a
+median 0.25-0.26 of the loop's time and at most 3.0-3.4x, on 120x240
+and 240x480 at 6 per row over GF(2147483629), which fill in.  An earlier
+rule handed rows that filled past 2 nnz on to the loop; the 14-17
+matrices it handed on take 0.2-0.8x its time at 3-4 per row and 0.4-2.8x
+at 6.  At the rule's limit on wide shapes (16x256 at 34 per row, 20x200
+at 22, 30x240 and 60x480 at 18, 40x120 at 8) the dicts take 1.3-4.7x the
+loop's time, 0.8-14 ms.  Matrices both rules reduce alike read 0.6-1.6x,
+the resolution of this grid.  The six BGG differentials above 64 cells
+of the free modules with c = 4, 5 and 6 (GF(32003)) take 2.4-3 against
+12 ms in all.  Dicts do not replace the lists: on dense 2x2 to 6x6
+matrices they take 1.5-3.5x as long, and they draw level only at 8x8
+(GF(7) and GF(32003), best of seven).
 
 Over QQ (best of nine, two runs) the lists take 0.75-0.83 of the time of
 the same loop on object-dtype numpy arrays on [M | 1] at 8x16, 0.93-0.96
@@ -135,10 +142,7 @@ _RESIDUE = re.compile(r"-?[0-9]+")
 # the module docstring for the measured crossover.
 _SMALL_CELLS = 64
 
-# Above that, `rref` reduces an F_p matrix on sparse rows when it has at
-# most _SPARSE_FILL (rows + cols) nonzeros, and gives the rows up for the
-# int64 array once they hold more than _SPARSE_FILL times as many; see the
-# module docstring.
+# The factor of rows + cols in the F_p route rule of the module docstring.
 _SPARSE_FILL = 2
 
 
@@ -543,31 +547,17 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     The reduced row echelon form is unique, so both fields' routes give the
     same matrix.
 
-    The loop runs on Python lists (`_rref_rows`) over QQ.  Over F_p this
-    function alone picks one of three routes, from the shape and the
-    nonzero count nnz of `m`:
-
-    * up to ``_SMALL_CELLS`` = 64 cells, the loop on lists;
-    * else, when nnz <= ``_SPARSE_FILL`` (rows + cols) = 2 (rows + cols),
-      Gauss-Jordan on rows kept as {column: residue} dicts
-      (`_rref_sparse`), which hands `m` on to the next route once its
-      rows hold more than 2 nnz entries;
-    * else the loop on the int64 numpy array, making the same steps in
-      the same order as on lists.
-
-    The module docstring gives the measured times.
+    The loop runs on Python lists (`_rref_rows`) over QQ.  Over F_p the
+    shape and the nonzero count of `m` pick the lists, sparse rows or the
+    int64 array, by the rule that the module docstring states and times.
     """
-    if m.rows == 0 or m.cols == 0:
-        return m, ()
     p = m.field.p
     if p is None or m.rows * m.cols <= _SMALL_CELLS:
         rows, pivots, den = _rref_rows(p, m.array.tolist(), m.cols)
         return _from_rows(m.field, rows, m.cols, den), pivots
-    nnz = np.count_nonzero(m.array)
-    if nnz <= _SPARSE_FILL * (m.rows + m.cols):
-        sparse = _rref_sparse(m.array, p, _SPARSE_FILL * nnz)
-        if sparse is not None:
-            return _wrap(m.field, sparse[0]), sparse[1]
+    if np.count_nonzero(m.array) <= _SPARSE_FILL * (m.rows + m.cols):
+        reduced, pivots = _rref_sparse(m.array, p)
+        return _wrap(m.field, reduced), pivots
     a = m.array.copy()
     pivots = []
     r = 0
@@ -593,10 +583,9 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return _wrap(m.field, a), tuple(pivots)
 
 
-def _rref_sparse(a: np.ndarray, p: int, budget: int) -> tuple[np.ndarray, tuple[int, ...]] | None:
+def _rref_sparse(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """The rref and pivot columns of the int64 residue array `a`, by
-    Gauss-Jordan on its rows kept as {column: residue} dicts; None once the
-    pivot rows hold more than `budget` entries.
+    Gauss-Jordan on its rows kept as {column: residue} dicts.
 
     Each row is reduced against the pivot rows found so far until its
     leftmost column is no pivot, and then becomes the pivot row of that
@@ -610,27 +599,19 @@ def _rref_sparse(a: np.ndarray, p: int, budget: int) -> tuple[np.ndarray, tuple[
     for k, x in zip(at.tolist(), a.take(at).tolist()):
         rows[k // n][k % n] = x
     found: dict[int, dict[int, int]] = {}
-    stored = 0
     for row in rows:
         while row:
             c = min(row)
             if c not in found:
                 inv = pow(row[c], -1, p)
                 found[c] = row if inv == 1 else {j: x * inv % p for j, x in row.items()}
-                stored += len(row)
                 break
             _subtract(row, row[c], found[c], p)
-            if stored + len(row) > budget:
-                return None
     pivots = sorted(found)
     for c in reversed(pivots):
         row = found[c]
-        stored -= len(row)
         for j in [j for j in row if j != c and j in found]:
             _subtract(row, row[j], found[j], p)
-        stored += len(row)
-        if stored > budget:
-            return None
     reduced = [found[c] for c in pivots]
     out = np.zeros(a.shape, dtype=np.int64)
     out.put([r * n + j for r, row in enumerate(reduced) for j in row], [x for row in reduced for x in row.values()])
@@ -809,8 +790,6 @@ class BlockSystem:
         for eq_key, unk_key, left, right in self._terms:
             er, ec = self._equations[eq_key]
             ur, uc = self._unknowns[unk_key]
-            if er * ec == 0 or ur * uc == 0:
-                continue
             if left is not None and left.shape != (er, ur):
                 raise ShapeError(f"left factor of {eq_key!r}/{unk_key!r} has shape {left.shape}")
             if right is not None and right.shape != (uc, ec):

@@ -260,8 +260,6 @@ def unit_and_retraction(x: BoundedComplex, n: int, window: tuple[int, int]) -> t
     field = x.field
     unit = lambda j: identity(field, x.dim(j))
     for i in x.degrees():
-        if x.dim(i) == 0 or e.dim(i) == 0:
-            continue
         degrees = residue_degrees(x, n, i % n)
         eta[i] = _fold(field, [i], degrees, 0, x.dim, x.dim, unit)
         rho[i] = _fold(field, degrees, [i], 0, x.dim, x.dim, unit)
@@ -358,8 +356,6 @@ def periodize_null_homotopy(p: PeriodicComplex, s: Homotopy) -> PeriodicHomotopy
     _require(validate_periodic(p), "periodic complex")
     n = p.n
     for i in range(0, n):
-        if p.dim(i) == 0:
-            continue
         got = s.component(i + 1) @ p.diff(i) + p.diff(i - 1) @ s.component(i)
         if got != identity(p.field, p.dim(i)):
             raise ValueError(f"input homotopy fails its defining identity at degree {i}")

@@ -248,10 +248,9 @@ def random_graded_module(
 
 def _random_solution(rng: Random, sys: BlockSystem) -> dict:
     """The unknown blocks of a random element of the kernel of ``sys``: one
-    random coefficient per kernel basis vector, none when the kernel is 0."""
+    random coefficient per kernel basis vector, so zero blocks and no draw
+    when the kernel is 0."""
     basis = kernel_basis(sys.matrix())
-    if basis.cols == 0:
-        return {}
     return sys.split_solution(basis @ rand_matrix(rng, sys.field, basis.cols, 1))
 
 

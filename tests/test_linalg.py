@@ -598,21 +598,14 @@ class TestEliminationRoutes:
     @pytest.mark.parametrize("field", [QQ, GF(7)])
     def test_lists_run_up_to_64_cells(self, monkeypatch, field):
         # Over F_p rref runs the list loop up to 64 cells; above that it
-        # keeps sparse rows while nnz <= 2 (rows + cols), handing the matrix
-        # to the array loop ("bail") once they hold more than 2 nnz entries,
-        # and runs the array loop otherwise.  Over QQ it runs the lists at
-        # every size.  solve_linear takes the route of rref on [a | b], and
-        # _invert_rows the lists at every size over both fields.
+        # runs sparse rows to the end when nnz <= 2 (rows + cols), and the
+        # array loop otherwise.  Over QQ it runs the lists at every size.
+        # solve_linear takes the route of rref on [a | b], and _invert_rows
+        # the lists at every size over both fields.
         calls = []
         real_rows, real_sparse = linalg._rref_rows, linalg._rref_sparse
-
-        def sparse(*args):
-            out = real_sparse(*args)
-            calls.append("sparse" if out is not None else "bail")
-            return out
-
         monkeypatch.setattr(linalg, "_rref_rows", lambda *args: calls.append("lists") or real_rows(*args))
-        monkeypatch.setattr(linalg, "_rref_sparse", sparse)
+        monkeypatch.setattr(linalg, "_rref_sparse", lambda *args: calls.append("sparse") or real_sparse(*args))
         rng = Random(11)
 
         def route(run, *args):
@@ -634,11 +627,11 @@ class TestEliminationRoutes:
         assert route(rref, full(8, 8)) == route(rref, full(64, 1)) == "lists"
         assert route(rref, full(5, 13)) == route(rref, full(8, 9)) == fp("array")
         assert route(rref, full(1, 65)) == route(rref, perm) == route(kernel_basis, perm) == fp("sparse")
-        assert route(rref, hstack([u, identity(field, 12)])) == fp("bail")
+        assert route(rref, hstack([u, identity(field, 12)])) == fp("sparse")
         assert route(solve_linear, full(8, 7), full(8, 1)) == route(solve_linear, full(1, 63), full(1, 1)) == "lists"
         assert route(solve_linear, full(8, 8), full(8, 1)) == fp("array")
         assert route(solve_linear, perm, full(40, 1)) == fp("sparse")
-        assert route(solve_linear, u, identity(field, 12)) == fp("bail")
+        assert route(solve_linear, u, identity(field, 12)) == fp("sparse")
         # _invert_rows runs the lists at every size: past the 8 x 8 that the
         # verify suites invert at most at seed 0, to 9 x 9 and the 12 x 12 u.
         for m in (u, full(9, 9), full(5, 5)):
@@ -646,40 +639,14 @@ class TestEliminationRoutes:
         if field.p is None:
             assert route(rref, full(40, 80)) == route(solve_linear, full(20, 20), full(20, 20)) == "lists"
 
-    def test_sparse_route_bails_out_in_the_forward_pass(self):
-        # Row 0 is e_0 + e_20 + ... + e_30 and row i is e_(i-1) + e_i: 50
-        # nonzeros, within 2 (20 + 31) = 102, so rref takes the sparse route
-        # with a budget of 100.  Reducing row i against pivot row i - 1
-        # leaves 12 entries, so the forward pass stores 12 per row and
-        # passes the budget at row 8, before any back-substitution.
-        field, n = GF(32003), 31
-        a = np.zeros((20, n), dtype=np.int64)
-        a[0, [0, *range(20, n)]] = 1
-        for i in range(1, 20):
-            a[i, [i - 1, i]] = 1
-        m = Matrix(field, 20, n, a)
-        assert np.count_nonzero(a) == 50
-        forward, real = [], linalg._subtract
-
-        def subtract(row, f, top, p):
-            forward.append(len(row))
-            real(row, f, top, p)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(linalg, "_subtract", subtract)
-            assert linalg._rref_sparse(a, field.p, 100) is None
-        # Rows 1 to 8, of two entries each, took one forward reduction
-        # apiece, and row 8 bailed.
-        assert forward == [2] * 8
-        assert (rref(m)[0].entries, rref(m)[1]) == fp_rref(m)
-
     @settings(SETTINGS, max_examples=300)
     @given(st.data())
     def test_sparse_rows_match_the_oracles(self, data):
         # Every F_p route against the oracles, on the inputs the sparse rule
         # is for: signed partial permutations, sparse matrices with zero
         # rows and empty columns on both sides of nnz = 2 (rows + cols), BGG
-        # differentials, and fill-heavy ones that the sparse route hands on.
+        # differentials, and fill-heavy ones that the sparse route carries
+        # to the end.
         field = data.draw(st.sampled_from(SPARSE_FIELDS))
         a = data.draw(sparse_matrices(field))
         reduced, pivots = rref(a)
@@ -702,8 +669,10 @@ class TestEliminationRoutes:
 # GF(2) and GF(5) have many zero sums; 32003 is the prime of the bgg-fp
 # workload, and 2147483629 that of homotopy-fp, near the bound p < 2^31.
 SPARSE_FIELDS = [GF(2), GF(5), GF(32003), GF(2147483629)]
-# On both sides of 64 cells, and of the sparse rule at every fill.
-SPARSE_SHAPES = [(8, 8), (5, 13), (1, 65), (12, 16), (16, 12), (20, 30), (30, 20)]
+# On both sides of 64 cells, and of the sparse rule at every fill; at
+# 6 x 90 the rule admits rows of up to 32 entries, the densest inputs that
+# the sparse route takes.
+SPARSE_SHAPES = [(8, 8), (5, 13), (1, 65), (12, 16), (16, 12), (20, 30), (30, 20), (6, 90)]
 
 
 @st.composite
@@ -712,7 +681,7 @@ def sparse_matrices(draw, field, rows=None, cols=None):
     columns zeroed; when no shape is given, also a BGG differential of a
     random graded module, or [u | diag] for an upper bidiagonal u with a
     nonzero diagonal, rows shuffled, whose rref fills in past twice its
-    nonzeros."""
+    nonzeros and which the sparse route now carries to the end."""
     kinds = ["permutation", "sparse"] + (["bgg", "fill"] if rows is None else [])
     kind = draw(st.sampled_from(kinds))
     p = field.p
@@ -730,7 +699,6 @@ def sparse_matrices(draw, field, rows=None, cols=None):
             if i + 1 < n:
                 a[i, i + 1] = draw(unit)
         a = a[draw(st.permutations(range(n)))]
-        assert linalg._rref_sparse(a, p, 2 * np.count_nonzero(a)) is None
         return Matrix(field, n, 2 * n, a)
     if rows is None:
         rows, cols = draw(st.sampled_from(SPARSE_SHAPES))
@@ -826,6 +794,12 @@ GUARDS = {
     "system-unknown-key": (lambda: block_system(unknown=None, term=(ONE,)), KeyError, "unknown block 'u'"),
     "system-left-shape": (
         lambda: block_system(term=(ROW,)).matrix(),
+        ShapeError,
+        "left factor of 'e'/'u' has shape (1, 2)",
+    ),
+    # An empty unknown block does not exempt its factors from the check.
+    "system-left-shape-empty-unknown": (
+        lambda: block_system(unknown=(0, 1), term=(ROW,)).matrix(),
         ShapeError,
         "left factor of 'e'/'u' has shape (1, 2)",
     ),
