@@ -681,7 +681,7 @@ def sparse_matrices(draw, field, rows=None, cols=None):
     columns zeroed; when no shape is given, also a BGG differential of a
     random graded module, or [u | diag] for an upper bidiagonal u with a
     nonzero diagonal, rows shuffled, whose rref fills in past twice its
-    nonzeros and which the sparse route now carries to the end."""
+    nonzeros and which the sparse route carries to the end."""
     kinds = ["permutation", "sparse"] + (["bgg", "fill"] if rows is None else [])
     kind = draw(st.sampled_from(kinds))
     p = field.p
